@@ -27,8 +27,6 @@ import numpy as np
 from .assignment import NormalAssignment, assignment_density
 from .data import Dataset
 from .dist import NormalParams, Rng
-from .propensity import gps_density
-from ._parallel import ordered_map
 
 __all__ = [
     "AdrfEstimate",
@@ -107,13 +105,13 @@ def hirano_imbens_adrf(data: Dataset, gps, t_grid) -> AdrfEstimate:
     which keeps single-unit and collinear inputs well defined.
     """
     grid = np.asarray(t_grid, dtype=float)
-    r_obs = np.asarray(gps_density(gps, data.t, data.x), dtype=float)
+    r_obs = np.asarray(gps.density(data.t, data.x), dtype=float)
     T = data.t
     Z = np.column_stack([np.ones(data.n), T, T * T, r_obs, r_obs * r_obs, T * r_obs])
     alpha, *_ = np.linalg.lstsq(Z, data.y, rcond=None)
     mu = np.empty(len(grid))
     for i, t in enumerate(grid):
-        r_t = np.asarray(gps_density(gps, float(t), data.x), dtype=float)
+        r_t = np.asarray(gps.density(float(t), data.x), dtype=float)
         surf = (
             alpha[0]
             + alpha[1] * t
@@ -128,7 +126,7 @@ def hirano_imbens_adrf(data: Dataset, gps, t_grid) -> AdrfEstimate:
 
 def _stabilized_kernel(data, gps, marginal, cfg, t) -> np.ndarray:
     num = np.asarray(assignment_density(marginal, data.t), dtype=float)
-    den = np.asarray(gps_density(gps, data.t, data.x), dtype=float)
+    den = np.asarray(gps.density(data.t, data.x), dtype=float)
     if np.any(den <= 0.0):
         raise ValueError("zero GPS density at an observed point")
     return (num / den) * _kernel_values(data.t - t, cfg)
@@ -182,33 +180,28 @@ def bootstrap_ci(
     B: int,
     level: float,
     rng: Rng,
-    threads: int = 1,
 ) -> AdrfEstimate:
     """Percentile bootstrap band around ``estimator(data)``.
 
     ``estimator`` must do its own fitting (including the GPS), so each
-    resample refits everything. Resamples that raise are dropped and
-    counted in ``failed_resamples``. Resample index sets are drawn up
-    front from child generators, so results do not depend on the thread
-    count.
+    resample refits everything. Resamples whose fit fails with a
+    ``ValueError`` or ``RuntimeError`` (positivity, singular designs, an
+    uncertified pinball fit, every EM start collapsing) are dropped and
+    counted in ``failed_resamples``; any other exception propagates.
+    Resample index sets come from child generators of ``rng``.
     """
     if B < 100:
         raise ValueError("need at least 100 bootstrap resamples")
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie strictly inside (0, 1)")
     point = estimator(data)
-    children = rng.spawn(B)
-    index_sets = [child.gen.integers(0, data.n, size=data.n) for child in children]
-
-    def one(idx) -> np.ndarray | None:
+    kept = []
+    for child in rng.spawn(B):
+        resample = data.subset(child.gen.integers(0, data.n, size=data.n))
         try:
-            est = estimator(data.subset(idx))
-        except Exception:
-            return None
-        return est.mu_hat
-
-    draws = ordered_map(one, index_sets, threads)
-    kept = [d for d in draws if d is not None]
+            kept.append(estimator(resample).mu_hat)
+        except (ValueError, RuntimeError):
+            continue
     failed = B - len(kept)
     if not kept:
         raise RuntimeError("every bootstrap resample failed")

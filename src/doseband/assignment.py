@@ -31,7 +31,6 @@ from .dist import (
     _truncated_normal_logpdf_core,
     normal_pdf,
 )
-from .propensity import gps_density
 
 __all__ = [
     "AssignmentDist",
@@ -45,6 +44,7 @@ __all__ = [
     "decile_boundaries",
     "decile_index",
     "decile_midpoint",
+    "likelihood_ratio",
     "stabilized_weight",
 ]
 
@@ -169,15 +169,15 @@ def decile_midpoint(boundaries, t) -> float:
     return 0.5 * (b[j] + b[j + 1])
 
 
-def stabilized_weight(h, gps, cfg: WeightConfig, t, x):
-    """Likelihood-ratio weight h(t) / (gps_density(t, x) + offset).
+def likelihood_ratio(num, den, t):
+    """Weight num / den from numerator values h(t) and offset GPS
+    denominators at the treatments t.
 
-    Vectorized over rows of (t, x). Weights are zero exactly where h
-    puts no mass; a zero denominator under positive numerator raises
-    ``PositivityError`` when the offset is zero.
+    Weights are zero exactly where the numerator is; a denominator at or
+    below zero under a positive numerator raises ``PositivityError``.
+    Scalar inputs give a float.
     """
-    num = np.asarray(assignment_density(h, t), dtype=float)
-    den = np.asarray(gps_density(gps, t, x), dtype=float) + cfg.offset
+    num, den = np.asarray(num, dtype=float), np.asarray(den, dtype=float)
     scalar = num.ndim == 0 and den.ndim == 0
     num, den = np.atleast_1d(num), np.atleast_1d(den)
     bad = (den <= 0.0) & (num > 0.0)
@@ -189,3 +189,13 @@ def stabilized_weight(h, gps, cfg: WeightConfig, t, x):
         )
     out = np.where(num > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
     return float(out[0]) if scalar else out
+
+
+def stabilized_weight(h, gps, cfg: WeightConfig, t, x):
+    """Likelihood-ratio weight h(t) / (gps.density(t, x) + offset).
+
+    Vectorized over rows of (t, x). Weights are zero exactly where h
+    puts no mass; a zero denominator under positive numerator raises
+    ``PositivityError`` when the offset is zero.
+    """
+    return likelihood_ratio(assignment_density(h, t), gps.density(t, x) + cfg.offset, t)

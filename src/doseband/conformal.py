@@ -11,6 +11,11 @@ sum_i p_i * delta_{V_i} + p_inf * delta_{inf}. When the finite mass
 cannot reach 1 - alpha the threshold is +infinity and the interval is
 the whole line.
 
+The threshold depends on a test point only through its weight w, so
+the calibration side is built once and queried many times:
+``WeightedScores.thresholds`` answers an array of test weights, and
+``score_interval`` turns an array of thresholds into bounds.
+
 Two threshold constructions coexist on purpose. The plain split path
 uses the (1 - alpha)(1 + 1/n)-th order statistic of the calibration
 scores; the weighted path replaces that finite-sample correction with
@@ -31,9 +36,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .assignment import WeightConfig, stabilized_weight
+from .assignment import WeightConfig, assignment_density, likelihood_ratio
 from .data import Dataset, SplitIndices
-from ._parallel import ordered_map
+from .outcome import predict_quantile_pair
 
 __all__ = [
     "WeightedScores",
@@ -45,12 +50,12 @@ __all__ = [
     "calibration_scores",
     "score_interval",
     "split_conformal_interval",
-    "weighted_point_interval",
-    "weighted_cqr_interval",
+    "weighted_interval",
     "prediction_band",
 ]
 
 SCORE_KINDS = ("absolute-residual", "cqr", "one-sided-upper", "one-sided-lower")
+_SIDED = {"one-sided-upper": "upper-only", "one-sided-lower": "lower-only"}
 
 
 @dataclass(frozen=True)
@@ -79,6 +84,12 @@ class WeightedScores:
         object.__setattr__(self, "weights", weights)
 
     @cached_property
+    def _ties(self):
+        """Distinct score values ascending, and the index of each score
+        among them."""
+        return np.unique(self.scores, return_inverse=True)
+
+    @cached_property
     def _atoms(self):
         """Tie-merged atoms, max-normalized to keep the ratios overflow-safe.
 
@@ -86,9 +97,8 @@ class WeightedScores:
         total calibration mass, normalization scale).
         """
         scale = float(self.weights.max())
-        w = self.weights / scale
-        values, inverse = np.unique(self.scores, return_inverse=True)
-        grouped = np.bincount(inverse, weights=w)
+        values, inverse = self._ties
+        grouped = np.bincount(inverse, weights=self.weights / scale)
         rev = np.cumsum(grouped[::-1])
         total = float(rev[-1])
         suffix = np.zeros_like(grouped)
@@ -96,31 +106,57 @@ class WeightedScores:
             suffix[:-1] = rev[-2::-1]
         return values, suffix, total, scale
 
+    def reweighted(self, weights) -> WeightedScores:
+        """The same scores under new weights, reusing their sort."""
+        out = WeightedScores(self.scores, weights)
+        out.__dict__["_ties"] = self._ties  # fills the cached property
+        return out
+
+    def thresholds(self, w_new, alpha: float) -> np.ndarray:
+        """Conformal thresholds for an array of test-point weights.
+
+        Element i is the (1 - alpha)-quantile of the weighted scores plus
+        a +infinity atom of mass w_new[i] / (sum(W) + w_new[i]): the
+        smallest score whose strict upper-tail mass, always including the
+        infinity atom, is at most alpha times the total, or +inf when no
+        score qualifies. A test weight too large to normalize gives +inf.
+        """
+        if not 0.0 < alpha < 1.0:
+            raise ValueError("alpha must lie strictly inside (0, 1)")
+        w_new = np.asarray(w_new, dtype=float)
+        if not np.all(np.isfinite(w_new) & (w_new >= 0.0)):
+            raise ValueError("w_new must be finite and nonnegative")
+        values, suffix, total, scale = self._atoms
+        n = len(values)
+        # the atoms failing suffix + w <= target form a prefix, because
+        # suffix never increases; count them by binary lifting over
+        # padded[k] = suffix[k - 1], padded past the last atom with -inf
+        padded = np.full(1 << n.bit_length(), -math.inf)
+        padded[1 : n + 1] = suffix
+        with np.errstate(over="ignore"):
+            w = w_new / scale
+            finite = np.isfinite(w)
+            w = np.where(finite, w, 0.0)
+            target = alpha * (total + w)
+            fails = np.zeros(w.shape, dtype=np.intp)
+            step = len(padded) // 2
+            while step:
+                cand = fails + step
+                fails = np.where(padded[cand] + w > target, cand, fails)
+                step //= 2
+        return np.where(finite & (fails < n), values[np.minimum(fails, n - 1)], math.inf)
+
 
 def weighted_conformal_quantile(ws: WeightedScores, w_new: float, alpha: float) -> float:
     """(1 - alpha)-quantile of the weighted score distribution with the
     +infinity atom of mass w_new / (sum(W) + w_new).
 
-    Returns the smallest score whose cumulative probability reaches
-    1 - alpha, or +inf when the finite atoms cannot reach it (i.e. the
-    infinity atom alone exceeds alpha). Equivalently, and this is how
-    the scan is implemented, it is the smallest value whose strict
-    upper-tail mass, always including the infinity atom, is at most
-    alpha times the total.
+    The one-weight form of ``WeightedScores.thresholds``: the smallest
+    score whose cumulative probability reaches 1 - alpha, or +inf when
+    the finite atoms cannot reach it (i.e. the infinity atom alone
+    exceeds alpha).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly inside (0, 1)")
-    if not (math.isfinite(w_new) and w_new >= 0.0):
-        raise ValueError("w_new must be finite and nonnegative")
-    values, suffix, total, scale = ws._atoms
-    w = w_new / scale
-    if not math.isfinite(w):
-        return math.inf
-    ok = suffix + w <= alpha * (total + w)
-    hits = np.nonzero(ok)[0]
-    if hits.size == 0:
-        return math.inf
-    return float(values[hits[0]])
+    return float(ws.thresholds(w_new, alpha))
 
 
 @dataclass(frozen=True)
@@ -194,10 +230,7 @@ def calibration_scores(model, cfg: ConformalConfig, data: Dataset, idx) -> np.nd
     if kind == "absolute-residual":
         return np.abs(model.mean(x, t) - y)
     if kind == "cqr":
-        lo_level, hi_level = _quantile_pair_levels(model)
-        lo = model.quantile(x, t, lo_level)
-        hi = model.quantile(x, t, hi_level)
-        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+        lo, hi = predict_quantile_pair(model, x, t, *_quantile_pair_levels(model))
         return np.maximum(lo - y, y - hi)
     if kind == "one-sided-upper":
         return y - model.quantile(x, t, max(model.levels))
@@ -205,32 +238,34 @@ def calibration_scores(model, cfg: ConformalConfig, data: Dataset, idx) -> np.nd
     return model.quantile(x, t, min(model.levels)) - y
 
 
-def score_interval(model, cfg: ConformalConfig, x_new, t_new, eta: float) -> Interval:
-    """Interval at (x_new, t_new) from a conformal threshold eta.
+def score_interval(model, cfg: ConformalConfig, x, t, eta) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds at the rows of (x, t) from thresholds eta.
 
-    If an inverted pair ever arises (possible only for strongly negative
-    eta under heteroskedastic quantile widths) it collapses to its
-    midpoint, which is empty for a continuous response.
+    Two-sided CQR gives [q_lo - eta, q_hi + eta] (eta may be negative,
+    shrinking the pair). If an inverted pair ever arises (possible only
+    for strongly negative eta under heteroskedastic quantile widths) it
+    collapses to its midpoint, which is empty for a continuous response.
+    One-sided kinds shift the single fitted level and leave the other
+    side infinite.
     """
+    eta = np.asarray(eta, dtype=float)
     kind = cfg.score_kind
     if kind == "absolute-residual":
-        m = model.mean(x_new, t_new)
-        return Interval(m - eta, m + eta)
-    if kind == "cqr":
-        lo_level, hi_level = _quantile_pair_levels(model)
-        lo = model.quantile(x_new, t_new, lo_level)
-        hi = model.quantile(x_new, t_new, hi_level)
-        lo, hi = min(lo, hi), max(lo, hi)
-        lower, upper = lo - eta, hi + eta
-        if lower > upper:
-            mid = 0.5 * (lower + upper)
-            lower = upper = mid
-        return Interval(lower, upper)
+        m = model.mean(x, t)
+        return m - eta, m + eta
     if kind == "one-sided-upper":
-        hi = model.quantile(x_new, t_new, max(model.levels))
-        return Interval(-math.inf, hi + eta, sided="upper-only")
-    lo = model.quantile(x_new, t_new, min(model.levels))
-    return Interval(lo - eta, math.inf, sided="lower-only")
+        return np.full(eta.shape, -math.inf), model.quantile(x, t, max(model.levels)) + eta
+    if kind == "one-sided-lower":
+        return model.quantile(x, t, min(model.levels)) - eta, np.full(eta.shape, math.inf)
+    lo, hi = predict_quantile_pair(model, x, t, *_quantile_pair_levels(model))
+    lower, upper = lo - eta, hi + eta
+    crossed = lower > upper
+    lower[crossed] = upper[crossed] = 0.5 * (lower[crossed] + upper[crossed])
+    return lower, upper
+
+
+def _interval(cfg: ConformalConfig, lower, upper) -> Interval:
+    return Interval(float(lower), float(upper), _SIDED.get(cfg.score_kind, "two-sided"))
 
 
 def _split_rank(n_cal: int, alpha: float) -> int:
@@ -266,60 +301,57 @@ def split_conformal_interval(
     if rank > n:
         return Interval(-math.inf, math.inf)
     eta = float(np.partition(scores, rank - 1)[rank - 1])
-    return score_interval(mean_model, cfg, x_new, t_new, eta)
-
-
-def _weighted_interval(
-    data, sp, model, gps, h, cfg, x_new, t_new, weight_cfg
-) -> Interval:
-    scores = calibration_scores(model, cfg, data, sp.cal)
-    weights = stabilized_weight(
-        h, gps, weight_cfg, data.t[sp.cal], data.x[sp.cal]
+    lower, upper = score_interval(
+        mean_model, cfg, np.atleast_2d(x_new), np.array([float(t_new)]), eta
     )
-    w_new = stabilized_weight(h, gps, weight_cfg, float(t_new), np.asarray(x_new, dtype=float))
-    eta = weighted_conformal_quantile(WeightedScores(scores, weights), w_new, cfg.alpha)
-    return score_interval(model, cfg, x_new, t_new, eta)
+    return _interval(cfg, lower[0], upper[0])
 
 
-def weighted_point_interval(
-    data: Dataset,
-    sp: SplitIndices,
-    mean_model,
-    gps,
-    h,
-    cfg: ConformalConfig,
-    x_new,
-    t_new,
-    weight_cfg: WeightConfig = WeightConfig(),
-) -> Interval:
-    """Weighted conformal interval around a conditional-mean prediction
-    (absolute-residual scores, likelihood-ratio weights)."""
-    if cfg.score_kind != "absolute-residual":
-        raise ValueError("point intervals use the absolute-residual score")
-    return _weighted_interval(data, sp, mean_model, gps, h, cfg, x_new, t_new, weight_cfg)
+def _weighted_bounds(data, sp, model, gps, h_factory, cfg, x_new, t_new, weight_cfg):
+    """Weighted conformal bounds at (x_new, t) for each t in t_new, the
+    numerator of the weights being the assignment density h_factory(t).
 
-
-def weighted_cqr_interval(
-    data: Dataset,
-    sp: SplitIndices,
-    quantile_model,
-    gps,
-    h,
-    cfg: ConformalConfig,
-    x_new,
-    t_new,
-    weight_cfg: WeightConfig = WeightConfig(),
-) -> Interval:
-    """Weighted conformalized quantile-regression interval.
-
-    Two-sided: scores max(q_lo - Y, Y - q_hi), interval
-    [q_lo - eta, q_hi + eta] (eta may be negative, shrinking the pair).
-    One-sided kinds use the signed score against the single fitted level
-    and leave the other side unbounded.
+    The calibration scores, their sort and the GPS densities f(T_i | X_i)
+    do not depend on t and are computed once; each t costs its numerator
+    on the calibration treatments and one threshold query.
     """
-    if cfg.score_kind == "absolute-residual":
-        raise ValueError("use weighted_point_interval for absolute-residual scores")
-    return _weighted_interval(data, sp, quantile_model, gps, h, cfg, x_new, t_new, weight_cfg)
+    t_cal, x_cal = data.t[sp.cal], data.x[sp.cal]
+    # unit weights: each t reweights these scores and reuses their sort
+    scores = WeightedScores(calibration_scores(model, cfg, data, sp.cal), np.ones(len(t_cal)))
+    x_rows = np.tile(np.asarray(x_new, dtype=float), (len(t_new), 1))
+    den_cal = gps.density(t_cal, x_cal) + weight_cfg.offset
+    den_new = gps.density(t_new, x_rows) + weight_cfg.offset
+    eta = np.empty(len(t_new))
+    for k, t_k in enumerate(t_new):
+        h = h_factory(float(t_k))
+        weights = likelihood_ratio(assignment_density(h, t_cal), den_cal, t_cal)
+        w_new = likelihood_ratio(assignment_density(h, t_k), den_new[k], t_k)
+        eta[k] = scores.reweighted(weights).thresholds(w_new, cfg.alpha)
+    return score_interval(model, cfg, x_rows, t_new, eta)
+
+
+def weighted_interval(
+    data: Dataset,
+    sp: SplitIndices,
+    model,
+    gps,
+    h,
+    cfg: ConformalConfig,
+    x_new,
+    t_new,
+    weight_cfg: WeightConfig = WeightConfig(),
+) -> Interval:
+    """Weighted split-conformal interval at (x_new, t_new), with
+    likelihood-ratio weights h(t) / (gps(t | x) + offset).
+
+    ``model`` is a conditional-mean model for absolute-residual scores
+    (interval [m - eta, m + eta]) and a quantile model for the CQR kinds
+    (see ``score_interval``).
+    """
+    lower, upper = _weighted_bounds(
+        data, sp, model, gps, lambda t: h, cfg, x_new, np.array([float(t_new)]), weight_cfg
+    )
+    return _interval(cfg, lower[0], upper[0])
 
 
 def prediction_band(
@@ -334,31 +366,22 @@ def prediction_band(
     t_max: float,
     n_grid: int,
     weight_cfg: WeightConfig = WeightConfig(),
-    threads: int = 1,
 ) -> PredictionBand:
     """Pointwise band over an inclusive, evenly spaced treatment grid.
 
     ``h_factory`` maps each grid treatment to its assignment
     distribution, covering both a fixed shift (ignore the argument) and
     treatment-tracking numerators such as the decile-midpoint weights.
-    Grid points are independent; results are identical for any thread
-    count.
+    Each grid point's interval is the ``weighted_interval`` there.
     """
     if n_grid < 2:
         raise ValueError("need at least 2 grid points")
     if not t_min < t_max:
         raise ValueError("need t_min < t_max")
     grid = np.linspace(t_min, t_max, n_grid)
-
-    def one(t_k: float) -> Interval:
-        h = h_factory(float(t_k))
-        if cfg.score_kind == "absolute-residual":
-            return weighted_point_interval(
-                data, sp, model, gps, h, cfg, x_new, float(t_k), weight_cfg
-            )
-        return weighted_cqr_interval(
-            data, sp, model, gps, h, cfg, x_new, float(t_k), weight_cfg
-        )
-
-    intervals = ordered_map(one, [float(t) for t in grid], threads)
-    return PredictionBand(t_grid=grid, intervals=tuple(intervals), x=np.asarray(x_new, dtype=float))
+    lower, upper = _weighted_bounds(data, sp, model, gps, h_factory, cfg, x_new, grid, weight_cfg)
+    return PredictionBand(
+        t_grid=grid,
+        intervals=tuple(_interval(cfg, lo, up) for lo, up in zip(lower, upper)),
+        x=np.asarray(x_new, dtype=float),
+    )

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dist import Rng
 
-__all__ = ["Dataset", "SplitIndices", "split", "read_csv", "write_csv"]
+__all__ = ["Dataset", "SplitIndices", "split", "query_rows", "read_csv", "write_csv"]
 
 
 def _frozen_array(values, dtype=float, ndim=None) -> np.ndarray:
@@ -25,6 +25,23 @@ def _frozen_array(values, dtype=float, ndim=None) -> np.ndarray:
         raise ValueError(f"expected a {ndim}-d array, got shape {arr.shape}")
     arr.flags.writeable = False
     return arr
+
+
+def query_rows(t, x):
+    """Normalize model query shapes (t, x) to (t_vec, x_matrix, scalar_flag).
+
+    A 1-d x is one row, and a scalar t is repeated over the rows; the flag
+    marks a single-point query, which models answer with a float.
+    """
+    x = np.asarray(x, dtype=float)
+    scalar = x.ndim == 1
+    x2 = x[None, :] if scalar else x
+    t = np.asarray(t, dtype=float)
+    if t.ndim == 0:
+        t = np.full(x2.shape[0], float(t))
+    if t.shape[0] != x2.shape[0]:
+        raise ValueError("t and x row counts differ")
+    return t, x2, scalar and t.shape[0] == 1
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, query_rows
 from .dist import NormalParams, normal_quantile
 
 __all__ = [
@@ -31,8 +31,6 @@ __all__ = [
     "pinball_loss",
     "fit_linear_pinball",
     "fit_ols_mean",
-    "predict_quantile",
-    "predict_mean",
     "predict_quantile_pair",
 ]
 
@@ -51,16 +49,6 @@ class PinballFitError(RuntimeError):
     def __init__(self, message: str, best_objective: float):
         super().__init__(message)
         self.best_objective = best_objective
-
-
-def _rows(x, t):
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 1
-    x2 = x[None, :] if scalar else x
-    t = np.asarray(t, dtype=float)
-    if t.ndim == 0:
-        t = np.full(x2.shape[0], float(t))
-    return t, x2, scalar and t.shape[0] == 1
 
 
 def _check_levels(levels) -> tuple[float, ...]:
@@ -84,13 +72,13 @@ class OracleQuantileModel:
         object.__setattr__(self, "levels", _check_levels(self.levels))
 
     def quantile(self, x, t, level):
-        t, x2, scalar = _rows(x, t)
+        t, x2, scalar = query_rows(t, x)
         shift = normal_quantile(level, NormalParams(0.0, self.variance))
         out = np.asarray(self.mean_fn(x2, t), dtype=float) + shift
         return float(out[0]) if scalar else out
 
     def mean(self, x, t):
-        t, x2, scalar = _rows(x, t)
+        t, x2, scalar = query_rows(t, x)
         out = np.asarray(self.mean_fn(x2, t), dtype=float)
         return float(out[0]) if scalar else out
 
@@ -111,7 +99,7 @@ class LinearPinballModel:
             beta = self.coefs[level]
         except KeyError:
             raise KeyError(f"no coefficients fitted for level {level}") from None
-        t, x2, scalar = _rows(x, t)
+        t, x2, scalar = query_rows(t, x)
         out = np.asarray(self.basis(x2, t), dtype=float) @ beta
         return float(out[0]) if scalar else out
 
@@ -121,7 +109,7 @@ class OracleMeanModel:
     mean_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def mean(self, x, t):
-        t, x2, scalar = _rows(x, t)
+        t, x2, scalar = query_rows(t, x)
         out = np.asarray(self.mean_fn(x2, t), dtype=float)
         return float(out[0]) if scalar else out
 
@@ -132,7 +120,7 @@ class OlsMeanModel:
     beta: np.ndarray
 
     def mean(self, x, t):
-        t, x2, scalar = _rows(x, t)
+        t, x2, scalar = query_rows(t, x)
         out = np.asarray(self.basis(x2, t), dtype=float) @ self.beta
         return float(out[0]) if scalar else out
 
@@ -309,14 +297,6 @@ def fit_ols_mean(data: Dataset, train, basis) -> OlsMeanModel:
     if rank < Z.shape[1]:
         raise ValueError("mean design matrix is rank deficient")
     return OlsMeanModel(basis=basis, beta=beta)
-
-
-def predict_quantile(model, x, t, level):
-    return model.quantile(x, t, level)
-
-
-def predict_mean(model, x, t):
-    return model.mean(x, t)
 
 
 def predict_quantile_pair(model, x, t, level_lo, level_hi):

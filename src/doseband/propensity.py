@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, query_rows
 from .dist import Rng
 
 __all__ = [
@@ -28,25 +28,11 @@ __all__ = [
     "FitReport",
     "fit_ols_gaussian",
     "fit_gaussian_mixture",
-    "gps_density",
 ]
 
 VARIANCE_FLOOR = 1e-8
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def _rows(t, x):
-    """Normalize (t, x) query shapes to (t_vec, x_matrix, scalar_flag)."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 1
-    x2 = x[None, :] if scalar else x
-    t = np.asarray(t, dtype=float)
-    if t.ndim == 0:
-        t = np.full(x2.shape[0], float(t))
-    if t.shape[0] != x2.shape[0]:
-        raise ValueError("t and x row counts differ")
-    return t, x2, scalar and t.shape[0] == 1
 
 
 def _design(x: np.ndarray, basis: Callable | None) -> np.ndarray:
@@ -69,7 +55,7 @@ class OracleGaussianGps:
     variance: float
 
     def density(self, t, x):
-        t, x2, scalar = _rows(t, x)
+        t, x2, scalar = query_rows(t, x)
         out = _gauss(t, np.asarray(self.mean_fn(x2), dtype=float), self.variance)
         return float(out[0]) if scalar else out
 
@@ -91,7 +77,7 @@ class OlsGaussianGps:
         return _design(x, self.basis) @ self.beta
 
     def density(self, t, x):
-        t, x2, scalar = _rows(t, x)
+        t, x2, scalar = query_rows(t, x)
         out = _gauss(t, self.mean(x2), self.s2)
         return float(out[0]) if scalar else out
 
@@ -106,7 +92,7 @@ class MixtureGps:
     basis: Callable | None = None
 
     def density(self, t, x):
-        t, x2, scalar = _rows(t, x)
+        t, x2, scalar = query_rows(t, x)
         Z = _design(x2, self.basis)
         out = np.zeros_like(t)
         for pi_k, beta_k, var_k in zip(self.mix_weights, self.betas, self.variances):
@@ -121,7 +107,7 @@ class CallableGps:
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def density(self, t, x):
-        t, x2, scalar = _rows(t, x)
+        t, x2, scalar = query_rows(t, x)
         out = np.asarray(self.fn(t, x2), dtype=float)
         return float(out.reshape(-1)[0]) if scalar else out
 
@@ -138,11 +124,6 @@ class FitReport:
     bic: float
     n_components: int = 1
     converged: bool = True
-
-
-def gps_density(model, t, x):
-    """Conditional density of treatment t given covariates x."""
-    return model.density(t, x)
 
 
 def fit_ols_gaussian(data: Dataset, train, basis: Callable | None = None) -> OlsGaussianGps:

@@ -19,8 +19,8 @@ Five scenarios:
 * ``unif-compare``: the s2 response with shift N(1, 4) and 200 test
   points per replication, scored with the absolute residual around the
   true conditional mean; ``compare_uniform`` reruns the same generated
-  data with a uniform numerator (equivalently, unstabilized 1/gps
-  weights) for the variability comparison.
+  data and the setup's GPS with a uniform numerator (equivalently,
+  unstabilized 1/gps weights) for the variability comparison.
 
 Setups mirror the outcome/weight grid of the coverage study: "oracle"
 outcome models use the true conditional distribution; "learned" outcome
@@ -62,13 +62,7 @@ from .assignment import (
     WeightConfig,
     stabilized_weight,
 )
-from .conformal import (
-    ConformalConfig,
-    WeightedScores,
-    calibration_scores,
-    score_interval,
-    weighted_conformal_quantile,
-)
+from .conformal import ConformalConfig, WeightedScores, calibration_scores, score_interval
 from .data import Dataset, split
 from .dist import (
     NormalParams,
@@ -79,7 +73,6 @@ from .dist import (
 )
 from .outcome import LinearPinballModel, OracleMeanModel, OracleQuantileModel, fit_linear_pinball
 from .propensity import CallableGps, fit_gaussian_mixture, fit_ols_gaussian
-from ._parallel import ordered_map
 
 __all__ = [
     "SCENARIO_IDS",
@@ -336,49 +329,14 @@ def _weight_cfg(scenario: Scenario) -> WeightConfig:
     return WeightConfig()
 
 
-def _evaluate(
-    model, cfg, wcfg, gps, h, data, sp, test, test_atom: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-test-point coverage indicators and interval lengths.
-
-    The calibration scores and weights are shared across test points.
-    With ``test_atom`` the test point contributes its own weight as an
-    infinity atom (the guaranteed construction); without it the
-    threshold is the plain weighted quantile of the calibration scores,
-    i.e. the same computation with zero test mass.
-    """
-    scores = calibration_scores(model, cfg, data, sp.cal)
-    weights = stabilized_weight(h, gps, wcfg, data.t[sp.cal], data.x[sp.cal])
-    ws = WeightedScores(scores, weights)
-    covered = np.empty(test.n, dtype=bool)
-    lengths = np.empty(test.n)
-    for j in range(test.n):
-        if test_atom:
-            w_new = stabilized_weight(h, gps, wcfg, float(test.t[j]), test.x[j])
-        else:
-            w_new = 0.0
-        eta = weighted_conformal_quantile(ws, w_new, cfg.alpha)
-        iv = score_interval(model, cfg, test.x[j], float(test.t[j]), eta)
-        covered[j] = iv.contains(float(test.y[j]))
-        lengths[j] = iv.length
-    return covered, lengths
-
-
-def _evaluate_unadjusted(model, cfg, test) -> tuple[np.ndarray, np.ndarray]:
-    covered = np.empty(test.n, dtype=bool)
-    lengths = np.empty(test.n)
-    for j in range(test.n):
-        iv = score_interval(model, cfg, test.x[j], float(test.t[j]), 0.0)
-        covered[j] = iv.contains(float(test.y[j]))
-        lengths[j] = iv.length
-    return covered, lengths
-
-
 def _levels(scenario: Scenario) -> tuple[float, float]:
     return (scenario.alpha / 2.0, 1.0 - scenario.alpha / 2.0)
 
 
-def _replicate(scenario: Scenario, rng: Rng, test_atom: bool) -> tuple[float, float, int]:
+def _prelude(scenario: Scenario, rng: Rng):
+    """Generate, split 50/50 and fit the setup's models on the training
+    half: the score configuration, the outcome model and the GPS (None
+    for the unadjusted setup, which uses no weights)."""
     data, test = generate(scenario, rng)
     sp = split(data, 0.5, rng)
     if scenario.id == "unif-compare":
@@ -387,15 +345,39 @@ def _replicate(scenario: Scenario, rng: Rng, test_atom: bool) -> tuple[float, fl
     else:
         cfg = ConformalConfig(scenario.alpha, "cqr")
         model = _fit_outcome(scenario, data, sp, _levels(scenario))
-    if scenario.setup == "unadjusted":
-        covered, lengths = _evaluate_unadjusted(model, cfg, test)
+    gps = None if scenario.setup == "unadjusted" else _fit_gps(scenario, data, sp, rng)
+    return data, sp, test, cfg, model, gps
+
+
+def _thresholds(scenario, h, gps, model, cfg, data, sp, test, test_atom: bool) -> np.ndarray:
+    """Per-test-point thresholds from one calibration.
+
+    With ``test_atom`` each test point contributes its own weight as an
+    infinity atom (the guaranteed construction); without it the
+    threshold is the plain weighted quantile of the calibration scores,
+    i.e. the same query with zero test mass.
+    """
+    wcfg = _weight_cfg(scenario)
+    scores = calibration_scores(model, cfg, data, sp.cal)
+    weights = stabilized_weight(h, gps, wcfg, data.t[sp.cal], data.x[sp.cal])
+    w_new = stabilized_weight(h, gps, wcfg, test.t, test.x) if test_atom else np.zeros(test.n)
+    return WeightedScores(scores, weights).thresholds(w_new, cfg.alpha)
+
+
+def _evaluate(model, cfg, test, eta) -> tuple[np.ndarray, np.ndarray]:
+    """Per-test-point coverage indicators and interval lengths."""
+    lower, upper = score_interval(model, cfg, test.x, test.t, eta)
+    return (lower <= test.y) & (test.y <= upper), upper - lower
+
+
+def _replicate(scenario: Scenario, rng: Rng, test_atom: bool) -> tuple[float, float, int]:
+    data, sp, test, cfg, model, gps = _prelude(scenario, rng)
+    if gps is None:
+        eta = np.zeros(test.n)
     else:
-        gps = _fit_gps(scenario, data, sp, rng)
         h = _shift_assignment(scenario)
-        covered, lengths = _evaluate(
-            model, cfg, _weight_cfg(scenario), gps, h, data, sp, test, test_atom
-        )
-    return _summarize_rep(covered, lengths)
+        eta = _thresholds(scenario, h, gps, model, cfg, data, sp, test, test_atom)
+    return _summarize_rep(*_evaluate(model, cfg, test, eta))
 
 
 def _summarize_rep(covered: np.ndarray, lengths: np.ndarray) -> tuple[float, float, int]:
@@ -425,7 +407,6 @@ def run_study(
     scenario: Scenario,
     replications: int,
     rng: Rng,
-    threads: int = 1,
     test_atom: bool = False,
 ) -> SimResult:
     """Monte-Carlo coverage study: per replication, generate, split 50/50,
@@ -436,28 +417,21 @@ def run_study(
     docstring. The default reproduces the published study tables."""
     if replications < 10:
         raise ValueError("need at least 10 replications")
-    child_rngs = rng.spawn(replications)
-    rows = ordered_map(lambda r: _replicate(scenario, r, test_atom), child_rngs, threads)
+    rows = [_replicate(scenario, r, test_atom) for r in rng.spawn(replications)]
     return _aggregate(rows, replications)
 
 
 def _replicate_compare(scenario: Scenario, rng: Rng, test_atom: bool):
-    data, test = generate(scenario, rng)
-    sp = split(data, 0.5, rng)
-    cfg = ConformalConfig(scenario.alpha, "absolute-residual")
-    model = OracleMeanModel(mean_fn=_response_mean_fn(scenario.id))
-    gps = fit_ols_gaussian(data, sp.train, basis=_s12_gps_basis)
-    wcfg = _weight_cfg(scenario)
-    h_shift = _shift_assignment(scenario)
+    data, sp, test, cfg, model, gps = _prelude(scenario, rng)
     # uniform numerator over the assignment's effective support (+-6 sd,
     # all but ~2e-9 of its mass); the flat numerator stops damping the
     # 1/gps tails, which is exactly the variability being compared
     shift = UNIF_COMPARE_SHIFT
     h_unif = UniformAssignment(shift.mean - 6.0 * shift.sd, shift.mean + 6.0 * shift.sd)
     out = []
-    for h in (h_shift, h_unif):
-        covered, lengths = _evaluate(model, cfg, wcfg, gps, h, data, sp, test, test_atom)
-        out.append(_summarize_rep(covered, lengths))
+    for h in (_shift_assignment(scenario), h_unif):
+        eta = _thresholds(scenario, h, gps, model, cfg, data, sp, test, test_atom)
+        out.append(_summarize_rep(*_evaluate(model, cfg, test, eta)))
     return out[0], out[1]
 
 
@@ -465,7 +439,6 @@ def compare_uniform(
     scenario: Scenario,
     replications: int,
     rng: Rng,
-    threads: int = 1,
     test_atom: bool = False,
 ) -> UniformComparison:
     """Run the shifted-numerator and uniform-numerator weightings on
@@ -477,10 +450,11 @@ def compare_uniform(
     """
     if scenario.id != "unif-compare":
         raise ValueError("compare_uniform runs the 'unif-compare' scenario")
+    if scenario.setup == "unadjusted":
+        raise ValueError("compare_uniform compares weightings; the unadjusted setup has none")
     if replications < 10:
         raise ValueError("need at least 10 replications")
-    child_rngs = rng.spawn(replications)
-    rows = ordered_map(lambda r: _replicate_compare(scenario, r, test_atom), child_rngs, threads)
+    rows = [_replicate_compare(scenario, r, test_atom) for r in rng.spawn(replications)]
     ipb = _aggregate([r[0] for r in rows], replications)
     unif = _aggregate([r[1] for r in rows], replications)
     ipb_lens = np.array([r[0][1] for r in rows])

@@ -183,17 +183,39 @@ class TestBootstrap:
             (est99.ci_upper - est99.ci_lower) >= (est90.ci_upper - est90.ci_lower) - 1e-12
         )
 
-    def test_thread_invariance(self):
+    def test_same_seed_identical(self):
         gen = Rng(12).gen
         n = 60
         x = gen.normal(size=(n, 1))
         t = 0.3 * x[:, 0] + gen.normal(size=n)
         y = 1.0 + t + gen.normal(size=n)
         d = Dataset(y, t, x)
-        a = bootstrap_ci(self._estimator(), d, B=120, level=0.9, rng=Rng(13), threads=1)
-        b = bootstrap_ci(self._estimator(), d, B=120, level=0.9, rng=Rng(13), threads=4)
+        a = bootstrap_ci(self._estimator(), d, B=120, level=0.9, rng=Rng(13))
+        b = bootstrap_ci(self._estimator(), d, B=120, level=0.9, rng=Rng(13))
         np.testing.assert_array_equal(a.ci_lower, b.ci_lower)
         np.testing.assert_array_equal(a.ci_upper, b.ci_upper)
+
+    def test_fit_failures_dropped_other_errors_propagate(self):
+        gen = Rng(15).gen
+        n = 60
+        d = Dataset(gen.normal(size=n), gen.normal(size=n), gen.normal(size=(n, 1)))
+        fit = self._estimator()
+        calls = []
+
+        def failing(exc):
+            def run(dd: Dataset) -> AdrfEstimate:
+                calls.append(exc)
+                if len(calls) % 10 == 0:
+                    raise exc("resample fit failed")
+                return fit(dd)
+
+            return run
+
+        est = bootstrap_ci(failing(ValueError), d, B=100, level=0.9, rng=Rng(16))
+        assert est.failed_resamples == 10
+        calls.clear()
+        with pytest.raises(TypeError, match="resample fit failed"):
+            bootstrap_ci(failing(TypeError), d, B=100, level=0.9, rng=Rng(16))
 
     def test_b_minimum(self):
         d = Dataset(np.zeros(10), np.arange(10.0), np.zeros((10, 1)))

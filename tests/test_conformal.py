@@ -15,8 +15,7 @@ from doseband.conformal import (
     score_interval,
     split_conformal_interval,
     weighted_conformal_quantile,
-    weighted_cqr_interval,
-    weighted_point_interval,
+    weighted_interval,
 )
 from doseband.data import Dataset, split
 from doseband.dist import NormalParams, Rng
@@ -48,6 +47,17 @@ def oracle_weighted_quantile(scores, weights, w_new, alpha):
     return best
 
 
+def scalar_scan(ws, w_new, alpha):
+    """One test weight at a time: the first tie-merged atom whose strict
+    upper tail plus the infinity atom is at most alpha of the total."""
+    values, suffix, total, scale = ws._atoms
+    w = w_new / scale
+    if not math.isfinite(w):
+        return math.inf
+    hits = np.nonzero(suffix + w <= alpha * (total + w))[0]
+    return float(values[hits[0]]) if hits.size else math.inf
+
+
 def _mean_model(fn=lambda x, t: x[:, 0] + t):
     return OracleMeanModel(mean_fn=fn)
 
@@ -77,6 +87,34 @@ class TestWeightedQuantile:
             got = weighted_conformal_quantile(ws, w_new, alpha)
             want = oracle_weighted_quantile(scores, weights, w_new, alpha)
             assert got == want
+
+    def test_vectorized_thresholds_match_scalar_scan_and_oracle(self):
+        # tied scores in half the instances, a zero test weight, and a test
+        # weight that overflows once normalized by the largest weight
+        gen = Rng(19).gen
+        tiny = 2.0**-30
+        for _ in range(200):
+            n = int(gen.integers(1, 21))
+            if gen.random() < 0.5:
+                scores = gen.integers(0, 5, size=n).astype(float)
+            else:
+                scores = gen.normal(size=n)
+            weights = (gen.gamma(1.0, 2.0, size=n) + 1e-3) * tiny
+            w_new = np.r_[0.0, gen.gamma(1.0, 2.0, size=6) * tiny, 1e308]
+            alpha = float(gen.uniform(0.02, 0.5))
+            ws = WeightedScores(scores, weights)
+            got = ws.thresholds(w_new, alpha).tolist()
+            assert got == [scalar_scan(ws, float(w), alpha) for w in w_new]
+            assert got == [oracle_weighted_quantile(scores, weights, float(w), alpha) for w in w_new]
+            assert got[-1] == math.inf
+            one = weighted_conformal_quantile(ws, float(w_new[1]), alpha)
+            assert type(one) is float and one == got[1]
+
+    def test_invalid_test_weights_rejected(self):
+        ws = WeightedScores([1.0, 2.0], [1.0, 1.0])
+        for bad in ([1.0, -1.0], [math.inf], [math.nan]):
+            with pytest.raises(ValueError, match="w_new"):
+                ws.thresholds(bad, 0.1)
 
     def test_tied_scores_merge(self):
         scores = [1.0, 1.0, 2.0, 2.0, 3.0]
@@ -174,7 +212,7 @@ class TestSplitConformal:
             gps = CallableGps(fn=lambda t, x: np.array(
                 [h.density(float(v)) for v in np.atleast_1d(t)]
             ))
-            w_iv = weighted_point_interval(d, sp, model, gps, h, cfg, np.array([0.3]), 0.7)
+            w_iv = weighted_interval(d, sp, model, gps, h, cfg, np.array([0.3]), 0.7)
             assert w_iv.lower == split_iv.lower
             assert w_iv.upper == split_iv.upper
 
@@ -203,7 +241,7 @@ class TestWeightedIntervals:
         W = stabilized_weight(h, gps, WeightConfig(), d.t[sp.cal], d.x[sp.cal])
         w_new = stabilized_weight(h, gps, WeightConfig(), 0.4, np.array([0.2]))
         eta = weighted_conformal_quantile(WeightedScores(V, W), w_new, cfg.alpha)
-        iv = weighted_cqr_interval(d, sp, model, gps, h, cfg, np.array([0.2]), 0.4)
+        iv = weighted_interval(d, sp, model, gps, h, cfg, np.array([0.2]), 0.4)
         lo = model.quantile(np.array([0.2]), 0.4, 0.05)
         hi = model.quantile(np.array([0.2]), 0.4, 0.95)
         assert iv.lower == lo - eta and iv.upper == hi + eta
@@ -218,7 +256,7 @@ class TestWeightedIntervals:
         )
         cfg = ConformalConfig(0.1, "one-sided-upper")
         h = NormalAssignment(NormalParams(0.0, 1.0))
-        iv = weighted_cqr_interval(d, sp, model, _flat_gps(), h, cfg, np.array([0.2]), 0.4)
+        iv = weighted_interval(d, sp, model, _flat_gps(), h, cfg, np.array([0.2]), 0.4)
         assert iv.lower == -math.inf
         assert iv.sided == "upper-only"
         # signed score: V = y - q_{0.9}; threshold shifts the fitted quantile
@@ -235,7 +273,7 @@ class TestWeightedIntervals:
         )
         cfg = ConformalConfig(0.1, "one-sided-lower")
         h = NormalAssignment(NormalParams(0.0, 1.0))
-        iv = weighted_cqr_interval(d, sp, model, _flat_gps(), h, cfg, np.array([0.2]), 0.4)
+        iv = weighted_interval(d, sp, model, _flat_gps(), h, cfg, np.array([0.2]), 0.4)
         assert iv.upper == math.inf and iv.sided == "lower-only"
 
     def test_infinite_eta_gives_whole_line(self):
@@ -255,8 +293,12 @@ class TestWeightedIntervals:
         h = NormalAssignment(NormalParams(0.0, 1.0))
         # gps tiny at the test point -> enormous test weight -> p_inf > alpha
         gps = CallableGps(fn=lambda t, x: np.where(np.abs(t) < 1e-9, 1e-12, 1.0))
-        iv = weighted_cqr_interval(d, sp, model, gps, h, cfg, np.array([0.0]), 0.0)
+        iv = weighted_interval(d, sp, model, gps, h, cfg, np.array([0.0]), 0.0)
         assert iv.lower == -math.inf and iv.upper == math.inf
+        # the same point as the last of a band; at t = -1 the test weight is small
+        band = prediction_band(d, sp, model, gps, lambda t: h, cfg, np.array([0.0]), -1.0, 0.0, 2)
+        assert band.intervals[1] == iv
+        assert math.isfinite(band.intervals[0].length)
 
 
 class TestPredictionBand:
@@ -284,7 +326,7 @@ class TestPredictionBand:
         assert len(band.intervals) == 2
         np.testing.assert_array_equal(band.t_grid, [-1.0, 1.0])
         for t_k, iv in zip(band.t_grid, band.intervals):
-            direct = weighted_cqr_interval(
+            direct = weighted_interval(
                 d, sp, model, gps, h, cfg, np.array([0.5]), float(t_k)
             )
             assert iv.lower == direct.lower and iv.upper == direct.upper
@@ -307,15 +349,15 @@ class TestPredictionBand:
         for iv in band.intervals[1:]:
             assert iv.lower == first.lower and iv.upper == first.upper
 
-    def test_threads_bit_identical(self):
+    def test_repeat_calls_bit_identical(self):
         d, sp, model = self._pieces()
         cfg = ConformalConfig(0.1, "cqr")
         h = NormalAssignment(NormalParams(0.0, 1.0))
         b1 = prediction_band(
-            d, sp, model, _flat_gps(), lambda t: h, cfg, np.array([0.5]), -2.0, 2.0, 7, threads=1
+            d, sp, model, _flat_gps(), lambda t: h, cfg, np.array([0.5]), -2.0, 2.0, 7
         )
         b2 = prediction_band(
-            d, sp, model, _flat_gps(), lambda t: h, cfg, np.array([0.5]), -2.0, 2.0, 7, threads=4
+            d, sp, model, _flat_gps(), lambda t: h, cfg, np.array([0.5]), -2.0, 2.0, 7
         )
         for a, b in zip(b1.intervals, b2.intervals):
             assert a.lower == b.lower and a.upper == b.upper

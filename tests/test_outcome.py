@@ -11,8 +11,6 @@ from doseband.outcome import (
     fit_linear_pinball,
     fit_ols_mean,
     pinball_loss,
-    predict_mean,
-    predict_quantile,
     predict_quantile_pair,
 )
 
@@ -38,12 +36,12 @@ class TestOracle:
         model = OracleQuantileModel(mean_fn=s1_mean, variance=9.0, levels=(0.05, 0.95))
         x = np.array([1.0, 1.0, 4.0])
         assert model.mean(x, 0.0) == pytest.approx(5.0)
-        assert predict_quantile(model, x, 0.0, 0.05) == pytest.approx(5.0 - Z95 * 3.0, abs=1e-6)
+        assert model.quantile(x, 0.0, 0.05) == pytest.approx(5.0 - Z95 * 3.0, abs=1e-6)
 
     def test_median_is_mean(self):
         model = OracleQuantileModel(mean_fn=s1_mean, variance=9.0)
         x = np.array([0.3, -1.0, 2.0])
-        assert predict_quantile(model, x, 1.2, 0.5) == pytest.approx(model.mean(x, 1.2), abs=1e-12)
+        assert model.quantile(x, 1.2, 0.5) == pytest.approx(model.mean(x, 1.2), abs=1e-12)
 
     def test_interval_width_everywhere(self):
         # q_hi - q_lo = (z_hi - z_lo) * sigma = 2 * 1.64485 * 3 = 9.8691
@@ -118,14 +116,14 @@ class TestLinearPinball:
             coefs={0.9: np.array([4.2, 0.0, 0.0, 0.0])},
             levels=(0.9,),
         )
-        assert predict_quantile(model, np.array([5.0, -3.0]), 7.7, 0.9) == pytest.approx(4.2)
+        assert model.quantile(np.array([5.0, -3.0]), 7.7, 0.9) == pytest.approx(4.2)
 
     def test_unfitted_level_raises(self):
         model = LinearPinballModel(
             basis=_affine_xt, coefs={0.9: np.zeros(4)}, levels=(0.9,)
         )
         with pytest.raises(KeyError):
-            predict_quantile(model, np.array([0.0, 0.0]), 0.0, 0.1)
+            model.quantile(np.array([0.0, 0.0]), 0.0, 0.1)
 
     def test_crossing_fix_orders_pair(self):
         # deliberately inverted coefficient sets
@@ -147,4 +145,4 @@ class TestMeanModels:
         y = 2.0 - x[:, 0] + 3.0 * t
         d = Dataset(y, t, x)
         m = fit_ols_mean(d, np.arange(n), _affine_xt)
-        assert predict_mean(m, np.array([1.0, 1.0]), 2.0) == pytest.approx(7.0, abs=1e-8)
+        assert m.mean(np.array([1.0, 1.0]), 2.0) == pytest.approx(7.0, abs=1e-8)

@@ -12,7 +12,6 @@ from doseband.propensity import (
     OracleGaussianGps,
     fit_gaussian_mixture,
     fit_ols_gaussian,
-    gps_density,
 )
 from doseband.propensity import _run_em, _quantile_split_init, _design
 
@@ -136,11 +135,11 @@ class TestDensities:
         m = OracleGaussianGps(mean_fn=lambda x: x[:, 0] ** 2, variance=2.0)
         x = np.array([1.5])
         expect = 1.0 / math.sqrt(4.0 * math.pi) * math.exp(-((3.0 - 2.25) ** 2) / 4.0)
-        assert gps_density(m, 3.0, x) == pytest.approx(expect, rel=1e-12)
+        assert m.density(3.0, x) == pytest.approx(expect, rel=1e-12)
 
     def test_callable_gps(self):
         m = CallableGps(fn=lambda t, x: np.exp(-np.abs(t)) / 2.0)
-        assert gps_density(m, 0.0, np.array([1.0])) == pytest.approx(0.5)
+        assert m.density(0.0, np.array([1.0])) == pytest.approx(0.5)
 
     def test_density_integrates_to_one_every_variant(self):
         gen = Rng(4).gen
@@ -156,13 +155,13 @@ class TestDensities:
         oracle = OracleGaussianGps(mean_fn=lambda z: z[:, 0], variance=1.5)
         xq = np.array([0.4, -0.9])
         for model in (ols, mix, oracle):
-            val, _ = integrate.quad(lambda u: gps_density(model, u, xq), -30, 30, limit=200)
+            val, _ = integrate.quad(lambda u: model.density(u, xq), -30, 30, limit=200)
             assert val == pytest.approx(1.0, abs=1e-4)
 
     def test_vectorized_rows(self):
         m = OracleGaussianGps(mean_fn=lambda x: x[:, 0], variance=1.0)
         x = np.array([[0.0], [1.0], [2.0]])
         t = np.array([0.0, 1.0, 2.0])
-        out = gps_density(m, t, x)
+        out = m.density(t, x)
         assert out.shape == (3,)
         assert np.allclose(out, 1.0 / math.sqrt(2 * math.pi))
