@@ -93,6 +93,7 @@ class DecileMidpointAssignment:
     """Normal numerator centered at the midpoint of t_star's decile.
 
     Treatments outside t_star's decile get k times the same density.
+    t_star's decile and the numerator are resolved once, at construction.
     """
 
     boundaries: np.ndarray  # 11 increasing reals
@@ -110,12 +111,13 @@ class DecileMidpointAssignment:
             raise ValueError("s2 must be positive")
         b.flags.writeable = False
         object.__setattr__(self, "boundaries", b)
+        object.__setattr__(self, "_decile", decile_index(b, self.t_star))
+        object.__setattr__(self, "_numerator", NormalParams(decile_midpoint(b, self.t_star), self.s2))
 
     def density(self, t):
         t = np.asarray(t, dtype=float)
-        mid = decile_midpoint(self.boundaries, self.t_star)
-        base = normal_pdf(t, NormalParams(mid, self.s2))
-        same = decile_index(self.boundaries, t) == decile_index(self.boundaries, self.t_star)
+        base = normal_pdf(t, self._numerator)
+        same = decile_index(self.boundaries, t) == self._decile
         out = np.where(same, base, self.k * base)
         return float(out) if out.ndim == 0 else out
 

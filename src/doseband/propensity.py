@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -117,13 +117,20 @@ GpsModel = OracleGaussianGps | OlsGaussianGps | MixtureGps | CallableGps
 
 @dataclass(frozen=True)
 class FitReport:
-    """Model-selection summary: bic = n_params*ln(n) - 2*log_likelihood."""
+    """Model-selection summary: bic = n_params*ln(n) - 2*log_likelihood.
+
+    ``iterations`` counts the EM iterations of the selected start (0 for
+    the closed-form one-component fit); ``collapsed_starts`` counts the
+    EM starts dropped as collapsed over every number of components.
+    """
 
     log_likelihood: float
     n_params: int
     bic: float
     n_components: int = 1
     converged: bool = True
+    iterations: int = 0
+    collapsed_starts: int = 0
 
 
 def fit_ols_gaussian(data: Dataset, train, basis: Callable | None = None) -> OlsGaussianGps:
@@ -146,83 +153,102 @@ def fit_ols_gaussian(data: Dataset, train, basis: Callable | None = None) -> Ols
     return OlsGaussianGps(beta=beta, s2=s2, basis=basis)
 
 
-class _ComponentCollapse(Exception):
-    pass
+# a mixing weight below this starves its component and collapses the start
+MIN_MIX_WEIGHT = 1e-10
 
 
-def _log_gauss(t, mean, var):
-    z = (t - mean) / math.sqrt(var)
-    return -0.5 * z * z - 0.5 * math.log(2.0 * math.pi * var)
+class _EmRun(NamedTuple):
+    """EM outcome for each of a batch of starts (leading axis)."""
+
+    loglik: np.ndarray  # final log-likelihood; -inf for a collapsed start
+    pis: np.ndarray  # (starts, k) mixing weights
+    betas: np.ndarray  # (starts, k, q) component coefficients
+    resp: np.ndarray  # (starts, k, n) responsibilities of the final E-step
+    converged: np.ndarray  # (starts,) bool
+    collapsed: np.ndarray  # (starts,) bool
+    iterations: np.ndarray  # (starts,) EM iterations run
+    history: np.ndarray  # (max iterations, starts) log-likelihoods; NaN once stopped
 
 
-def _wls(Z, t, w):
-    sw = np.sqrt(w)
-    beta, _, rank, _ = np.linalg.lstsq(sw[:, None] * Z, sw * t, rcond=None)
-    if rank < Z.shape[1]:
-        raise _ComponentCollapse
-    return beta
+def _run_em(Z, t, resp0, max_iter, rel_tol) -> _EmRun:
+    """EM for a mixture of Gaussian linear regressions (MLE variances),
+    run for every start of ``resp0`` (starts, k, n) as one computation.
 
-
-def _m_step(Z, t, resp):
-    n, q = Z.shape
-    k = resp.shape[1]
-    pis = resp.mean(axis=0)
-    if np.any(pis < 1e-10):
-        raise _ComponentCollapse
-    betas = np.empty((k, q))
-    variances = np.empty(k)
-    for j in range(k):
-        betas[j] = _wls(Z, t, resp[:, j])
-        e = t - Z @ betas[j]
-        variances[j] = float(resp[:, j] @ (e * e)) / float(resp[:, j].sum())
-        if variances[j] < VARIANCE_FLOOR:
-            raise _ComponentCollapse
-    return pis, betas, variances
-
-
-def _e_step(Z, t, pis, betas, variances):
-    k = len(pis)
-    log_comp = np.empty((len(t), k))
-    for j in range(k):
-        log_comp[:, j] = math.log(pis[j]) + _log_gauss(t, Z @ betas[j], variances[j])
-    m = log_comp.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(log_comp - m).sum(axis=1))
-    resp = np.exp(log_comp - lse[:, None])
-    return resp, float(lse.sum())
-
-
-def _run_em(Z, t, resp0, max_iter, rel_tol):
-    """EM for a mixture of Gaussian linear regressions (MLE variances).
-
-    Returns (loglik, params, responsibilities, converged, history). The
-    history records the per-iteration log-likelihood, which is
-    non-decreasing by the EM monotonicity property.
+    Each start stops on its own: it is frozen once its log-likelihood
+    changes by at most ``rel_tol * (1 + |previous|)``, and dropped as
+    collapsed when a component starves (mixing weight below
+    ``MIN_MIX_WEIGHT``), its weighted design is rank deficient or its
+    variance falls below ``VARIANCE_FLOOR``. The M-step solves the
+    weighted normal equations of every start and component at once from
+    a table of the per-row products Z_i Z_i^T and Z_i t_i; the design
+    counts as rank deficient when the Gram matrix's eigenvalue ratio is
+    at or below lstsq's default cutoff eps * max(n, q). A start's
+    history is non-decreasing by the EM monotonicity property.
     """
-    resp = resp0
-    history: list[float] = []
-    prev = -np.inf
-    params = None
-    converged = False
-    for _ in range(max_iter):
-        pis, betas, variances = _m_step(Z, t, resp)
-        resp, loglik = _e_step(Z, t, pis, betas, variances)
-        history.append(loglik)
-        params = (pis, betas, variances)
-        if prev > -np.inf and abs(loglik - prev) <= rel_tol * (1.0 + abs(prev)):
-            converged = True
-            break
-        prev = loglik
-    return history[-1], params, resp, converged, history
+    n_starts, k, n = resp0.shape
+    q = Z.shape[1]
+    moments = np.hstack([(Z[:, :, None] * Z[:, None, :]).reshape(n, q * q), Z * t[:, None]])
+    cutoff = np.finfo(float).eps * max(n, q)
+
+    resp = np.array(resp0, dtype=float)
+    pis = np.zeros((n_starts, k))
+    betas = np.zeros((n_starts, k, q))
+    loglik = np.full(n_starts, -np.inf)
+    converged = np.zeros(n_starts, dtype=bool)
+    collapsed = np.zeros(n_starts, dtype=bool)
+    iterations = np.zeros(n_starts, dtype=int)
+    history = []
+    run = np.arange(n_starts)
+    while run.size and len(history) < max_iter:
+        r = resp[run]
+        pi = r.sum(axis=2) / n
+        sums = (r.reshape(-1, n) @ moments).reshape(run.size, k, q * q + q)
+        gram = sums[..., : q * q].reshape(run.size, k, q, q)
+        eig = np.linalg.eigvalsh(gram)
+        ok = np.all((pi >= MIN_MIX_WEIGHT) & (eig[..., 0] > cutoff * eig[..., -1]), axis=1)
+        collapsed[run[~ok]] = True
+        run, r, pi, gram, sums = run[ok], r[ok], pi[ok], gram[ok], sums[ok]
+        beta = np.linalg.solve(gram, sums[..., q * q :, None])[..., 0]
+        e = t - (beta.reshape(-1, q) @ Z.T).reshape(r.shape)
+        var = (r * e * e).sum(axis=2) / (pi * n)
+        ok = np.all(var >= VARIANCE_FLOOR, axis=1)
+        collapsed[run[~ok]] = True
+        run, pi, beta, e, var = run[ok], pi[ok], beta[ok], e[ok], var[ok]
+
+        z = e / np.sqrt(var)[..., None]
+        log_comp = np.log(pi)[..., None] - 0.5 * z * z - 0.5 * np.log(2 * np.pi * var)[..., None]
+        top = log_comp.max(axis=1, keepdims=True)
+        dens = np.exp(log_comp - top)
+        total = dens.sum(axis=1, keepdims=True)
+        ll = (top + np.log(total)).sum(axis=(1, 2))
+        resp[run] = dens / total
+        pis[run], betas[run] = pi, beta
+        iterations[run] += 1
+
+        prev = loglik[run]
+        done = (prev > -np.inf) & (np.abs(ll - prev) <= rel_tol * (1.0 + np.abs(prev)))
+        loglik[run] = ll
+        converged[run[done]] = True
+        row = np.full(n_starts, np.nan)
+        row[run] = ll
+        history.append(row)
+        run = run[~done]
+    loglik[collapsed] = -np.inf
+    return _EmRun(loglik, pis, betas, resp, converged, collapsed, iterations, np.array(history))
 
 
-def _quantile_split_init(Z, t, k):
-    beta, *_ = np.linalg.lstsq(Z, t, rcond=None)
-    resid = t - Z @ beta
+def _quantile_split_init(resid, k):
+    """Hard (k, n) assignment of the rows to the k quantile bins of the
+    OLS residuals."""
     edges = np.percentile(resid, np.linspace(0, 100, k + 1))
     groups = np.clip(np.searchsorted(edges[1:-1], resid, side="right"), 0, k - 1)
-    resp = np.zeros((len(t), k))
-    resp[np.arange(len(t)), groups] = 1.0
-    return resp
+    return (groups == np.arange(k)[:, None]).astype(float)
+
+
+def _all_collapsed(k: int) -> RuntimeError:
+    return RuntimeError(
+        f"every EM start collapsed for {k} component(s); the data cannot support this mixture"
+    )
 
 
 def fit_gaussian_mixture(
@@ -235,19 +261,33 @@ def fit_gaussian_mixture(
     max_iter: int = 500,
     rel_tol: float = 1e-8,
 ) -> tuple[MixtureGps, FitReport]:
-    """EM fit of a Gaussian mixture of linear regressions, selected by BIC.
+    """Fit a Gaussian mixture of linear regressions, selected by BIC.
 
-    For each k in 1..max_components the fit is started from a deterministic
-    residual-quantile split plus ``n_restarts`` seeded random assignments;
-    the best final log-likelihood wins, and the k minimizing BIC is
-    returned. A component whose variance falls below ``VARIANCE_FLOOR``
-    (or that starves) aborts that start; an error is raised only when
-    every start for some k collapses.
+    For each k in 1..max_components the log-likelihood is maximized and
+    the k minimizing BIC is returned.
+
+    k = 1 has a closed form: the OLS coefficients, the MLE variance
+    RSS / n and the exact log-likelihood -n/2 (log(2 pi RSS/n) + 1). A
+    rank-deficient design or a variance below ``VARIANCE_FLOOR`` raises
+    ``RuntimeError``.
+
+    For k >= 2, EM (Dempster, Laird & Rubin 1977) runs from 1 +
+    ``n_restarts`` starts at once: a deterministic residual-quantile
+    split and ``n_restarts`` seeded Dirichlet assignments, stepped
+    together as one (starts, k, n) responsibility array (see
+    ``_run_em``). Each start stops at its own convergence. A start
+    collapses, and is dropped, when a component starves (mixing weight
+    below ``MIN_MIX_WEIGHT``), its weighted design is rank deficient, or
+    its variance falls below ``VARIANCE_FLOOR``; ``RuntimeError`` is
+    raised only when every start for some k collapses. The first start
+    with the highest final log-likelihood wins.
 
     EM runs with maximum-likelihood variances (so the log-likelihood is
     monotone); the returned model's variances then get the weighted
     degrees-of-freedom correction sum(r*e^2)/(sum(r)-q), which makes the
-    one-component fit coincide with ``fit_ols_gaussian`` exactly.
+    one-component fit coincide with ``fit_ols_gaussian`` exactly. The
+    report gives the selected fit's EM iterations (0 for k = 1) and the
+    number of starts that collapsed over every k.
     """
     train = np.asarray(train)
     Z = _design(data.x[train], basis)
@@ -261,35 +301,38 @@ def fit_gaussian_mixture(
         rng = Rng(0)
     children = rng.spawn(n_restarts)
 
-    best = None  # (bic, k, loglik, params, resp, converged)
+    beta, _, rank, _ = np.linalg.lstsq(Z, t, rcond=None)
+    resid = t - Z @ beta
+    collapsed = 0
+    best = None  # (bic, k, n_params, loglik, pis, betas, resp, converged, iterations)
     for k in range(1, max_components + 1):
-        starts = [_quantile_split_init(Z, t, k)]
-        for child in children:
-            r = child.gen.dirichlet(np.ones(k), size=n)
-            starts.append(r)
-        fits = []
-        for resp0 in starts:
-            try:
-                fits.append(_run_em(Z, t, resp0, max_iter, rel_tol))
-            except _ComponentCollapse:
-                continue
-        if not fits:
-            raise RuntimeError(
-                f"every EM start collapsed for {k} component(s); "
-                "the data cannot support this mixture"
-            )
-        loglik, params, resp, converged, _ = max(fits, key=lambda f: f[0])
+        # each child stream draws the restarts for k after those for k - 1,
+        # so the k = 1 draws are made although every k = 1 start is the same
+        draws = [child.gen.dirichlet(np.ones(k), size=n).T for child in children]
+        if k == 1:
+            s2 = float(resid @ resid) / n
+            if rank < q or s2 < VARIANCE_FLOOR:
+                raise _all_collapsed(k)
+            loglik = -0.5 * n * (math.log(2.0 * math.pi * s2) + 1.0)
+            fit = (loglik, np.ones(1), beta[None, :], np.ones((1, n)), True, 0)
+        else:
+            resp0 = np.stack([_quantile_split_init(resid, k), *draws])
+            em = _run_em(Z, t, resp0, max_iter, rel_tol)
+            collapsed += int(em.collapsed.sum())
+            if em.collapsed.all():
+                raise _all_collapsed(k)
+            s = int(np.argmax(em.loglik))
+            fit = (float(em.loglik[s]), em.pis[s], em.betas[s], em.resp[s],
+                   bool(em.converged[s]), int(em.iterations[s]))
         n_params = k * q + k + (k - 1)
-        bic = n_params * math.log(n) - 2.0 * loglik
+        bic = n_params * math.log(n) - 2.0 * fit[0]
         if best is None or bic < best[0]:
-            best = (bic, k, loglik, params, resp, converged, n_params)
+            best = (bic, k, n_params, *fit)
 
-    bic, k, loglik, (pis, betas, variances), resp, converged, n_params = best
-    corrected = np.empty_like(variances)
-    for j in range(k):
-        e = t - Z @ betas[j]
-        dof = max(float(resp[:, j].sum()) - q, 1.0)
-        corrected[j] = max(float(resp[:, j] @ (e * e)) / dof, VARIANCE_FLOOR)
+    bic, k, n_params, loglik, pis, betas, resp, converged, iterations = best
+    e = t - betas @ Z.T
+    dof = np.maximum(resp.sum(axis=1) - q, 1.0)
+    corrected = np.maximum((resp * e * e).sum(axis=1) / dof, VARIANCE_FLOOR)
     model = MixtureGps(mix_weights=pis, betas=betas, variances=corrected, basis=basis)
     report = FitReport(
         log_likelihood=loglik,
@@ -297,5 +340,7 @@ def fit_gaussian_mixture(
         bic=bic,
         n_components=k,
         converged=converged,
+        iterations=iterations,
+        collapsed_starts=collapsed,
     )
     return model, report

@@ -388,6 +388,10 @@ def _summarize_rep(covered: np.ndarray, lengths: np.ndarray) -> tuple[float, flo
 
 
 def _aggregate(rows: list[tuple[float, float, int]], replications: int) -> SimResult:
+    """Study summary over the replications' rows. Replications whose
+    intervals were all infinite (mean length NaN) are left out of the
+    length figures; when none is left the mean length is inf, and with
+    fewer than two left its SE is NaN."""
     cov = np.array([r[0] for r in rows])
     lens = np.array([r[1] for r in rows])
     n_inf = int(sum(r[2] for r in rows))
@@ -396,8 +400,8 @@ def _aggregate(rows: list[tuple[float, float, int]], replications: int) -> SimRe
     return SimResult(
         coverage_mean=float(cov.mean()),
         coverage_se=float(cov.std(ddof=1) / sqrt_r),
-        length_mean=float(lens_ok.mean()),
-        length_se=float(lens_ok.std(ddof=1) / math.sqrt(len(lens_ok))),
+        length_mean=float(lens_ok.mean()) if lens_ok.size else math.inf,
+        length_se=float(lens_ok.std(ddof=1) / math.sqrt(lens_ok.size)) if lens_ok.size > 1 else math.nan,
         replications=replications,
         infinite_intervals=n_inf,
     )

@@ -112,6 +112,19 @@ class TestDeciles:
                 normal_pdf(t, NormalParams(mid, 1.0)), rel=1e-14
             )
 
+    def test_density_bit_identical_to_per_call_decile_lookup(self):
+        # the formula that looked t_star's decile and midpoint up on every call
+        b = _boundaries_1_to_100()
+        grid = np.concatenate(
+            [b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf), np.linspace(-20.0, 120.0, 281)]
+        )
+        for t_star in (b[0] - 3.0, b[0], b[3], 0.5 * (b[3] + b[4]), b[9], b[10], b[10] + 3.0):
+            h = DecileMidpointAssignment(boundaries=b, s2=4.0, t_star=t_star, k=0.5)
+            base = normal_pdf(grid, NormalParams(decile_midpoint(b, t_star), 4.0))
+            old = np.where(decile_index(b, grid) == decile_index(b, t_star), base, 0.5 * base)
+            assert np.array_equal(h.density(grid), old)
+            assert [h.density(t) for t in grid[:11]] == old[:11].tolist()
+
 
 class TestStabilizedWeight:
     def test_identical_densities_weight_one(self):

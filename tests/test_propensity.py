@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from doseband.data import Dataset
+from doseband import propensity, sim
+from doseband.data import Dataset, split
 from doseband.dist import Rng
 from doseband.propensity import (
     CallableGps,
@@ -25,6 +26,24 @@ def _s1_covariates(n, gen):
 
 def _s1_gps_basis(x):
     return np.column_stack([x[:, 0], x[:, 1] ** 2, x[:, 2]])
+
+
+def _two_component_data(n, seed):
+    # T | X is 8 + X + N(0, 0.49) with probability 0.35, else -4 - 2X + N(0, 1)
+    gen = Rng(seed).gen
+    x = gen.normal(size=(n, 1))
+    comp = gen.random(n) < 0.35
+    t = np.where(
+        comp,
+        8.0 + 1.0 * x[:, 0] + 0.7 * gen.normal(size=n),
+        -4.0 - 2.0 * x[:, 0] + 1.0 * gen.normal(size=n),
+    )
+    return Dataset(np.zeros(n), t, x)
+
+
+def _ols_residual(Z, t):
+    beta, *_ = np.linalg.lstsq(Z, t, rcond=None)
+    return t - Z @ beta
 
 
 class TestOlsGaussian:
@@ -96,27 +115,33 @@ class TestMixtureEm:
             assert model.density(t, xq) == pytest.approx(ols.density(t, xq), abs=1e-12)
 
     def test_two_component_recovery(self):
-        gen = Rng(11).gen
-        n = 5000
-        x = gen.normal(size=(n, 1))
-        comp = gen.random(n) < 0.35
-        t = np.where(
-            comp,
-            8.0 + 1.0 * x[:, 0] + 0.7 * gen.normal(size=n),
-            -4.0 - 2.0 * x[:, 0] + 1.0 * gen.normal(size=n),
-        )
-        d = Dataset(np.zeros(n), t, x)
-        model, report = fit_gaussian_mixture(d, np.arange(n), max_components=2, rng=Rng(5))
+        d = _two_component_data(5000, 11)
+        model, report = fit_gaussian_mixture(d, np.arange(d.n), max_components=2, rng=Rng(5))
         assert report.n_components == 2
         assert abs(min(model.mix_weights) - 0.35) < 0.05
 
     def test_em_loglik_monotone(self):
         d = self._single_gaussian_data(n=800, seed=3)
         Z = _design(d.x, None)
-        resp0 = _quantile_split_init(Z, d.t, 2)
-        _, _, _, _, history = _run_em(Z, d.t, resp0, max_iter=200, rel_tol=1e-10)
-        diffs = np.diff(np.asarray(history))
-        assert np.all(diffs >= -1e-8 * (1.0 + np.abs(np.asarray(history[:-1]))))
+        starts = [_quantile_split_init(_ols_residual(Z, d.t), 2)]
+        starts += [Rng(seed).gen.dirichlet(np.ones(2), size=d.n).T for seed in (1, 2)]
+        em = _run_em(Z, d.t, np.stack(starts), max_iter=200, rel_tol=1e-10)
+        assert not em.collapsed.any()
+        for history in em.history.T:
+            history = history[~np.isnan(history)]
+            assert len(history) > 2
+            diffs = np.diff(history)
+            assert np.all(diffs >= -1e-8 * (1.0 + np.abs(history[:-1])))
+
+    def test_report_counts_iterations_and_collapsed_starts(self):
+        d = _two_component_data(1000, 12)
+        _, report = fit_gaussian_mixture(d, np.arange(d.n), max_components=2, rng=Rng(6), max_iter=400)
+        assert report.n_components == 2 and report.converged
+        assert isinstance(report.iterations, int) and 2 <= report.iterations < 400
+        assert report.collapsed_starts == 0
+        # the one-component fit is closed form: no EM iterations
+        _, report = fit_gaussian_mixture(self._single_gaussian_data(n=400), np.arange(400), max_components=1)
+        assert (report.n_components, report.iterations, report.collapsed_starts) == (1, 0, 0)
 
     def test_bic_formula(self):
         d = self._single_gaussian_data(n=1200, seed=9)
@@ -124,10 +149,85 @@ class TestMixtureEm:
         expected = report.n_params * math.log(d.n) - 2.0 * report.log_likelihood
         assert report.bic == pytest.approx(expected, rel=1e-12)
 
+    def test_noiseless_treatment_collapses_every_start(self):
+        gen = Rng(3).gen
+        x = gen.normal(size=(200, 2))
+        d = Dataset(np.zeros(200), 1.0 + 2.0 * x[:, 0] - 3.0 * x[:, 1], x)
+        with pytest.raises(RuntimeError, match="every EM start collapsed for 1 component"):
+            fit_gaussian_mixture(d, np.arange(200), max_components=2)
+
+    def test_duplicated_covariate_collapses_every_start(self):
+        gen = Rng(4).gen
+        x = np.column_stack([gen.normal(size=200)] * 2)
+        d = Dataset(np.zeros(200), x[:, 0] + gen.normal(size=200), x)
+        with pytest.raises(RuntimeError, match="every EM start collapsed for 1 component"):
+            fit_gaussian_mixture(d, np.arange(200), max_components=2)
+
+    def test_starved_start_dropped_healthy_start_kept(self, monkeypatch):
+        d = _two_component_data(1000, 12)
+        Z = _design(d.x, None)
+        healthy = Rng(0).gen.dirichlet(np.ones(2), size=d.n).T
+        starved = np.vstack([np.ones(d.n), np.zeros(d.n)])
+        em = _run_em(Z, d.t, np.stack([starved, healthy]), max_iter=500, rel_tol=1e-8)
+        alone = _run_em(Z, d.t, healthy[None], max_iter=500, rel_tol=1e-8)
+        assert em.collapsed.tolist() == [True, False]
+        assert em.iterations[0] == 0 and em.loglik[0] == -np.inf
+        assert em.converged[1] and em.iterations[1] == alone.iterations[0]
+        assert em.loglik[1] == pytest.approx(alone.loglik[0], rel=1e-12)
+        # through the fit: the quantile-split start starves, the restarts carry the fit
+        monkeypatch.setattr(
+            propensity, "_quantile_split_init", lambda resid, k: np.eye(k)[np.zeros(len(resid), dtype=int)].T
+        )
+        _, report = fit_gaussian_mixture(d, np.arange(d.n), max_components=2, rng=Rng(6))
+        assert report.collapsed_starts == 1
+        assert report.n_components == 2 and report.converged
+
     def test_insufficient_rows_rejected(self):
         d = self._single_gaussian_data(n=60)
         with pytest.raises(ValueError, match="training rows"):
             fit_gaussian_mixture(d, np.arange(d.n), max_components=2)
+
+
+# fit_gaussian_mixture on a fixed seed -> (n_components, log_likelihood,
+# mix_weights, betas, variances), recorded with the per-start,
+# per-component lstsq EM this module used to run. Keys: (scenario, seed,
+# max_components) fits the training half of a study replication's data
+# the way ``sim`` does; ("two-component", n, data seed, fit seed,
+# max_components) fits ``_two_component_data``.
+EM_FINGERPRINTS = {
+    ('s1', 0, 2): (1, -1484.9377368970029, [1.0], [[-0.6374683719531006, 0.9682151623868008, -1.6894173968936685, 0.6366861555689056]], [22.418938107047918]),
+    ('s1', 1, 2): (1, -1481.0441443288755, [1.0], [[-0.33791379154325135, 1.077929210303526, -2.3840861372987123, 0.6201490372748915]], [22.072482183301965]),
+    ('s1', 2, 2): (1, -1454.3466228625095, [1.0], [[-0.21020519429010098, 1.004332819973107, -1.8669900040888705, 0.5691203633090999]], [19.83685550765927]),
+    ('s1', 3, 2): (1, -1460.038924813524, [1.0], [[0.48519214599011734, 1.1979535657066511, -2.389541558700303, 0.43110980657546505]], [20.293706321260867]),
+    ('s2', 4, 2): (1, -1490.816045758176, [1.0], [[1.264546989884855, 1.0482023659095328, -1.9513059104443253, 0.2043992059635413]], [22.952326142010225]),
+    ('s2', 5, 2): (1, -1496.5030887617977, [1.0], [[0.06531109222609369, 1.1644125016887479, -2.151124057465947, 0.5180399526162847]], [23.480433571013013]),
+    ('s2', 6, 2): (1, -1477.8459552647344, [1.0], [[-0.5891010954273251, 1.164783284443564, -1.701698741340027, 0.5894185056518874]], [21.791912753282265]),
+    ('two-component', 5000, 11, 5, 2): (2, -9673.31303211293, [0.3656810332496083, 0.6343189667503916], [[8.010876681213492, 1.0138988076670135], [-4.0091273922909165, -2.0108486385484903]], [0.48128150626606725, 0.9804571182918596]),
+    ('two-component', 1000, 12, 6, 2): (2, -1943.0039706218922, [0.33203805955588495, 0.6679619404441148], [[7.9797922876491665, 1.0237159967005187], [-4.048974122892473, -2.004819717024898]], [0.4948520079932368, 1.0225665069605268]),
+    ('two-component', 1000, 13, 7, 3): (2, -1942.828578287329, [0.34301876567950496, 0.6569812343204948], [[8.011596965515741, 1.0381917248067332], [-3.9159028937353515, -2.0189438733756346]], [0.4540834334774819, 1.0578409971293132]),
+}
+
+
+def _fingerprint_fit(key):
+    if key[0] == "two-component":
+        _, n, data_seed, fit_seed, max_components = key
+        d = _two_component_data(n, data_seed)
+        return fit_gaussian_mixture(d, np.arange(n), max_components=max_components, rng=Rng(fit_seed))
+    scenario_id, seed, max_components = key
+    rng = Rng(seed)
+    d, _ = sim.generate(sim.make_scenario(scenario_id), rng)
+    sp = split(d, 0.5, rng)
+    return fit_gaussian_mixture(d, sp.train, max_components=max_components, rng=rng)
+
+
+@pytest.mark.parametrize("key", list(EM_FINGERPRINTS), ids=lambda k: "-".join(map(str, k)))
+def test_em_fixed_seed_fingerprint(key):
+    model, report = _fingerprint_fit(key)
+    k, loglik, mix_weights, betas, variances = EM_FINGERPRINTS[key]
+    assert report.n_components == k
+    assert report.log_likelihood == pytest.approx(loglik, rel=1e-8, abs=0.0)
+    for got, want in ((model.mix_weights, mix_weights), (model.betas, betas), (model.variances, variances)):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-6)
 
 
 class TestDensities:

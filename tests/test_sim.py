@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +135,20 @@ def test_compare_uniform_rejects_unweighted_studies():
         sim.compare_uniform(sim.make_scenario("s1"), REPLICATIONS, Rng(0))
     with pytest.raises(ValueError, match="unadjusted"):
         sim.compare_uniform(sim.make_scenario("unif-compare", setup="unadjusted"), REPLICATIONS, Rng(0))
+
+
+def test_aggregate_all_or_all_but_one_lengths_infinite():
+    # a replication whose intervals were all infinite reports a NaN mean length
+    all_inf = [(1.0, math.nan, N_TEST)] * REPLICATIONS
+    one_finite = [(0.9, 12.5, 0)] + all_inf[1:]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = sim._aggregate(all_inf, REPLICATIONS)
+        assert (res.length_mean, res.infinite_intervals) == (math.inf, N_TEST * REPLICATIONS)
+        assert math.isnan(res.length_se)
+        res = sim._aggregate(one_finite, REPLICATIONS)
+        assert res.length_mean == 12.5 and math.isnan(res.length_se)
+        assert res.coverage_mean == pytest.approx(0.99)
 
 
 class TestScenario:
