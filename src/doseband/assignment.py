@@ -110,9 +110,10 @@ class DecileMidpointAssignment:
         if self.s2 <= 0.0:
             raise ValueError("s2 must be positive")
         b.flags.writeable = False
+        j = int(decile_index(b, self.t_star))
         object.__setattr__(self, "boundaries", b)
-        object.__setattr__(self, "_decile", decile_index(b, self.t_star))
-        object.__setattr__(self, "_numerator", NormalParams(decile_midpoint(b, self.t_star), self.s2))
+        object.__setattr__(self, "_decile", j)
+        object.__setattr__(self, "_numerator", NormalParams(0.5 * (b[j] + b[j + 1]), self.s2))
 
     def density(self, t):
         t = np.asarray(t, dtype=float)
@@ -160,9 +161,10 @@ def decile_boundaries(treatments) -> np.ndarray:
 
 
 def decile_index(boundaries, t):
-    """0-based decile of t; values beyond the outer boundaries clamp to 0/9."""
+    """0-based decile of t; values beyond the outer boundaries clamp to 0/9,
+    because only the 9 inner boundaries are searched."""
     b = np.asarray(boundaries, dtype=float)
-    return np.clip(np.searchsorted(b[1:-1], np.asarray(t, dtype=float), side="right"), 0, 9)
+    return np.searchsorted(b[1:-1], np.asarray(t, dtype=float), side="right")
 
 
 def decile_midpoint(boundaries, t) -> float:
@@ -176,17 +178,20 @@ def likelihood_ratio(num, den, t):
     denominators at the treatments t.
 
     Weights are zero exactly where the numerator is; a denominator at or
-    below zero under a positive numerator raises ``PositivityError``.
-    Scalar inputs give a float.
+    below zero under a positive numerator raises ``PositivityError``,
+    naming up to three distinct offending treatments in array order.
+    Inputs may be blocks of any shape, t broadcasting against them;
+    scalar inputs give a float.
     """
     num, den = np.asarray(num, dtype=float), np.asarray(den, dtype=float)
     scalar = num.ndim == 0 and den.ndim == 0
     num, den = np.atleast_1d(num), np.atleast_1d(den)
     bad = (den <= 0.0) & (num > 0.0)
     if np.any(bad):
-        t_bad = np.atleast_1d(np.asarray(t, dtype=float))[bad][:3]
+        t = np.broadcast_to(np.asarray(t, dtype=float), bad.shape)
+        t_bad = list(dict.fromkeys(t[bad].tolist()))[:3]
         raise PositivityError(
-            f"zero propensity density with positive assignment mass at t={t_bad.tolist()}; "
+            f"zero propensity density with positive assignment mass at t={t_bad}; "
             "the shift requests treatments the observed data cannot support"
         )
     out = np.where(num > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)

@@ -23,16 +23,19 @@ the test-weight atom. With equal weights the two coincide (the atom
 contributes exactly the +1), and they agree asymptotically in general.
 
 Atoms at tied score values merge their mass before the cumulative scan,
-which keeps the quantile well defined for arbitrary inputs; mergeing
+which keeps the quantile well defined for arbitrary inputs; merging
 never changes the result because the scan already accumulates mass in
 score order.
+
+A prediction band reweights the same scores at every grid point. It
+runs the engine behind ``WeightedScores.thresholds`` on blocks of grid
+points, one row of weights per point (see ``_weighted_bounds``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +61,81 @@ SCORE_KINDS = ("absolute-residual", "cqr", "one-sided-upper", "one-sided-lower")
 _SIDED = {"one-sided-upper": "upper-only", "one-sided-lower": "lower-only"}
 
 
+def _tie_index(scores) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct score values ascending, and the index of each score
+    among them."""
+    if len(scores) == 0:
+        raise ValueError("need at least one calibration score")
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("scores must be finite")
+    return np.unique(scores, return_inverse=True)
+
+
+def _check_weights(weights: np.ndarray) -> None:
+    """Each row of calibration weights must be finite, nonnegative and
+    not all zero."""
+    if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
+        raise ValueError("weights must be finite and nonnegative")
+    if not np.all(weights.max(axis=-1) > 0.0):
+        raise ValueError("weights must not all be zero")
+
+
+def _tail_mass(bins, n_atoms: int, weights: np.ndarray):
+    """Tie-merged atoms of every row of a (rows, n) block of calibration
+    weights, each row max-normalized to keep the ratios overflow-safe.
+
+    ``bins`` is the tie index of every element of the block, row r
+    offset by r * n_atoms (for one row, the tie index itself), so that
+    one ``bincount`` merges the ties of every row, adding each row's
+    weights in the same order as a single-row call. Returns (suffix
+    mass strictly above each atom, (rows, n_atoms); total mass, (rows,);
+    normalization scale, (rows,)).
+    """
+    rows = len(weights)
+    scale = weights.max(axis=1)
+    grouped = np.bincount(bins, weights=(weights / scale[:, None]).ravel(), minlength=rows * n_atoms)
+    rev = np.cumsum(grouped.reshape(rows, n_atoms)[:, ::-1], axis=1)
+    suffix = np.zeros((rows, n_atoms))
+    suffix[:, :-1] = rev[:, -2::-1]
+    return suffix, rev[:, -1], scale
+
+
+def _lift(values, suffix, total, scale, w_new, alpha: float) -> np.ndarray:
+    """Thresholds for a (rows, q) block of test weights, row r queried
+    against the atoms (suffix[r], total[r], scale[r]) of ``_tail_mass``.
+
+    Element (r, i) is the smallest value whose strict upper-tail mass,
+    always including the infinity atom w_new[r, i], is at most alpha
+    times the total, or +inf when none qualifies. A test weight too
+    large to normalize gives +inf.
+    """
+    if not np.all(np.isfinite(w_new) & (w_new >= 0.0)):
+        raise ValueError("w_new must be finite and nonnegative")
+    rows, n = suffix.shape
+    # the atoms failing suffix + w <= target form a prefix of each row,
+    # because suffix never increases; count them by binary lifting over
+    # padded[r, k] = suffix[r, k - 1], padded past the last atom with -inf
+    # (fails holds flat indices into padded, offset by each row's start)
+    width = 1 << n.bit_length()
+    padded = np.full((rows, width), -math.inf)
+    padded[:, 1 : n + 1] = suffix
+    flat = padded.ravel()
+    base = width * np.arange(rows)[:, None]
+    with np.errstate(over="ignore"):
+        w = w_new / scale[:, None]
+        finite = np.isfinite(w)
+        w = np.where(finite, w, 0.0)
+        target = alpha * (total[:, None] + w)
+        fails = base + np.zeros(w.shape, dtype=np.intp)
+        step = width // 2
+        while step:
+            cand = fails + step
+            fails = np.where(flat[cand] + w > target, cand, fails)
+            step //= 2
+    fails = fails - base
+    return np.where(finite & (fails < n), values[np.minimum(fails, n - 1)], math.inf)
+
+
 @dataclass(frozen=True)
 class WeightedScores:
     """Calibration non-conformity scores with their positive weights."""
@@ -70,47 +148,15 @@ class WeightedScores:
         weights = np.array(self.weights, dtype=float)
         if scores.ndim != 1 or weights.ndim != 1 or len(scores) != len(weights):
             raise ValueError("scores and weights must be equal-length vectors")
-        if len(scores) == 0:
-            raise ValueError("need at least one calibration score")
-        if not np.all(np.isfinite(scores)):
-            raise ValueError("scores must be finite")
-        if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
-            raise ValueError("weights must be finite and nonnegative")
-        if not np.any(weights > 0.0):
-            raise ValueError("weights must not all be zero")
+        values, inverse = _tie_index(scores)
+        _check_weights(weights)
         scores.flags.writeable = False
         weights.flags.writeable = False
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "weights", weights)
-
-    @cached_property
-    def _ties(self):
-        """Distinct score values ascending, and the index of each score
-        among them."""
-        return np.unique(self.scores, return_inverse=True)
-
-    @cached_property
-    def _atoms(self):
-        """Tie-merged atoms, max-normalized to keep the ratios overflow-safe.
-
-        Returns (values ascending, suffix mass strictly above each value,
-        total calibration mass, normalization scale).
-        """
-        scale = float(self.weights.max())
-        values, inverse = self._ties
-        grouped = np.bincount(inverse, weights=self.weights / scale)
-        rev = np.cumsum(grouped[::-1])
-        total = float(rev[-1])
-        suffix = np.zeros_like(grouped)
-        if len(grouped) > 1:
-            suffix[:-1] = rev[-2::-1]
-        return values, suffix, total, scale
-
-    def reweighted(self, weights) -> WeightedScores:
-        """The same scores under new weights, reusing their sort."""
-        out = WeightedScores(self.scores, weights)
-        out.__dict__["_ties"] = self._ties  # fills the cached property
-        return out
+        # tie-merged atoms as a one-row block: values ascending, suffix mass
+        # strictly above each value (1, n_atoms), total mass (1,), scale (1,)
+        object.__setattr__(self, "_atoms", (values, *_tail_mass(inverse, len(values), weights[None])))
 
     def thresholds(self, w_new, alpha: float) -> np.ndarray:
         """Conformal thresholds for an array of test-point weights.
@@ -124,27 +170,7 @@ class WeightedScores:
         if not 0.0 < alpha < 1.0:
             raise ValueError("alpha must lie strictly inside (0, 1)")
         w_new = np.asarray(w_new, dtype=float)
-        if not np.all(np.isfinite(w_new) & (w_new >= 0.0)):
-            raise ValueError("w_new must be finite and nonnegative")
-        values, suffix, total, scale = self._atoms
-        n = len(values)
-        # the atoms failing suffix + w <= target form a prefix, because
-        # suffix never increases; count them by binary lifting over
-        # padded[k] = suffix[k - 1], padded past the last atom with -inf
-        padded = np.full(1 << n.bit_length(), -math.inf)
-        padded[1 : n + 1] = suffix
-        with np.errstate(over="ignore"):
-            w = w_new / scale
-            finite = np.isfinite(w)
-            w = np.where(finite, w, 0.0)
-            target = alpha * (total + w)
-            fails = np.zeros(w.shape, dtype=np.intp)
-            step = len(padded) // 2
-            while step:
-                cand = fails + step
-                fails = np.where(padded[cand] + w > target, cand, fails)
-                step //= 2
-        return np.where(finite & (fails < n), values[np.minimum(fails, n - 1)], math.inf)
+        return _lift(*self._atoms, w_new.reshape(1, -1), alpha).reshape(w_new.shape)
 
 
 def weighted_conformal_quantile(ws: WeightedScores, w_new: float, alpha: float) -> float:
@@ -187,11 +213,18 @@ class Interval:
 @dataclass(frozen=True)
 class PredictionBand:
     """Pointwise prediction intervals over a treatment grid, one
-    covariate profile."""
+    covariate profile.
+
+    Per grid point, ``ess`` is the Kish effective sample size
+    (sum W)^2 / sum W^2 of the calibration weights and ``p_inf`` the
+    test-atom mass w / (sum W + w); both are NaN when not supplied.
+    """
 
     t_grid: np.ndarray
     intervals: tuple[Interval, ...]
     x: np.ndarray
+    ess: np.ndarray | None = None
+    p_inf: np.ndarray | None = None
 
     def __post_init__(self):
         grid = np.array(self.t_grid, dtype=float)
@@ -202,6 +235,13 @@ class PredictionBand:
         grid.flags.writeable = False
         object.__setattr__(self, "t_grid", grid)
         object.__setattr__(self, "intervals", tuple(self.intervals))
+        for name in ("ess", "p_inf"):
+            given = getattr(self, name)
+            arr = np.full(grid.shape, math.nan) if given is None else np.array(given, dtype=float)
+            if arr.shape != grid.shape:
+                raise ValueError(f"{name} must have one value per grid point")
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)
@@ -307,27 +347,59 @@ def split_conformal_interval(
     return _interval(cfg, lower[0], upper[0])
 
 
+# weights held per block of grid points: 8192 // (n_cal + 1) rows, so the
+# block pass holds a few hundred kB whatever the grid length
+_BLOCK_ELEMENTS = 8192
+
+
 def _weighted_bounds(data, sp, model, gps, h_factory, cfg, x_new, t_new, weight_cfg):
     """Weighted conformal bounds at (x_new, t) for each t in t_new, the
-    numerator of the weights being the assignment density h_factory(t).
+    numerator of the weights being the assignment density h_factory(t),
+    with the Kish ESS of each t's calibration weights and its test-atom
+    mass.
 
-    The calibration scores, their sort and the GPS densities f(T_i | X_i)
-    do not depend on t and are computed once; each t costs its numerator
-    on the calibration treatments and one threshold query.
+    The calibration scores, their tie index and the GPS densities
+    f(T_i | X_i) do not depend on t and are computed once. The grid is
+    then processed in blocks of _BLOCK_ELEMENTS // (n_cal + 1) rows: row
+    k holds the calibration treatments followed by t_k, and its only
+    Python-level work is h_factory(t_k) and one density call on that
+    row. Each block then takes one likelihood ratio, one tie-merging
+    ``bincount`` and one binary lifting for all its rows, through the
+    engine behind ``WeightedScores.thresholds``. Peak memory grows with
+    the block, not with the grid.
     """
     t_cal, x_cal = data.t[sp.cal], data.x[sp.cal]
-    # unit weights: each t reweights these scores and reuses their sort
-    scores = WeightedScores(calibration_scores(model, cfg, data, sp.cal), np.ones(len(t_cal)))
+    n = len(t_cal)
+    if not (np.all(np.isfinite(t_cal)) and np.all(np.isfinite(t_new))):
+        raise ValueError("treatment values must be finite")
+    values, inverse = _tie_index(calibration_scores(model, cfg, data, sp.cal))
     x_rows = np.tile(np.asarray(x_new, dtype=float), (len(t_new), 1))
-    den_cal = gps.density(t_cal, x_cal) + weight_cfg.offset
     den_new = gps.density(t_new, x_rows) + weight_cfg.offset
-    eta = np.empty(len(t_new))
-    for k, t_k in enumerate(t_new):
-        h = h_factory(float(t_k))
-        weights = likelihood_ratio(assignment_density(h, t_cal), den_cal, t_cal)
-        w_new = likelihood_ratio(assignment_density(h, t_k), den_new[k], t_k)
-        eta[k] = scores.reweighted(weights).thresholds(w_new, cfg.alpha)
-    return score_interval(model, cfg, x_rows, t_new, eta)
+    rows = max(1, _BLOCK_ELEMENTS // (n + 1))
+    bins = (inverse + len(values) * np.arange(rows)[:, None]).ravel()
+    t_blk, den_blk, num_blk = (np.empty((rows, n + 1)) for _ in range(3))
+    t_blk[:, :n] = t_cal
+    den_blk[:, :n] = gps.density(t_cal, x_cal) + weight_cfg.offset
+    eta, ess, p_inf = (np.empty(len(t_new)) for _ in range(3))
+    for start in range(0, len(t_new), rows):
+        block = slice(start, min(start + rows, len(t_new)))
+        t, den, num = (a[: block.stop - start] for a in (t_blk, den_blk, num_blk))
+        t[:, n] = t_new[block]
+        den[:, n] = den_new[block]
+        for i in range(len(num)):
+            num[i] = h_factory(float(t[i, n])).density(t[i])
+        weights = likelihood_ratio(num, den, t)
+        cal, w = weights[:, :n], weights[:, n:]
+        _check_weights(cal)
+        suffix, total, scale = _tail_mass(bins[: cal.size], len(values), cal)
+        eta[block] = _lift(values, suffix, total, scale, w, cfg.alpha)[:, 0]
+        unit = cal / scale[:, None]
+        ess[block] = total * total / np.einsum("ij,ij->i", unit, unit)
+        with np.errstate(over="ignore", invalid="ignore"):  # p_inf -> 1 as w / scale overflows
+            w = w[:, 0] / scale
+            p_inf[block] = np.where(np.isfinite(w), w / (total + w), 1.0)
+    lower, upper = score_interval(model, cfg, x_rows, t_new, eta)
+    return lower, upper, ess, p_inf
 
 
 def weighted_interval(
@@ -348,7 +420,7 @@ def weighted_interval(
     (interval [m - eta, m + eta]) and a quantile model for the CQR kinds
     (see ``score_interval``).
     """
-    lower, upper = _weighted_bounds(
+    lower, upper, _, _ = _weighted_bounds(
         data, sp, model, gps, lambda t: h, cfg, x_new, np.array([float(t_new)]), weight_cfg
     )
     return _interval(cfg, lower[0], upper[0])
@@ -373,15 +445,26 @@ def prediction_band(
     distribution, covering both a fixed shift (ignore the argument) and
     treatment-tracking numerators such as the decile-midpoint weights.
     Each grid point's interval is the ``weighted_interval`` there.
+
+    The grid is processed in blocks (see ``_weighted_bounds``): per grid
+    point only h_factory(t_k) and one density call run in Python, and
+    the weights held at once are bounded by a fixed element budget, so
+    memory does not grow with n_grid. The band also carries, per grid
+    point, the Kish ESS of the calibration weights and the test-atom
+    mass p_inf.
     """
     if n_grid < 2:
         raise ValueError("need at least 2 grid points")
     if not t_min < t_max:
         raise ValueError("need t_min < t_max")
     grid = np.linspace(t_min, t_max, n_grid)
-    lower, upper = _weighted_bounds(data, sp, model, gps, h_factory, cfg, x_new, grid, weight_cfg)
+    lower, upper, ess, p_inf = _weighted_bounds(
+        data, sp, model, gps, h_factory, cfg, x_new, grid, weight_cfg
+    )
     return PredictionBand(
         t_grid=grid,
         intervals=tuple(_interval(cfg, lo, up) for lo, up in zip(lower, upper)),
         x=np.asarray(x_new, dtype=float),
+        ess=ess,
+        p_inf=p_inf,
     )

@@ -25,7 +25,6 @@ __all__ = [
     "MeanModel",
     "OracleQuantileModel",
     "LinearPinballModel",
-    "OracleMeanModel",
     "OlsMeanModel",
     "PinballFitError",
     "pinball_loss",
@@ -105,16 +104,6 @@ class LinearPinballModel:
 
 
 @dataclass(frozen=True)
-class OracleMeanModel:
-    mean_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-    def mean(self, x, t):
-        t, x2, scalar = query_rows(t, x)
-        out = np.asarray(self.mean_fn(x2, t), dtype=float)
-        return float(out[0]) if scalar else out
-
-
-@dataclass(frozen=True)
 class OlsMeanModel:
     basis: Callable[[np.ndarray, np.ndarray], np.ndarray]
     beta: np.ndarray
@@ -126,7 +115,7 @@ class OlsMeanModel:
 
 
 QuantileModel = OracleQuantileModel | LinearPinballModel
-MeanModel = OracleMeanModel | OlsMeanModel
+MeanModel = OracleQuantileModel | OlsMeanModel
 
 
 def pinball_loss(u: np.ndarray, level: float) -> float:

@@ -71,7 +71,7 @@ from .dist import (
     _truncated_normal_logpdf_core,
     _truncated_normal_transform,
 )
-from .outcome import LinearPinballModel, OracleMeanModel, OracleQuantileModel, fit_linear_pinball
+from .outcome import LinearPinballModel, OracleQuantileModel, fit_linear_pinball
 from .propensity import CallableGps, fit_gaussian_mixture, fit_ols_gaussian
 
 __all__ = [
@@ -341,7 +341,7 @@ def _prelude(scenario: Scenario, rng: Rng):
     sp = split(data, 0.5, rng)
     if scenario.id == "unif-compare":
         cfg = ConformalConfig(scenario.alpha, "absolute-residual")
-        model = OracleMeanModel(mean_fn=_response_mean_fn(scenario.id))
+        model = OracleQuantileModel(mean_fn=_response_mean_fn(scenario.id), variance=RESPONSE_SD**2)
     else:
         cfg = ConformalConfig(scenario.alpha, "cqr")
         model = _fit_outcome(scenario, data, sp, _levels(scenario))

@@ -19,7 +19,7 @@ from doseband.conformal import (
 )
 from doseband.data import Dataset, split
 from doseband.dist import NormalParams, Rng
-from doseband.outcome import LinearPinballModel, OracleMeanModel, OracleQuantileModel
+from doseband.outcome import LinearPinballModel, OracleQuantileModel
 from doseband.propensity import CallableGps, OracleGaussianGps
 
 
@@ -51,6 +51,7 @@ def scalar_scan(ws, w_new, alpha):
     """One test weight at a time: the first tie-merged atom whose strict
     upper tail plus the infinity atom is at most alpha of the total."""
     values, suffix, total, scale = ws._atoms
+    suffix, total, scale = suffix[0], float(total[0]), float(scale[0])  # the one-row block
     w = w_new / scale
     if not math.isfinite(w):
         return math.inf
@@ -59,7 +60,7 @@ def scalar_scan(ws, w_new, alpha):
 
 
 def _mean_model(fn=lambda x, t: x[:, 0] + t):
-    return OracleMeanModel(mean_fn=fn)
+    return OracleQuantileModel(mean_fn=fn, variance=1.0)
 
 
 def _flat_gps():
@@ -373,6 +374,115 @@ class TestPredictionBand:
             prediction_band(
                 d, sp, model, _flat_gps(), lambda t: None, cfg, np.array([0.5]), 2.0, 1.0, 5
             )
+
+
+class TestBlockedBand:
+    """The band against a direct per-point computation with the exact
+    oracle quantile, and its edge cases through ``prediction_band``."""
+
+    def _tied(self, n=1200, seed=13):
+        # integer responses and integer-valued quantile predictions: the
+        # calibration scores take a handful of values, with many ties
+        gen = Rng(seed).gen
+        x = gen.normal(size=(n, 1))
+        t = x[:, 0] + gen.normal(size=n)
+        y = np.round(x[:, 0] + t + 2.0 * gen.normal(size=n))
+        d = Dataset(y, t, x)
+        sp = split(d, 0.5, Rng(seed + 1))
+        model = OracleQuantileModel(
+            mean_fn=lambda xx, tt: np.round(xx[:, 0] + tt), variance=1.0, levels=(0.05, 0.95)
+        )
+        gps = OracleGaussianGps(mean_fn=lambda xx: xx[:, 0], variance=1.0)
+        return d, sp, model, gps
+
+    def test_matches_oracle_quantile_point_by_point(self):
+        from doseband.assignment import DecileMidpointAssignment, decile_boundaries
+        from doseband.conformal import _BLOCK_ELEMENTS
+
+        d, sp, model, gps = self._tied()
+        cfg = ConformalConfig(0.1, "cqr")
+        wcfg = WeightConfig(offset=0.05)
+        b = decile_boundaries(d.t[sp.train])
+
+        def h_factory(t):
+            return DecileMidpointAssignment(b, s2=1.0, t_star=t, k=0.5)
+
+        x_new = np.array([0.3])
+        n_grid = 31
+        rows = _BLOCK_ELEMENTS // (len(sp.cal) + 1)
+        assert n_grid > 2 * rows and n_grid % rows != 0  # several blocks, the last ragged
+        band = prediction_band(d, sp, model, gps, h_factory, cfg, x_new, -2.0, 2.0, n_grid, wcfg)
+        scores = calibration_scores(model, cfg, d, sp.cal)
+        assert len(np.unique(scores)) < len(scores) // 10
+        t_cal, x_cal = d.t[sp.cal], d.x[sp.cal]
+        den_cal = gps.density(t_cal, x_cal) + wcfg.offset
+        for t_k, iv in zip(band.t_grid, band.intervals):
+            h = h_factory(float(t_k))
+            w_new = h.density(float(t_k)) / (gps.density(float(t_k), x_new) + wcfg.offset)
+            eta = oracle_weighted_quantile(scores, h.density(t_cal) / den_cal, w_new, cfg.alpha)
+            lo = model.quantile(x_new, float(t_k), 0.05)
+            hi = model.quantile(x_new, float(t_k), 0.95)
+            assert (iv.lower, iv.upper) == (lo - eta, hi + eta)
+
+    def test_diagnostics_match_direct_computation(self):
+        d, sp, model, gps = self._tied(n=200)
+        cfg = ConformalConfig(0.1, "cqr")
+        wcfg = WeightConfig(offset=0.01)
+        x_new = np.array([-0.4])
+
+        def h_factory(t):
+            return NormalAssignment(NormalParams(t, 0.5))
+
+        band = prediction_band(d, sp, model, gps, h_factory, cfg, x_new, -1.5, 1.5, 6, wcfg)
+        t_cal, x_cal = d.t[sp.cal], d.x[sp.cal]
+        for k, t_k in enumerate(band.t_grid):
+            h = h_factory(float(t_k))
+            W = h.density(t_cal) / (gps.density(t_cal, x_cal) + wcfg.offset)
+            w = h.density(float(t_k)) / (gps.density(float(t_k), x_new) + wcfg.offset)
+            assert band.ess[k] == pytest.approx(W.sum() ** 2 / np.sum(W**2), rel=1e-12)
+            assert band.p_inf[k] == pytest.approx(w / (W.sum() + w), rel=1e-12)
+        assert np.all((band.ess >= 1.0) & (band.ess <= len(t_cal)))
+        # a band built without diagnostics reads NaN for them
+        bare = PredictionBand(band.t_grid, band.intervals, band.x)
+        assert np.all(np.isnan(bare.ess)) and np.all(np.isnan(bare.p_inf))
+
+    def test_vanishing_gps_names_the_calibration_treatment(self):
+        import re
+
+        from doseband.assignment import PositivityError
+
+        d, sp, model, _ = self._tied(n=200)
+        t_bad = float(d.t[sp.cal][7])
+        gps = CallableGps(fn=lambda t, x: np.where(t == t_bad, 0.0, 1.0))
+        h = NormalAssignment(NormalParams(0.0, 4.0))
+        with pytest.raises(PositivityError, match=re.escape(f"t=[{t_bad!r}]")):
+            prediction_band(
+                d, sp, model, gps, lambda t: h, ConformalConfig(0.1), np.array([0.0]), -1.0, 1.0, 40
+            )
+
+    def test_h_zero_on_every_calibration_treatment(self):
+        from doseband.assignment import UniformAssignment
+
+        d, sp, model, _ = self._tied(n=200)
+        h = UniformAssignment(100.0, 101.0)
+        with pytest.raises(ValueError, match="must not all be zero"):
+            prediction_band(
+                d, sp, model, _flat_gps(), lambda t: h, ConformalConfig(0.1),
+                np.array([0.0]), 100.0, 101.0, 5,
+            )
+
+    def test_overflowing_test_weight_gives_whole_line(self):
+        # calibration weights near 1e-10, the test weight at t = 1 near
+        # 1e299: normalized by the largest calibration weight it overflows
+        d, sp, model, _ = self._tied(n=200)
+        gps = CallableGps(fn=lambda t, x: np.where(t == 1.0, 1e-300, 1e10))
+        h = NormalAssignment(NormalParams(0.0, 4.0))
+        band = prediction_band(
+            d, sp, model, gps, lambda t: h, ConformalConfig(0.1), np.array([0.0]), -1.0, 1.0, 5
+        )
+        assert band.intervals[-1] == Interval(-math.inf, math.inf)
+        assert band.p_inf[-1] == 1.0
+        assert all(math.isfinite(iv.length) for iv in band.intervals[:-1])
 
 
 class TestIntervalType:
