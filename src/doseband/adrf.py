@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .assignment import NormalAssignment, assignment_density
+from .assignment import NormalAssignment, assignment_density, likelihood_ratio
 from .data import Dataset
 from .dist import NormalParams, Rng
 
@@ -124,21 +124,21 @@ def hirano_imbens_adrf(data: Dataset, gps, t_grid) -> AdrfEstimate:
     return AdrfEstimate(t_grid=grid, mu_hat=mu)
 
 
-def _stabilized_kernel(data, gps, marginal, cfg, t) -> np.ndarray:
-    num = np.asarray(assignment_density(marginal, data.t), dtype=float)
-    den = np.asarray(gps.density(data.t, data.x), dtype=float)
-    if np.any(den <= 0.0):
-        raise ValueError("zero GPS density at an observed point")
-    return (num / den) * _kernel_values(data.t - t, cfg)
+def _stabilization(data, gps, marginal) -> np.ndarray:
+    """Stabilizing ratio f(T_i) / f(T_i | X_i) at every observed pair;
+    ``PositivityError`` where the GPS vanishes under positive marginal
+    density."""
+    return likelihood_ratio(assignment_density(marginal, data.t), gps.density(data.t, data.x), data.t)
 
 
 def kernel_ipw_adrf(data: Dataset, gps, marginal, kcfg: KernelConfig, t_grid) -> AdrfEstimate:
     """Stabilized kernel IPW ratio estimator; empty cells become NaN."""
     grid = np.asarray(t_grid, dtype=float)
+    ratio = _stabilization(data, gps, marginal)
     mu = np.empty(len(grid))
     flagged = 0
     for i, t in enumerate(grid):
-        k = _stabilized_kernel(data, gps, marginal, kcfg, float(t))
+        k = ratio * _kernel_values(data.t - t, kcfg)
         denom = float(k.sum())
         if denom < 1e-12:
             mu[i] = math.nan
@@ -152,10 +152,11 @@ def local_linear_adrf(data: Dataset, gps, marginal, kcfg: KernelConfig, t_grid) 
     """Local linear fit under the stabilized kernel; singular local
     designs become NaN."""
     grid = np.asarray(t_grid, dtype=float)
+    ratio = _stabilization(data, gps, marginal)
     mu = np.empty(len(grid))
     flagged = 0
     for i, t in enumerate(grid):
-        k = _stabilized_kernel(data, gps, marginal, kcfg, float(t))
+        k = ratio * _kernel_values(data.t - t, kcfg)
         peak = float(k.max())
         if peak <= 0.0:
             mu[i] = math.nan

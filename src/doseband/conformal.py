@@ -16,11 +16,10 @@ the calibration side is built once and queried many times:
 ``WeightedScores.thresholds`` answers an array of test weights, and
 ``score_interval`` turns an array of thresholds into bounds.
 
-Two threshold constructions coexist on purpose. The plain split path
-uses the (1 - alpha)(1 + 1/n)-th order statistic of the calibration
-scores; the weighted path replaces that finite-sample correction with
-the test-weight atom. With equal weights the two coincide (the atom
-contributes exactly the +1), and they agree asymptotically in general.
+Every threshold, the plain split one included, comes from this one
+engine. The plain split path's (1 - alpha)(1 + 1/n)-th order statistic
+of the calibration scores is the weighted threshold with unit weights
+and a unit test atom: the atom contributes exactly the +1.
 
 Atoms at tied score values merge their mass before the cumulative scan,
 which keeps the quantile well defined for arbitrary inputs; merging
@@ -308,16 +307,6 @@ def _interval(cfg: ConformalConfig, lower, upper) -> Interval:
     return Interval(float(lower), float(upper), _SIDED.get(cfg.score_kind, "two-sided"))
 
 
-def _split_rank(n_cal: int, alpha: float) -> int:
-    """Order-statistic rank of the (1-alpha)(1 + 1/n) empirical quantile.
-
-    Computed from the alpha side, n+1 - floor(alpha*(n+1)), which equals
-    ceil((1-alpha)(n+1)) but avoids the catastrophic rounding of
-    (1-alpha)*(n+1) landing just above an integer.
-    """
-    return n_cal + 1 - int(math.floor(alpha * (n_cal + 1)))
-
-
 def split_conformal_interval(
     data: Dataset,
     sp: SplitIndices,
@@ -329,18 +318,18 @@ def split_conformal_interval(
     """Plain split-conformal interval around a conditional-mean prediction.
 
     The threshold is the (1-alpha)(1 + 1/n)-th empirical quantile of the
-    calibration absolute residuals. A calibration set too small for the
-    requested level yields the infinite interval rather than an error.
+    calibration absolute residuals, i.e. the weighted threshold with unit
+    weights and a unit test atom. A calibration set too small for the
+    requested level, an empty one included, yields the infinite interval
+    rather than an error.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly inside (0, 1)")
     cfg = ConformalConfig(alpha, "absolute-residual")
     scores = calibration_scores(mean_model, cfg, data, sp.cal)
-    n = len(scores)
-    rank = _split_rank(n, alpha)
-    if rank > n:
+    if len(scores) == 0:
         return Interval(-math.inf, math.inf)
-    eta = float(np.partition(scores, rank - 1)[rank - 1])
+    eta = WeightedScores(scores, np.ones(len(scores))).thresholds(1.0, alpha)
     lower, upper = score_interval(
         mean_model, cfg, np.atleast_2d(x_new), np.array([float(t_new)]), eta
     )

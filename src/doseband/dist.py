@@ -1,9 +1,10 @@
 """Probability distributions and seedable random generation.
 
 Every Normal-family distribution here is parameterized by mean and
-VARIANCE, not standard deviation. Only the distributions the rest of
-the package needs are implemented: Normal, truncated Normal, and finite
-Gaussian mixtures.
+VARIANCE, not standard deviation. Only what the rest of the package
+needs is implemented: the Normal density and quantile, and the
+truncated-Normal log density and inverse-CDF transform that the
+simulation scenarios use.
 
 The standard-normal inverse CDF is Acklam's rational approximation
 refined by one Newton step against an erfc-based CDF, which brings the
@@ -20,15 +21,10 @@ import numpy as np
 __all__ = [
     "NormalParams",
     "TruncatedNormalParams",
-    "GaussianMixtureParams",
     "Rng",
     "normal_pdf",
     "normal_cdf",
     "normal_quantile",
-    "truncated_normal_pdf",
-    "truncated_normal_mass",
-    "truncated_normal_sample",
-    "mixture_pdf",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -97,24 +93,6 @@ class TruncatedNormalParams:
         return math.sqrt(self.variance)
 
 
-@dataclass(frozen=True)
-class GaussianMixtureParams:
-    """Finite Gaussian mixture: (weight, NormalParams) components."""
-
-    components: tuple[tuple[float, NormalParams], ...]
-
-    def __post_init__(self) -> None:
-        comps = tuple((float(w), p) for w, p in self.components)
-        if len(comps) < 1:
-            raise ValueError("mixture needs at least one component")
-        if any(w <= 0.0 for w, _ in comps):
-            raise ValueError("mixture weights must be positive")
-        total = sum(w for w, _ in comps)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"mixture weights must sum to 1, got {total}")
-        object.__setattr__(self, "components", comps)
-
-
 class Rng:
     """Deterministic random generator with reproducible child streams.
 
@@ -161,7 +139,11 @@ def normal_pdf(x, p: NormalParams):
 
 
 def normal_cdf(x, p: NormalParams):
-    """Normal CDF at x, computed through erfc for accuracy in both tails."""
+    """Normal CDF at x, computed through erfc for accuracy in both tails.
+
+    No package code calls it: it is the reference the ``normal_quantile``
+    tests compare against (round trips and accuracy in CDF terms).
+    """
     x = _checked_points(x)
     z = (x - p.mean) / p.sd
     return _maybe_scalar(0.5 * _erfc(-z / _SQRT2))
@@ -234,7 +216,7 @@ def _log_std_lower_tail(z: np.ndarray) -> np.ndarray:
 
 
 def _truncated_normal_logpdf_core(x, mean, sd, lower, upper):
-    """Truncated-normal log density without the degenerate-mass guard.
+    """Truncated-normal log density.
 
     Elementwise over broadcastable x/mean/sd; -inf outside [lower, upper].
     Stays finite even when the in-bounds mass underflows in linear space,
@@ -256,35 +238,6 @@ def _truncated_normal_logpdf_core(x, mean, sd, lower, upper):
     return np.where((x >= lower) & (x <= upper), logpdf, -np.inf)
 
 
-def truncated_normal_mass(p: TruncatedNormalParams) -> float:
-    """In-bounds probability of the parent Normal, stable in both tails."""
-    a = (p.lower - p.mean) / p.sd
-    b = (p.upper - p.mean) / p.sd
-    if a + b > 0.0:
-        # work in the upper tail: P = Phi(-a) - Phi(-b)
-        mass = 0.5 * (math.erfc(a / _SQRT2) - math.erfc(b / _SQRT2))
-    else:
-        mass = 0.5 * (math.erfc(-b / _SQRT2) - math.erfc(-a / _SQRT2))
-    return max(float(mass), 0.0)
-
-
-def _require_mass(p: TruncatedNormalParams) -> float:
-    mass = truncated_normal_mass(p)
-    if mass < 1e-12:
-        raise ValueError(
-            f"degenerate truncation: in-bounds mass {mass:.3e} below 1e-12"
-        )
-    return mass
-
-
-def truncated_normal_pdf(x, p: TruncatedNormalParams):
-    """Parent Normal density renormalized to [lower, upper]; zero outside."""
-    x = _checked_points(x)
-    _require_mass(p)
-    out = np.exp(_truncated_normal_logpdf_core(x, p.mean, p.sd, p.lower, p.upper))
-    return _maybe_scalar(out)
-
-
 def _truncated_normal_transform(mean, sd, lower, upper, u):
     """Map uniforms u to truncated-normal draws via the inverse CDF.
 
@@ -302,20 +255,3 @@ def _truncated_normal_transform(mean, sd, lower, upper, u):
     z = _std_normal_quantile(np.clip(pa + u * (pb - pa), 1e-320, 1.0 - 1e-16))
     z = np.where(flip, -z, z)
     return np.clip(mean + sd * z, lower, upper)
-
-
-def truncated_normal_sample(p: TruncatedNormalParams, rng: Rng, size: int | None = None):
-    """Draw from the truncated Normal by inverse-CDF sampling."""
-    _require_mass(p)
-    u = rng.gen.random(size if size is not None else ())
-    out = _truncated_normal_transform(p.mean, p.sd, p.lower, p.upper, np.asarray(u))
-    return _maybe_scalar(out)
-
-
-def mixture_pdf(x, p: GaussianMixtureParams):
-    """Density of a finite Gaussian mixture: sum of weighted component pdfs."""
-    x = _checked_points(x)
-    out = np.zeros_like(x, dtype=float)
-    for w, comp in p.components:
-        out = out + w * normal_pdf(x, comp)
-    return _maybe_scalar(np.asarray(out))

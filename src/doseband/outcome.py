@@ -2,11 +2,13 @@
 at arbitrary (covariates, treatment) points.
 
 The learned quantile model is linear in a caller-supplied basis over
-(x, t) and is fitted by iteratively reweighted least squares on a
-smoothed pinball loss. Oracle variants take the true conditional mean
-function plus a Normal noise variance and answer any level in closed
-form. Quantile crossing at prediction time is repaired by swapping the
-pair to (min, max); any monotone fix preserves interval validity.
+(x, t) and is fitted by an exact vertex descent on the pinball loss,
+run on slightly jittered responses, that ends with a dual optimality
+certificate on the original ones. Oracle variants take the true
+conditional mean function plus a Normal noise variance and answer any
+level in closed form. Quantile crossing at prediction time is repaired
+by swapping the pair to (min, max); any monotone fix preserves interval
+validity.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .data import Dataset, query_rows
-from .dist import NormalParams, normal_quantile
+from .dist import NormalParams, Rng, normal_quantile
 
 __all__ = [
     "QuantileModel",
@@ -33,17 +35,10 @@ __all__ = [
     "predict_quantile_pair",
 ]
 
-# 1000 total IRLS iterations: extreme levels on n ~ 5000 rows need
-# roughly 250-400, most of it in the coarsest smoothing stage
-MAX_PINBALL_ITER = 1000
-PINBALL_TOL = 1e-9
-# smoothing of |u| annealed across IRLS stages
-_EPS_SCHEDULE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-
 
 class PinballFitError(RuntimeError):
-    """Raised when the pinball IRLS does not converge; carries the best
-    objective value reached."""
+    """Raised when the pinball fit cannot certify optimality; carries the
+    best objective value reached."""
 
     def __init__(self, message: str, best_objective: float):
         super().__init__(message)
@@ -124,53 +119,13 @@ def pinball_loss(u: np.ndarray, level: float) -> float:
     return float(np.mean(u * (level - (u < 0.0))))
 
 
-def _irls_warm_start(Z, y, level, beta, max_iter, tol):
-    """Annealed majorize-minimize pass over the smoothed check loss.
-
-    rho_tau(u) = |u|/2 + (tau - 1/2) u, and only |u| needs majorizing;
-    completing the square turns each step into plain weighted least
-    squares on the shifted response y + (2 tau - 1) m with weights 1/m,
-    m = max(|u|, eps), solved through the sqrt-weighted design so small
-    smoothings do not square the condition number. Stages are capped and
-    their tolerance scales with the smoothing: this pass only needs to
-    land near the optimum, the vertex polish finishes the job.
-    """
-    best_obj = pinball_loss(y - Z @ beta, level)
-    best_beta = beta.copy()
-    iters = 0
-    cap = max(max_iter // len(_EPS_SCHEDULE), 25)
-    for eps in _EPS_SCHEDULE:
-        stage_tol = max(1e2 * tol, 1e-3 * eps)
-        prev = None
-        stage_iters = 0
-        while iters < max_iter and stage_iters < cap:
-            u = y - Z @ beta
-            m = np.maximum(np.abs(u), eps)
-            inv_sqrt_m = 1.0 / np.sqrt(m)
-            A = inv_sqrt_m[:, None] * Z
-            b = inv_sqrt_m * (y + (2.0 * level - 1.0) * m)
-            beta = np.linalg.lstsq(A, b, rcond=None)[0]
-            iters += 1
-            stage_iters += 1
-            u = y - Z @ beta
-            obj = pinball_loss(u, level)
-            if obj < best_obj:
-                best_obj, best_beta = obj, beta.copy()
-            a = np.abs(u)
-            hub = np.where(a > eps, a - 0.5 * eps, 0.5 * a * a / eps)
-            sobj = float(np.mean(0.5 * hub + (level - 0.5) * u))
-            if prev is not None and abs(prev - sobj) <= stage_tol * (1.0 + abs(sobj)):
-                break
-            prev = sobj
-    return best_beta, best_obj
-
-
-def _initial_active_set(Z, y, beta, q):
-    """q linearly independent rows closest to zero residual."""
-    u = y - Z @ beta
+def _initial_active_set(Z, u, level):
+    """q linearly independent rows whose residuals u lie nearest the
+    residuals' level-quantile."""
+    q = Z.shape[1]
     active: list[int] = []
     rows: list[np.ndarray] = []
-    for i in np.argsort(np.abs(u)):
+    for i in np.argsort(np.abs(u - np.quantile(u, level))):
         cand = rows + [Z[i]]
         if np.linalg.matrix_rank(np.array(cand)) == len(cand):
             active.append(int(i))
@@ -185,30 +140,50 @@ def _initial_active_set(Z, y, beta, q):
 def _vertex_polish(Z, y, level, beta, max_exchanges=200, dual_slack=1e-9):
     """Exact-vertex descent for the check loss with optimality certificate.
 
-    A minimizer interpolates q rows (generic position). Solve that
-    interpolation, recover the basic dual from stationarity, and
-    certify psi in [tau - 1, tau]; while an entry escapes the box, move
-    along the corresponding edge, walking breakpoints until the
-    directional derivative turns nonnegative, and exchange rows. Each
-    exchange strictly decreases the objective, so the loop terminates.
+    The descent fits the residuals of ``beta`` plus a fixed
+    pseudo-random jitter, which puts the rows in general position: no
+    vertex has more than q zero residuals, even with duplicated rows or
+    integer-valued y, so every inactive dual is tau or tau - 1 by the
+    sign of its residual. A minimizer interpolates q rows (Koenker &
+    Bassett 1978). Starting from the q rows whose residuals lie nearest
+    their level-quantile, solve that interpolation, recover the basic
+    dual from stationarity and check psi_j in [tau - 1, tau]. While an entry
+    escapes its box, move along the corresponding edge, walking
+    breakpoints (each adds |z_i d| to the directional derivative) until
+    the derivative turns nonnegative, and exchange rows; each exchange
+    lowers the jittered objective. Once the box holds, psi is dual
+    feasible for the unjittered rows as well, and the vertex they give
+    is certified when its duality gap is at most ``dual_slack`` times
+    its objective. Returns the last vertex and whether its certificate
+    held.
     """
     n, q = Z.shape
-    active = _initial_active_set(Z, y, beta, q)
+    # the descent fits the start's residuals r by a correction to beta, so
+    # rounding errors scale with max|r| rather than max|y|; the jitter's
+    # size is the geometric middle of that error, eps max|r|, and the
+    # residuals' typical spacing, mean|r| / n
+    r = y - Z @ beta
+    size = math.sqrt(np.finfo(float).eps * float(np.max(np.abs(r))) * float(np.mean(np.abs(r))) / n)
+    jittered = r + size * Rng(0).gen.random(n)
+    active = _initial_active_set(Z, jittered, level)
     for _ in range(max_exchanges):
         ZA = Z[active]
-        beta = np.linalg.solve(ZA, y[active])
-        u = y - Z @ beta
+        u = jittered - Z @ np.linalg.solve(ZA, jittered[active])
         inactive = np.ones(n, dtype=bool)
         inactive[active] = False
-        psi_free = np.where(u >= 0.0, level, level - 1.0)
-        g = Z[inactive].T @ psi_free[inactive]
-        psi_a = np.linalg.solve(ZA.T, -g)
-        over = psi_a - level
-        under = (level - 1.0) - psi_a
+        psi = np.where(u >= 0.0, level, level - 1.0)
+        g = Z[inactive].T @ psi[inactive]
+        psi[active] = np.linalg.solve(ZA.T, -g)
+        over = psi[active] - level
+        under = (level - 1.0) - psi[active]
         worst = np.maximum(over, under)
         j = int(np.argmax(worst))
         if worst[j] <= dual_slack:
-            return beta, True
+            # duality gap of the unjittered rows: sum_i rho(u_i) - psi_i u_i
+            step = np.linalg.solve(ZA, r[active])
+            u = r - Z @ step
+            loss = u * (level - (u < 0.0))
+            return beta + step, float(np.sum(loss - psi * u)) <= dual_slack * float(np.sum(loss))
         # leave the j-th active row along the edge that keeps the other
         # active residuals at zero; psi above tau means the objective
         # falls when u_j turns positive, below tau - 1 when negative
@@ -233,7 +208,7 @@ def _vertex_polish(Z, y, level, beta, max_exchanges=200, dual_slack=1e-9):
         if enter < 0 or rate < 0.0:
             break  # numerically unbounded edge; certify failure below
         active[j] = enter
-    return beta, False
+    return beta + np.linalg.solve(Z[active], r[active]), False
 
 
 def fit_linear_pinball(
@@ -241,36 +216,31 @@ def fit_linear_pinball(
     train,
     level: float,
     basis: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    max_iter: int = MAX_PINBALL_ITER,
-    tol: float = PINBALL_TOL,
 ) -> np.ndarray:
     """Minimize the empirical pinball loss over a linear basis.
 
-    Two phases: an annealed IRLS pass on the smoothed loss (smoothing
-    1e-2 down to 1e-6) lands near the optimum, then an exact vertex
-    polish with a dual optimality certificate finishes it, so the
-    returned coefficients sit at a true minimizer rather than wherever
-    the smoothing stalled. ``PinballFitError`` (carrying the best
-    objective reached) is raised if the certificate cannot be
-    established.
+    Starts from the least-squares fit and runs the exact vertex descent
+    of ``_vertex_polish`` on the training rows, so the returned
+    coefficients sit at a certified minimizer. ``PinballFitError``
+    (carrying the lower of the least-squares and the descent's
+    objective) is raised if the certificate cannot be established.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie strictly inside (0, 1)")
     train = np.asarray(train)
     Z = np.asarray(basis(data.x[train], data.t[train]), dtype=float)
     y = data.y[train]
-    n, q = Z.shape
+    q = Z.shape[1]
     beta, _, rank, _ = np.linalg.lstsq(Z, y, rcond=None)
     if rank < q:
         raise ValueError("pinball design matrix is rank deficient")
+    start_obj = pinball_loss(y - Z @ beta, level)
     scale = float(np.mean(np.abs(y))) + 1.0
-    if pinball_loss(y - Z @ beta, level) <= 1e-12 * scale:
+    if start_obj <= 1e-12 * scale:
         return beta  # interpolation: the check loss is nonnegative, so 0 is global
-    beta, best_obj = _irls_warm_start(Z, y, level, beta, max_iter, tol)
     polished, certified = _vertex_polish(Z, y, level, beta)
-    polished_obj = pinball_loss(y - Z @ polished, level)
     if not certified:
-        best = min(best_obj, polished_obj)
+        best = min(start_obj, pinball_loss(y - Z @ polished, level))
         raise PinballFitError(
             f"pinball fit could not certify optimality (best objective {best:.6g})",
             best_objective=best,

@@ -13,6 +13,7 @@ from doseband.adrf import (
     local_linear_adrf,
     silverman_bandwidth,
 )
+from doseband.assignment import PositivityError
 from doseband.data import Dataset
 from doseband.dist import Rng
 from doseband.propensity import CallableGps, fit_ols_gaussian
@@ -221,6 +222,19 @@ class TestBootstrap:
         d = Dataset(np.zeros(10), np.arange(10.0), np.zeros((10, 1)))
         with pytest.raises(ValueError):
             bootstrap_ci(self._estimator(), d, B=50, level=0.9, rng=Rng(0))
+
+
+class TestPositivity:
+    def test_vanishing_gps_at_observed_treatment_raises(self):
+        gen = Rng(17).gen
+        n = 40
+        d = Dataset(gen.normal(size=n), gen.normal(size=n), gen.normal(size=(n, 1)))
+        t_bad = d.t[7]
+        gps = CallableGps(fn=lambda t, x: np.where(t == t_bad, 0.0, 1.0))
+        cfg = KernelConfig(bandwidth=0.5)
+        for fn in (kernel_ipw_adrf, local_linear_adrf):
+            with pytest.raises(PositivityError, match=repr(float(t_bad))):
+                fn(d, gps, _flat_marginal(), cfg, np.array([0.0, 1.0]))
 
 
 class TestInvariance:

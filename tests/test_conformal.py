@@ -201,6 +201,14 @@ class TestSplitConformal:
         iv = split_conformal_interval(d, sp, _mean_model(), 0.05, np.array([0.0]), 0.0)
         assert iv.lower == -math.inf and iv.upper == math.inf
 
+    def test_empty_calibration_gives_infinite(self):
+        d = self._dataset(n=10)
+        from doseband.data import SplitIndices
+
+        sp = SplitIndices(np.arange(10), np.arange(0))
+        iv = split_conformal_interval(d, sp, _mean_model(), 0.5, np.array([0.0]), 0.0)
+        assert iv.lower == -math.inf and iv.upper == math.inf
+
     def test_equal_weights_reduction_exact(self):
         # the weighted path with unit weights reproduces the split threshold
         d = self._dataset(n=200, seed=5)

@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from doseband.assignment import TruncatedNormalAssignment
 from doseband.dist import (
-    GaussianMixtureParams,
     NormalParams,
     Rng,
     TruncatedNormalParams,
-    mixture_pdf,
+    _truncated_normal_transform,
     normal_cdf,
     normal_pdf,
     normal_quantile,
-    truncated_normal_mass,
-    truncated_normal_pdf,
-    truncated_normal_sample,
 )
+from doseband.propensity import MixtureGps
 
 STD = NormalParams(0.0, 1.0)
 
@@ -121,28 +119,26 @@ class TestNormal:
             NormalParams(0.0, -1.0)
 
 
+def _truncated_draws(p: TruncatedNormalParams, rng: Rng, size: int) -> np.ndarray:
+    """Inverse-CDF draws through the transform ``sim.generate`` runs."""
+    return _truncated_normal_transform(p.mean, p.sd, p.lower, p.upper, rng.gen.random(size))
+
+
 class TestTruncatedNormal:
     P = TruncatedNormalParams(2.0, 0.8, 1.0, 5.0)
 
     def test_pdf_zero_outside(self):
-        assert truncated_normal_pdf(0.99, self.P) == 0.0
-        assert truncated_normal_pdf(5.01, self.P) == 0.0
+        density = TruncatedNormalAssignment(self.P).density
+        assert density(0.99) == 0.0
+        assert density(5.01) == 0.0
 
     def test_pdf_integrates_to_one(self):
-        val, _ = integrate.quad(lambda u: truncated_normal_pdf(u, self.P), 1.0, 5.0)
+        val, _ = integrate.quad(TruncatedNormalAssignment(self.P).density, 1.0, 5.0)
         assert val == pytest.approx(1.0, abs=1e-8)
-
-    def test_mass_matches_scipy(self):
-        for p in [self.P, TruncatedNormalParams(10.0, 1.0, 0.5, 5.0)]:
-            a = (p.lower - p.mean) / p.sd
-            b = (p.upper - p.mean) / p.sd
-            assert truncated_normal_mass(p) == pytest.approx(
-                stats.norm.cdf(b) - stats.norm.cdf(a), rel=1e-10
-            )
 
     def test_samples_in_bounds_and_mean(self):
         p = TruncatedNormalParams(2.0, 0.8, 0.5, 5.0)
-        draws = truncated_normal_sample(p, Rng(11), size=100_000)
+        draws = _truncated_draws(p, Rng(11), 100_000)
         assert draws.min() >= 0.5 and draws.max() <= 5.0
         a = (p.lower - p.mean) / p.sd
         b = (p.upper - p.mean) / p.sd
@@ -152,10 +148,8 @@ class TestTruncatedNormal:
         assert abs(draws.mean() - truth) < 3.0 * se
 
     def test_core_transform_handles_extreme_offsets(self):
-        # the guard-free core keeps working when the window mass underflows:
+        # the transform keeps working when the window mass underflows:
         # everything piles up at the boundary nearest the mean
-        from doseband.dist import _truncated_normal_transform
-
         u = Rng(3).gen.random(1000)
         draws = _truncated_normal_transform(37.0, 1.0, 0.5, 5.0, u)
         assert np.all((draws >= 0.5) & (draws <= 5.0))
@@ -173,49 +167,50 @@ class TestTruncatedNormal:
         )
         np.testing.assert_allclose(got, want, rtol=1e-9)
 
-    def test_degenerate_truncation_rejected(self):
-        bad = TruncatedNormalParams(1000.0, 1.0, 0.0, 1.0)
-        with pytest.raises(ValueError, match="degenerate"):
-            truncated_normal_pdf(0.5, bad)
-        with pytest.raises(ValueError, match="degenerate"):
-            truncated_normal_sample(bad, Rng(0))
-        # in-bounds mass below 1e-12 triggers the same guard
-        with pytest.raises(ValueError, match="degenerate"):
-            truncated_normal_sample(TruncatedNormalParams(37.0, 1.0, 0.5, 5.0), Rng(0))
-
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
             TruncatedNormalParams(0.0, 1.0, 2.0, 2.0)
 
 
+def _mixture_density(components, t):
+    """Density at t of the intercept-only mixture GPS with the given
+    (weight, NormalParams) components."""
+    weights, params = zip(*components)
+    gps = MixtureGps(
+        mix_weights=np.array(weights),
+        betas=np.array([[p.mean] for p in params]),
+        variances=np.array([p.variance for p in params]),
+        basis=lambda x: np.empty((len(x), 0)),
+    )
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    return gps.density(t, np.zeros((len(t), 1)))
+
+
 class TestMixture:
+    """The finite Gaussian mixture density, as the mixture GPS evaluates it."""
+
     def test_single_component_equals_normal(self):
-        p = GaussianMixtureParams(((1.0, NormalParams(1.0, 2.0)),))
         x = np.linspace(-4, 6, 101)
-        np.testing.assert_allclose(mixture_pdf(x, p), normal_pdf(x, NormalParams(1.0, 2.0)))
+        np.testing.assert_allclose(
+            _mixture_density([(1.0, NormalParams(1.0, 2.0))], x), normal_pdf(x, NormalParams(1.0, 2.0))
+        )
 
     def test_two_identical_components(self):
         comp = NormalParams(0.5, 1.5)
-        p = GaussianMixtureParams(((0.5, comp), (0.5, comp)))
-        assert mixture_pdf(0.3, p) == pytest.approx(normal_pdf(0.3, comp), rel=1e-14)
+        got = _mixture_density([(0.5, comp), (0.5, comp)], 0.3)[0]
+        assert got == pytest.approx(normal_pdf(0.3, comp), rel=1e-14)
 
     def test_weighted_sum(self):
-        p = GaussianMixtureParams(((0.3, NormalParams(0.0, 1.0)), (0.7, NormalParams(2.0, 4.0))))
+        comps = [(0.3, NormalParams(0.0, 1.0)), (0.7, NormalParams(2.0, 4.0))]
         expected = 0.3 * normal_pdf(1.0, NormalParams(0.0, 1.0)) + 0.7 * normal_pdf(
             1.0, NormalParams(2.0, 4.0)
         )
-        assert mixture_pdf(1.0, p) == pytest.approx(expected, rel=1e-14)
+        assert _mixture_density(comps, 1.0)[0] == pytest.approx(expected, rel=1e-14)
 
     def test_integrates_to_one(self):
-        p = GaussianMixtureParams(((0.4, NormalParams(-1.0, 0.5)), (0.6, NormalParams(3.0, 2.0))))
-        val, _ = integrate.quad(lambda u: mixture_pdf(u, p), -15, 20)
+        comps = [(0.4, NormalParams(-1.0, 0.5)), (0.6, NormalParams(3.0, 2.0))]
+        val, _ = integrate.quad(lambda u: _mixture_density(comps, u)[0], -15, 20)
         assert val == pytest.approx(1.0, abs=1e-6)
-
-    def test_bad_weights_rejected(self):
-        with pytest.raises(ValueError):
-            GaussianMixtureParams(((0.5, STD), (0.6, STD)))
-        with pytest.raises(ValueError):
-            GaussianMixtureParams(((-0.1, STD), (1.1, STD)))
 
 
 class TestRng:
@@ -226,8 +221,8 @@ class TestRng:
 
     def test_sampling_determinism_truncated(self):
         p = TruncatedNormalParams(2.0, 0.8, 1.0, 5.0)
-        d1 = truncated_normal_sample(p, Rng(7), size=50)
-        d2 = truncated_normal_sample(p, Rng(7), size=50)
+        d1 = _truncated_draws(p, Rng(7), 50)
+        d2 = _truncated_draws(p, Rng(7), 50)
         np.testing.assert_array_equal(d1, d2)
 
     def test_spawn_children_reproducible_and_distinct(self):

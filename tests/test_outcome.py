@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from doseband import outcome
+from doseband.adrf import AdrfEstimate, bootstrap_ci
 from doseband.data import Dataset
 from doseband.dist import Rng
 from doseband.outcome import (
     LinearPinballModel,
     OracleQuantileModel,
+    PinballFitError,
     fit_linear_pinball,
     fit_ols_mean,
     pinball_loss,
@@ -134,6 +137,115 @@ class TestLinearPinball:
         )
         lo, hi = predict_quantile_pair(model, np.array([0.0, 0.0]), 0.0, 0.05, 0.95)
         assert lo <= hi
+
+
+def _lp_optimum(Z, y, level):
+    """Mean check loss at the optimum of the linear-programming form
+    min tau 1'u+ + (1 - tau) 1'u- s.t. Z beta + u+ - u- = y, u+- >= 0."""
+    from scipy.optimize import linprog
+
+    n, q = Z.shape
+    eye = np.eye(n)
+    res = linprog(
+        np.r_[np.zeros(q), np.full(n, level), np.full(n, 1.0 - level)],
+        A_eq=np.hstack([Z, eye, -eye]),
+        b_eq=y,
+        bounds=[(None, None)] * q + [(0.0, None)] * (2 * n),
+        method="highs",
+    )
+    assert res.status == 0
+    return res.fun / n
+
+
+def _pinball_design(kind, n=300, seed=3):
+    gen = Rng(seed).gen
+    if kind in ("discrete", "integer"):
+        x = gen.integers(0, 4, size=(n, 2)).astype(float)
+    else:
+        x = gen.normal(size=(n, 2))
+    t = gen.normal(size=n)
+    if kind == "integer":
+        t = np.round(t)
+    y = 1.0 + x[:, 0] - 0.5 * x[:, 1] + t + gen.normal(size=n)
+    if kind == "integer":  # every row on an integer grid: many degenerate vertices
+        y = np.round(y)
+    d = Dataset(y, t, x)
+    if kind == "bootstrap":
+        d = d.subset(gen.integers(0, n, size=n))
+    return d
+
+
+class TestPinballOptimum:
+    @pytest.mark.parametrize("level", [0.025, 0.5, 0.95])
+    @pytest.mark.parametrize("kind", ["continuous", "discrete", "integer", "bootstrap"])
+    def test_objective_matches_linear_program(self, kind, level):
+        d = _pinball_design(kind)
+        Z = _affine_xt(d.x, d.t)
+        if kind == "bootstrap":
+            assert len(np.unique(np.column_stack([Z, d.y]), axis=0)) < d.n
+        beta = fit_linear_pinball(d, np.arange(d.n), level, _affine_xt)
+        lp = _lp_optimum(Z, d.y, level)
+        assert abs(pinball_loss(d.y - Z @ beta, level) - lp) <= 1e-9 * lp
+
+    @pytest.mark.parametrize("level", [0.025, 0.5, 0.975])
+    def test_large_offset_integer_grid(self, level):
+        # many copies of few distinct rows, with y near 1e6: the jitter must
+        # still exceed the residuals' rounding error; the intercept absorbs
+        # the offset, so the optimum is the unshifted one
+        gen = Rng(0).gen
+        x = gen.integers(0, 4, size=(500, 3)).astype(float)
+        y = np.round(1.0 + x.sum(axis=1) + gen.normal(size=500))
+        basis = lambda xx, tt: np.column_stack([np.ones(len(tt)), xx])
+        Z = basis(x, np.zeros(500))
+        losses = []
+        for shift in (0.0, 1e6):
+            d = Dataset(y + shift, np.zeros(500), x)
+            beta = fit_linear_pinball(d, np.arange(500), level, basis)
+            losses.append(pinball_loss(d.y - Z @ beta, level))
+        assert abs(losses[1] - losses[0]) <= 1e-9 * losses[0]
+
+
+class TestUncertifiedFit:
+    LEVEL = 0.9
+
+    def test_raises_with_lower_of_start_and_descent_objective(self, monkeypatch):
+        d = _pinball_design("continuous", n=200)
+        Z = _affine_xt(d.x, d.t)
+        ols = np.linalg.lstsq(Z, d.y, rcond=None)[0]
+        start = pinball_loss(d.y - Z @ ols, self.LEVEL)
+        descent = outcome._vertex_polish
+        for shift in (0.0, 5.0):  # the descent's vertex beats the start; a far one does not
+            def uncertified(Z, y, level, beta, shift=shift):
+                return descent(Z, y, level, beta)[0] + shift, False
+
+            monkeypatch.setattr(outcome, "_vertex_polish", uncertified)
+            with pytest.raises(PinballFitError) as info:
+                fit_linear_pinball(d, np.arange(d.n), self.LEVEL, _affine_xt)
+            reached = pinball_loss(d.y - Z @ uncertified(Z, d.y, self.LEVEL, ols)[0], self.LEVEL)
+            assert info.value.best_objective == min(start, reached)
+            assert (reached < start) == (shift == 0.0)
+        assert isinstance(info.value, RuntimeError)
+
+    def test_bootstrap_drops_uncertified_resamples(self, monkeypatch):
+        d = _pinball_design("continuous", n=60)
+        descent = outcome._vertex_polish
+        calls = []
+
+        def every_tenth_uncertified(Z, y, level, beta):
+            calls.append(level)
+            beta, certified = descent(Z, y, level, beta)
+            return beta, certified and len(calls) % 10 != 0
+
+        monkeypatch.setattr(outcome, "_vertex_polish", every_tenth_uncertified)
+
+        def estimator(dd):
+            beta = fit_linear_pinball(dd, np.arange(dd.n), self.LEVEL, _affine_xt)
+            return AdrfEstimate(t_grid=np.array([0.0]), mu_hat=beta[:1])
+
+        # call 1 is the point estimate, calls 2-101 the resamples
+        est = bootstrap_ci(estimator, d, B=100, level=0.9, rng=Rng(4))
+        assert len(calls) == 101
+        assert est.failed_resamples == 10
 
 
 class TestMeanModels:
