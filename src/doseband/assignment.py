@@ -20,8 +20,10 @@ recipe.
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -94,26 +96,34 @@ class DecileMidpointAssignment:
 
     Treatments outside t_star's decile get k times the same density.
     t_star's decile and the numerator are resolved once, at construction.
+    Two instances compare and hash equal exactly when their densities
+    are the same: same boundaries, s2, k and decile of t_star, whatever
+    t_star is within that decile. A prediction band relies on this to
+    calibrate once per decile rather than once per grid point.
     """
 
-    boundaries: np.ndarray  # 11 increasing reals
-    s2: float
-    t_star: float
-    k: float = 1.0
+    boundaries: np.ndarray = field(compare=False)  # 11 increasing reals
+    s2: float = field(compare=False)
+    t_star: float = field(compare=False)
+    k: float = field(default=1.0, compare=False)
+    _key: tuple = field(init=False, repr=False)  # (boundaries, s2, k, decile)
 
     def __post_init__(self):
         b = np.array(self.boundaries, dtype=float)
-        if b.shape != (11,) or not np.all(np.diff(b) > 0):
+        bl = b.tolist()
+        if b.shape != (11,) or not all(map(operator.lt, bl, bl[1:])):
             raise ValueError("boundaries must be 11 strictly increasing values")
         if not 0.0 < self.k <= 1.0:
             raise ValueError("k must lie in (0, 1]")
         if self.s2 <= 0.0:
             raise ValueError("s2 must be positive")
         b.flags.writeable = False
-        j = int(decile_index(b, self.t_star))
+        # decile_index of t_star: the count of inner boundaries at or below it
+        j = bisect.bisect_right(bl, self.t_star, 1, 10) - 1
         object.__setattr__(self, "boundaries", b)
+        object.__setattr__(self, "_key", (tuple(bl), self.s2, self.k, j))
         object.__setattr__(self, "_decile", j)
-        object.__setattr__(self, "_numerator", NormalParams(0.5 * (b[j] + b[j + 1]), self.s2))
+        object.__setattr__(self, "_numerator", NormalParams(0.5 * (bl[j] + bl[j + 1]), self.s2))
 
     def density(self, t):
         t = np.asarray(t, dtype=float)

@@ -26,9 +26,13 @@ which keeps the quantile well defined for arbitrary inputs; merging
 never changes the result because the scan already accumulates mass in
 score order.
 
-A prediction band reweights the same scores at every grid point. It
-runs the engine behind ``WeightedScores.thresholds`` on blocks of grid
-points, one row of weights per point (see ``_weighted_bounds``).
+A prediction band reweights the same scores at every grid point, but
+its weights depend on a grid point only through that point's
+assignment distribution h, and many grid points can share one (the
+decile-midpoint allocation has 10). So the band calibrates once per
+distinct assignment, one row of tie-merged atoms each, and queries
+every grid point against its assignment's row through the engine
+behind ``WeightedScores.thresholds`` (see ``_weighted_bounds``).
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import WeightConfig, assignment_density, likelihood_ratio
+from .assignment import WeightConfig, likelihood_ratio
 from .data import Dataset, SplitIndices
 from .outcome import predict_quantile_pair
 
@@ -70,19 +74,11 @@ def _tie_index(scores) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(scores, return_inverse=True)
 
 
-def _check_weights(weights: np.ndarray) -> None:
-    """Each row of calibration weights must be finite, nonnegative and
-    not all zero."""
-    if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
-        raise ValueError("weights must be finite and nonnegative")
-    if not np.all(weights.max(axis=-1) > 0.0):
-        raise ValueError("weights must not all be zero")
-
-
 def _tail_mass(bins, n_atoms: int, weights: np.ndarray):
     """Tie-merged atoms of every row of a (rows, n) block of calibration
     weights, each row max-normalized to keep the ratios overflow-safe.
 
+    Each row of weights must be finite, nonnegative and not all zero.
     ``bins`` is the tie index of every element of the block, row r
     offset by r * n_atoms (for one row, the tie index itself), so that
     one ``bincount`` merges the ties of every row, adding each row's
@@ -90,8 +86,12 @@ def _tail_mass(bins, n_atoms: int, weights: np.ndarray):
     mass strictly above each atom, (rows, n_atoms); total mass, (rows,);
     normalization scale, (rows,)).
     """
+    if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
+        raise ValueError("weights must be finite and nonnegative")
     rows = len(weights)
     scale = weights.max(axis=1)
+    if not np.all(scale > 0.0):
+        raise ValueError("weights must not all be zero")
     grouped = np.bincount(bins, weights=(weights / scale[:, None]).ravel(), minlength=rows * n_atoms)
     rev = np.cumsum(grouped.reshape(rows, n_atoms)[:, ::-1], axis=1)
     suffix = np.zeros((rows, n_atoms))
@@ -99,14 +99,14 @@ def _tail_mass(bins, n_atoms: int, weights: np.ndarray):
     return suffix, rev[:, -1], scale
 
 
-def _lift(values, suffix, total, scale, w_new, alpha: float) -> np.ndarray:
-    """Thresholds for a (rows, q) block of test weights, row r queried
-    against the atoms (suffix[r], total[r], scale[r]) of ``_tail_mass``.
+def _lift(values, suffix, total, scale, w_new, owner, alpha: float) -> np.ndarray:
+    """Thresholds for a vector of test weights, w_new[i] queried against
+    atom row owner[i] of (suffix, total, scale) from ``_tail_mass``.
 
-    Element (r, i) is the smallest value whose strict upper-tail mass,
-    always including the infinity atom w_new[r, i], is at most alpha
-    times the total, or +inf when none qualifies. A test weight too
-    large to normalize gives +inf.
+    Element i is the smallest value whose strict upper-tail mass,
+    always including the infinity atom w_new[i], is at most alpha times
+    the total, or +inf when none qualifies. A test weight too large to
+    normalize gives +inf.
     """
     if not np.all(np.isfinite(w_new) & (w_new >= 0.0)):
         raise ValueError("w_new must be finite and nonnegative")
@@ -114,18 +114,18 @@ def _lift(values, suffix, total, scale, w_new, alpha: float) -> np.ndarray:
     # the atoms failing suffix + w <= target form a prefix of each row,
     # because suffix never increases; count them by binary lifting over
     # padded[r, k] = suffix[r, k - 1], padded past the last atom with -inf
-    # (fails holds flat indices into padded, offset by each row's start)
+    # (fails holds flat indices into padded, offset by the owner row's start)
     width = 1 << n.bit_length()
     padded = np.full((rows, width), -math.inf)
     padded[:, 1 : n + 1] = suffix
     flat = padded.ravel()
-    base = width * np.arange(rows)[:, None]
+    base = width * owner
     with np.errstate(over="ignore"):
-        w = w_new / scale[:, None]
+        w = w_new / scale[owner]
         finite = np.isfinite(w)
         w = np.where(finite, w, 0.0)
-        target = alpha * (total[:, None] + w)
-        fails = base + np.zeros(w.shape, dtype=np.intp)
+        target = alpha * (total[owner] + w)
+        fails = base
         step = width // 2
         while step:
             cand = fails + step
@@ -148,7 +148,6 @@ class WeightedScores:
         if scores.ndim != 1 or weights.ndim != 1 or len(scores) != len(weights):
             raise ValueError("scores and weights must be equal-length vectors")
         values, inverse = _tie_index(scores)
-        _check_weights(weights)
         scores.flags.writeable = False
         weights.flags.writeable = False
         object.__setattr__(self, "scores", scores)
@@ -169,7 +168,8 @@ class WeightedScores:
         if not 0.0 < alpha < 1.0:
             raise ValueError("alpha must lie strictly inside (0, 1)")
         w_new = np.asarray(w_new, dtype=float)
-        return _lift(*self._atoms, w_new.reshape(1, -1), alpha).reshape(w_new.shape)
+        owner = np.zeros(w_new.size, dtype=np.intp)
+        return _lift(*self._atoms, w_new.ravel(), owner, alpha).reshape(w_new.shape)
 
 
 def weighted_conformal_quantile(ws: WeightedScores, w_new: float, alpha: float) -> float:
@@ -336,8 +336,8 @@ def split_conformal_interval(
     return _interval(cfg, lower[0], upper[0])
 
 
-# weights held per block of grid points: 8192 // (n_cal + 1) rows, so the
-# block pass holds a few hundred kB whatever the grid length
+# calibration weights held per block of distinct assignments: 8192 // n_cal
+# rows, so a block holds a few hundred kB however many the grid has
 _BLOCK_ELEMENTS = 8192
 
 
@@ -348,45 +348,52 @@ def _weighted_bounds(data, sp, model, gps, h_factory, cfg, x_new, t_new, weight_
     mass.
 
     The calibration scores, their tie index and the GPS densities
-    f(T_i | X_i) do not depend on t and are computed once. The grid is
-    then processed in blocks of _BLOCK_ELEMENTS // (n_cal + 1) rows: row
-    k holds the calibration treatments followed by t_k, and its only
-    Python-level work is h_factory(t_k) and one density call on that
-    row. Each block then takes one likelihood ratio, one tie-merging
-    ``bincount`` and one binary lifting for all its rows, through the
-    engine behind ``WeightedScores.thresholds``. Peak memory grows with
-    the block, not with the grid.
+    f(T_i | X_i) do not depend on t and are computed once. The grid
+    points are then grouped by the value of their assignment (equal
+    assignments have equal densities), and everything that depends on t
+    only through the assignment is computed once per distinct
+    assignment: its calibration weights, their checks, the tie-merged
+    atoms and the ESS. Distinct assignments go through in blocks of
+    _BLOCK_ELEMENTS // n_cal rows, so peak memory grows with the block,
+    not with the grid or the number of distinct assignments. Per block,
+    the grid points it owns take their numerators from one density call
+    per assignment and their thresholds from one binary lifting, in
+    which each query names its atom row.
     """
     t_cal, x_cal = data.t[sp.cal], data.x[sp.cal]
-    n = len(t_cal)
     if not (np.all(np.isfinite(t_cal)) and np.all(np.isfinite(t_new))):
         raise ValueError("treatment values must be finite")
     values, inverse = _tie_index(calibration_scores(model, cfg, data, sp.cal))
+    distinct: dict = {}  # assignment -> its atom row, in first-seen order
+    owner = np.empty(len(t_new), dtype=np.intp)
+    for k, t in enumerate(t_new.tolist()):
+        h = h_factory(t)
+        try:
+            owner[k] = distinct.setdefault(h, len(distinct))
+        except TypeError as exc:
+            raise TypeError(f"assignments must be hashable, got {type(h).__name__}") from exc
     x_rows = np.tile(np.asarray(x_new, dtype=float), (len(t_new), 1))
     den_new = gps.density(t_new, x_rows) + weight_cfg.offset
-    rows = max(1, _BLOCK_ELEMENTS // (n + 1))
+    den_cal = gps.density(t_cal, x_cal) + weight_cfg.offset
+    rows = max(1, _BLOCK_ELEMENTS // len(t_cal))
     bins = (inverse + len(values) * np.arange(rows)[:, None]).ravel()
-    t_blk, den_blk, num_blk = (np.empty((rows, n + 1)) for _ in range(3))
-    t_blk[:, :n] = t_cal
-    den_blk[:, :n] = gps.density(t_cal, x_cal) + weight_cfg.offset
     eta, ess, p_inf = (np.empty(len(t_new)) for _ in range(3))
-    for start in range(0, len(t_new), rows):
-        block = slice(start, min(start + rows, len(t_new)))
-        t, den, num = (a[: block.stop - start] for a in (t_blk, den_blk, num_blk))
-        t[:, n] = t_new[block]
-        den[:, n] = den_new[block]
-        for i in range(len(num)):
-            num[i] = h_factory(float(t[i, n])).density(t[i])
-        weights = likelihood_ratio(num, den, t)
-        cal, w = weights[:, :n], weights[:, n:]
-        _check_weights(cal)
+    hs = list(distinct)
+    for start in range(0, len(hs), rows):
+        block = hs[start : start + rows]
+        at = np.flatnonzero((owner >= start) & (owner < start + len(block)))
+        own, num_at = owner[at] - start, np.empty(len(at))
+        for i, h in enumerate(block):
+            num_at[own == i] = h.density(t_new[at[own == i]])
+        cal = likelihood_ratio(np.array([h.density(t_cal) for h in block]), den_cal, t_cal)
         suffix, total, scale = _tail_mass(bins[: cal.size], len(values), cal)
-        eta[block] = _lift(values, suffix, total, scale, w, cfg.alpha)[:, 0]
+        w = likelihood_ratio(num_at, den_new[at], t_new[at])
+        eta[at] = _lift(values, suffix, total, scale, w, own, cfg.alpha)
         unit = cal / scale[:, None]
-        ess[block] = total * total / np.einsum("ij,ij->i", unit, unit)
+        ess[at] = (total * total / np.einsum("ij,ij->i", unit, unit))[own]
         with np.errstate(over="ignore", invalid="ignore"):  # p_inf -> 1 as w / scale overflows
-            w = w[:, 0] / scale
-            p_inf[block] = np.where(np.isfinite(w), w / (total + w), 1.0)
+            w = w / scale[own]
+            p_inf[at] = np.where(np.isfinite(w), w / (total[own] + w), 1.0)
     lower, upper = score_interval(model, cfg, x_rows, t_new, eta)
     return lower, upper, ess, p_inf
 
@@ -435,12 +442,17 @@ def prediction_band(
     treatment-tracking numerators such as the decile-midpoint weights.
     Each grid point's interval is the ``weighted_interval`` there.
 
-    The grid is processed in blocks (see ``_weighted_bounds``): per grid
-    point only h_factory(t_k) and one density call run in Python, and
-    the weights held at once are bounded by a fixed element budget, so
-    memory does not grow with n_grid. The band also carries, per grid
-    point, the Kish ESS of the calibration weights and the test-atom
-    mass p_inf.
+    The assignments must be hashable, and two that compare equal must
+    have equal densities; every doseband assignment is, and a
+    ``DecileMidpointAssignment`` compares equal across its decile. An
+    unhashable assignment raises ``TypeError``. The band calibrates
+    once per distinct assignment (see ``_weighted_bounds``): a fixed
+    shift once, the decile-midpoint weights at most 10 times, whatever
+    n_grid. Per grid point only h_factory(t_k) runs in Python, and the
+    calibration weights held at once are bounded by a fixed element
+    budget, so memory does not grow with n_grid. The band also carries,
+    per grid point, the Kish ESS of the calibration weights and the
+    test-atom mass p_inf.
     """
     if n_grid < 2:
         raise ValueError("need at least 2 grid points")

@@ -199,3 +199,70 @@ class TestStabilizedWeight:
         x = gen.normal(size=(50, 1))
         w = stabilized_weight(h, gps, WeightConfig(), t, x)
         assert np.all(w >= 0.0)
+
+
+class TestValueSemantics:
+    """Assignments compare and hash by value, equal meaning equal density:
+    a prediction band calibrates once per distinct assignment."""
+
+    def _variants(self):
+        """(label, assignment) pairs; equal labels mean equal densities."""
+        b = _boundaries_1_to_100()
+        nudged = b.copy()
+        nudged[5] = np.nextafter(nudged[5], np.inf)
+        mid3 = 0.5 * (b[3] + b[4])
+        return [
+            ("normal", NormalAssignment(NormalParams(1.0, 0.5))),
+            ("normal", NormalAssignment(NormalParams(1.0, 0.5))),
+            ("normal mean", NormalAssignment(NormalParams(1.5, 0.5))),
+            ("trunc", TruncatedNormalAssignment(TruncatedNormalParams(2.0, 0.8, 1.0, 5.0))),
+            ("trunc", TruncatedNormalAssignment(TruncatedNormalParams(2.0, 0.8, 1.0, 5.0))),
+            ("trunc upper", TruncatedNormalAssignment(TruncatedNormalParams(2.0, 0.8, 1.0, 6.0))),
+            ("uniform", UniformAssignment(0.0, 1.0)),
+            ("uniform", UniformAssignment(0.0, 1.0)),
+            ("uniform upper", UniformAssignment(0.0, 2.0)),
+            # decile 3 under four spellings, then one change at a time
+            ("decile 3", DecileMidpointAssignment(b, s2=4.0, t_star=b[3], k=0.5)),
+            ("decile 3", DecileMidpointAssignment(list(b), s2=4.0, t_star=mid3, k=0.5)),
+            ("decile 3", DecileMidpointAssignment(b.copy(), s2=4, t_star=np.nextafter(b[4], -np.inf), k=0.5)),
+            ("decile 3", DecileMidpointAssignment(b, s2=4.0, t_star=np.float64(mid3), k=0.5)),
+            ("decile 4", DecileMidpointAssignment(b, s2=4.0, t_star=b[4], k=0.5)),
+            ("decile 3 k", DecileMidpointAssignment(b, s2=4.0, t_star=mid3, k=0.25)),
+            ("decile 3 s2", DecileMidpointAssignment(b, s2=2.0, t_star=mid3, k=0.5)),
+            ("decile 3 boundaries", DecileMidpointAssignment(nudged, s2=4.0, t_star=mid3, k=0.5)),
+            # outside the outer boundaries t_star clamps to decile 0
+            ("decile 0", DecileMidpointAssignment(b, s2=4.0, t_star=b[0] - 3.0, k=0.5)),
+            ("decile 0", DecileMidpointAssignment(b, s2=4.0, t_star=b[1] - 1.0, k=0.5)),
+        ]
+
+    def test_equal_exactly_when_hash_equal(self):
+        v = self._variants()
+        for la, a in v:
+            for lc, c in v:
+                assert (a == c) == (la == lc), (la, lc)
+                assert (hash(a) == hash(c)) == (la == lc), (la, lc)
+
+    def test_decile_ignores_t_star_within_its_decile(self):
+        b = _boundaries_1_to_100()
+        same = [DecileMidpointAssignment(b, s2=4.0, t_star=t, k=0.5) for t in (b[3], 35.0, 40.0)]
+        assert len(set(same)) == 1
+        per_decile = {DecileMidpointAssignment(b, s2=4.0, t_star=t, k=0.5) for t in np.linspace(0, 101, 500)}
+        assert len(per_decile) == 10
+
+    def test_decile_owns_its_boundaries(self):
+        b = _boundaries_1_to_100()
+        mine = b.copy()
+        h = DecileMidpointAssignment(mine, s2=4.0, t_star=33.0, k=0.5)
+        mine[4] = 99.5
+        assert h == DecileMidpointAssignment(b, s2=4.0, t_star=33.0, k=0.5)
+
+    def test_equal_assignments_have_bit_identical_densities(self):
+        b = _boundaries_1_to_100()
+        grid = np.concatenate(
+            [b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf), np.linspace(-20.0, 120.0, 1401)]
+        )
+        v = self._variants()
+        for la, a in v:
+            for lc, c in v:
+                if la == lc:
+                    assert np.array_equal(a.density(grid), c.density(grid))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -110,6 +111,34 @@ class TestWeightedQuantile:
             assert got[-1] == math.inf
             one = weighted_conformal_quantile(ws, float(w_new[1]), alpha)
             assert type(one) is float and one == got[1]
+
+    def test_owner_indexed_lift_matches_rows_queried_separately(self):
+        # several rows of atoms in one lift, each query naming its row; ties,
+        # zero calibration weights, zero and overflowing test weights
+        from doseband.conformal import _lift, _tail_mass
+
+        gen = Rng(23).gen
+        tiny = 2.0**-30
+        for _ in range(200):
+            n, rows = int(gen.integers(1, 21)), int(gen.integers(1, 6))
+            if gen.random() < 0.5:
+                scores = gen.integers(0, 5, size=n).astype(float)
+            else:
+                scores = gen.normal(size=n)
+            weights = (gen.gamma(1.0, 2.0, size=(rows, n)) + 1e-3) * tiny
+            weights[gen.random((rows, n)) < 0.3] = 0.0
+            weights[np.arange(rows), gen.integers(0, n, size=rows)] = tiny  # no all-zero row
+            values, inverse = np.unique(scores, return_inverse=True)
+            bins = (inverse + len(values) * np.arange(rows)[:, None]).ravel()
+            w_new = gen.permutation(np.r_[0.0, gen.gamma(1.0, 2.0, size=10) * tiny, 1e308])
+            owner = gen.integers(0, rows, size=len(w_new))
+            alpha = float(gen.uniform(0.02, 0.5))
+            got = _lift(values, *_tail_mass(bins, len(values), weights), w_new, owner, alpha)
+            for r in range(rows):
+                ws = WeightedScores(scores, weights[r])
+                mine = w_new[owner == r]
+                assert got[owner == r].tolist() == ws.thresholds(mine, alpha).tolist()
+                assert got[owner == r].tolist() == [scalar_scan(ws, float(w), alpha) for w in mine]
 
     def test_invalid_test_weights_rejected(self):
         ws = WeightedScores([1.0, 2.0], [1.0, 1.0])
@@ -403,34 +432,100 @@ class TestBlockedBand:
         gps = OracleGaussianGps(mean_fn=lambda xx: xx[:, 0], variance=1.0)
         return d, sp, model, gps
 
-    def test_matches_oracle_quantile_point_by_point(self):
-        from doseband.assignment import DecileMidpointAssignment, decile_boundaries
-        from doseband.conformal import _BLOCK_ELEMENTS
-
+    def _assert_matches_oracle(self, h_factory, n_grid):
+        """Bounds exactly as the oracle quantile gives them and ESS and
+        p_inf as computed directly, at every grid point."""
         d, sp, model, gps = self._tied()
         cfg = ConformalConfig(0.1, "cqr")
         wcfg = WeightConfig(offset=0.05)
-        b = decile_boundaries(d.t[sp.train])
-
-        def h_factory(t):
-            return DecileMidpointAssignment(b, s2=1.0, t_star=t, k=0.5)
-
         x_new = np.array([0.3])
-        n_grid = 31
-        rows = _BLOCK_ELEMENTS // (len(sp.cal) + 1)
-        assert n_grid > 2 * rows and n_grid % rows != 0  # several blocks, the last ragged
         band = prediction_band(d, sp, model, gps, h_factory, cfg, x_new, -2.0, 2.0, n_grid, wcfg)
         scores = calibration_scores(model, cfg, d, sp.cal)
         assert len(np.unique(scores)) < len(scores) // 10
         t_cal, x_cal = d.t[sp.cal], d.x[sp.cal]
         den_cal = gps.density(t_cal, x_cal) + wcfg.offset
-        for t_k, iv in zip(band.t_grid, band.intervals):
+        for k, (t_k, iv) in enumerate(zip(band.t_grid, band.intervals)):
             h = h_factory(float(t_k))
+            W = h.density(t_cal) / den_cal
             w_new = h.density(float(t_k)) / (gps.density(float(t_k), x_new) + wcfg.offset)
-            eta = oracle_weighted_quantile(scores, h.density(t_cal) / den_cal, w_new, cfg.alpha)
+            eta = oracle_weighted_quantile(scores, W, w_new, cfg.alpha)
             lo = model.quantile(x_new, float(t_k), 0.05)
             hi = model.quantile(x_new, float(t_k), 0.95)
             assert (iv.lower, iv.upper) == (lo - eta, hi + eta)
+            assert band.ess[k] == pytest.approx(W.sum() ** 2 / np.sum(W**2), rel=1e-12)
+            assert band.p_inf[k] == pytest.approx(w_new / (W.sum() + w_new), rel=1e-12)
+
+    def test_matches_oracle_quantile_point_by_point(self):
+        from doseband.assignment import DecileMidpointAssignment, decile_boundaries
+
+        d, sp, _, _ = self._tied()
+        b = decile_boundaries(d.t[sp.train])
+
+        def h_factory(t):
+            return DecileMidpointAssignment(b, s2=1.0, t_star=t, k=0.5)
+
+        # 31 grid points, but only the deciles the grid reaches are
+        # distinct assignments
+        self._assert_matches_oracle(h_factory, 31)
+
+    def test_moving_numerator_over_several_blocks(self):
+        # every grid point its own assignment: more distinct assignments
+        # than one block holds, the last block ragged
+        from doseband.conformal import _BLOCK_ELEMENTS
+
+        _, sp, _, _ = self._tied()
+        rows = _BLOCK_ELEMENTS // len(sp.cal)
+        n_grid = 31
+        assert n_grid > 2 * rows and n_grid % rows != 0
+        self._assert_matches_oracle(lambda t: NormalAssignment(NormalParams(t, 0.5)), n_grid)
+
+    def test_one_calibration_per_distinct_assignment(self):
+        from doseband.assignment import DecileMidpointAssignment, decile_boundaries, decile_index
+
+        d, sp, model, gps = self._tied(n=400)
+        n_cal = len(sp.cal)
+        lengths: list[int] = []
+
+        @dataclass(frozen=True)
+        class Counted:
+            inner: object
+            seen: list = field(compare=False)
+
+            def density(self, t):
+                self.seen.append(np.size(t))
+                return self.inner.density(t)
+
+        def calibrations(h_factory):
+            lengths.clear()
+            prediction_band(
+                d, sp, model, gps, h_factory, ConformalConfig(0.1), np.array([0.3]), -2.0, 2.0, 60
+            )
+            return sum(size >= n_cal for size in lengths)
+
+        shift = NormalAssignment(NormalParams(0.5, 1.0))
+        assert calibrations(lambda t: Counted(shift, lengths)) == 1
+        b = decile_boundaries(d.t[sp.train])
+        reached = len(set(decile_index(b, np.linspace(-2.0, 2.0, 60)).tolist()))
+        deciles = calibrations(
+            lambda t: Counted(DecileMidpointAssignment(b, s2=1.0, t_star=t, k=0.5), lengths)
+        )
+        assert deciles == reached <= 10
+
+    def test_unhashable_assignment_rejected(self):
+        d, sp, model, gps = self._tied(n=200)
+
+        @dataclass  # mutable, so not hashable
+        class Mutable:
+            params: NormalParams
+
+            def density(self, t):
+                return NormalAssignment(self.params).density(t)
+
+        with pytest.raises(TypeError, match="assignments must be hashable, got Mutable"):
+            prediction_band(
+                d, sp, model, gps, lambda t: Mutable(NormalParams(t, 1.0)), ConformalConfig(0.1),
+                np.array([0.0]), -1.0, 1.0, 5,
+            )
 
     def test_diagnostics_match_direct_computation(self):
         d, sp, model, gps = self._tied(n=200)
