@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .assignment import NormalAssignment, assignment_density, likelihood_ratio
+from .assignment import NormalAssignment, WeightConfig, stabilized_weight
 from .data import Dataset
 from .dist import NormalParams, Rng
 
@@ -124,17 +124,10 @@ def hirano_imbens_adrf(data: Dataset, gps, t_grid) -> AdrfEstimate:
     return AdrfEstimate(t_grid=grid, mu_hat=mu)
 
 
-def _stabilization(data, gps, marginal) -> np.ndarray:
-    """Stabilizing ratio f(T_i) / f(T_i | X_i) at every observed pair;
-    ``PositivityError`` where the GPS vanishes under positive marginal
-    density."""
-    return likelihood_ratio(assignment_density(marginal, data.t), gps.density(data.t, data.x), data.t)
-
-
 def kernel_ipw_adrf(data: Dataset, gps, marginal, kcfg: KernelConfig, t_grid) -> AdrfEstimate:
     """Stabilized kernel IPW ratio estimator; empty cells become NaN."""
     grid = np.asarray(t_grid, dtype=float)
-    ratio = _stabilization(data, gps, marginal)
+    ratio = stabilized_weight(marginal, gps, WeightConfig(), data.t, data.x)
     mu = np.empty(len(grid))
     flagged = 0
     for i, t in enumerate(grid):
@@ -152,7 +145,7 @@ def local_linear_adrf(data: Dataset, gps, marginal, kcfg: KernelConfig, t_grid) 
     """Local linear fit under the stabilized kernel; singular local
     designs become NaN."""
     grid = np.asarray(t_grid, dtype=float)
-    ratio = _stabilization(data, gps, marginal)
+    ratio = stabilized_weight(marginal, gps, WeightConfig(), data.t, data.x)
     mu = np.empty(len(grid))
     flagged = 0
     for i, t in enumerate(grid):

@@ -42,10 +42,8 @@ __all__ = [
     "DecileMidpointAssignment",
     "WeightConfig",
     "PositivityError",
-    "assignment_density",
     "decile_boundaries",
     "decile_index",
-    "decile_midpoint",
     "likelihood_ratio",
     "stabilized_weight",
 ]
@@ -117,6 +115,8 @@ class DecileMidpointAssignment:
             raise ValueError("k must lie in (0, 1]")
         if self.s2 <= 0.0:
             raise ValueError("s2 must be positive")
+        if not math.isfinite(self.t_star):
+            raise ValueError("t_star must be finite")
         b.flags.writeable = False
         # decile_index of t_star: the count of inner boundaries at or below it
         j = bisect.bisect_right(bl, self.t_star, 1, 10) - 1
@@ -149,14 +149,6 @@ class WeightConfig:
             raise ValueError("offset must be finite and >= 0")
 
 
-def assignment_density(h, t):
-    """Numerator density h(t) of the stabilized weight."""
-    t_arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t_arr)):
-        raise ValueError("treatment values must be finite")
-    return h.density(t)
-
-
 def decile_boundaries(treatments) -> np.ndarray:
     """Empirical 0%,10%,...,100% quantiles of the observed treatments.
 
@@ -175,12 +167,6 @@ def decile_index(boundaries, t):
     because only the 9 inner boundaries are searched."""
     b = np.asarray(boundaries, dtype=float)
     return np.searchsorted(b[1:-1], np.asarray(t, dtype=float), side="right")
-
-
-def decile_midpoint(boundaries, t) -> float:
-    b = np.asarray(boundaries, dtype=float)
-    j = int(decile_index(b, float(t)))
-    return 0.5 * (b[j] + b[j + 1])
 
 
 def likelihood_ratio(num, den, t):
@@ -211,8 +197,11 @@ def likelihood_ratio(num, den, t):
 def stabilized_weight(h, gps, cfg: WeightConfig, t, x):
     """Likelihood-ratio weight h(t) / (gps.density(t, x) + offset).
 
-    Vectorized over rows of (t, x). Weights are zero exactly where h
-    puts no mass; a zero denominator under positive numerator raises
-    ``PositivityError`` when the offset is zero.
+    Vectorized over rows of (t, x); treatment values must be finite.
+    Weights are zero exactly where h puts no mass; a zero denominator
+    under positive numerator raises ``PositivityError`` when the offset
+    is zero.
     """
-    return likelihood_ratio(assignment_density(h, t), gps.density(t, x) + cfg.offset, t)
+    if not np.all(np.isfinite(t)):
+        raise ValueError("treatment values must be finite")
+    return likelihood_ratio(h.density(t), gps.density(t, x) + cfg.offset, t)

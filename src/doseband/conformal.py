@@ -16,10 +16,11 @@ the calibration side is built once and queried many times:
 ``WeightedScores.thresholds`` answers an array of test weights, and
 ``score_interval`` turns an array of thresholds into bounds.
 
-Every threshold, the plain split one included, comes from this one
-engine. The plain split path's (1 - alpha)(1 + 1/n)-th order statistic
-of the calibration scores is the weighted threshold with unit weights
-and a unit test atom: the atom contributes exactly the +1.
+Every threshold comes from this one engine, the plain split one
+included: ``WeightedScores.thresholds`` with unit calibration weights
+and a unit test weight gives the ceil((1 - alpha)(n + 1))-th smallest
+of the n calibration scores, the test atom contributing exactly the +1,
+and +inf when that rank exceeds n.
 
 Atoms at tied score values merge their mass before the cumulative scan,
 which keeps the quantile well defined for arbitrary inputs; merging
@@ -52,10 +53,8 @@ __all__ = [
     "PredictionBand",
     "ConformalConfig",
     "SCORE_KINDS",
-    "weighted_conformal_quantile",
     "calibration_scores",
     "score_interval",
-    "split_conformal_interval",
     "weighted_interval",
     "prediction_band",
 ]
@@ -172,18 +171,6 @@ class WeightedScores:
         return _lift(*self._atoms, w_new.ravel(), owner, alpha).reshape(w_new.shape)
 
 
-def weighted_conformal_quantile(ws: WeightedScores, w_new: float, alpha: float) -> float:
-    """(1 - alpha)-quantile of the weighted score distribution with the
-    +infinity atom of mass w_new / (sum(W) + w_new).
-
-    The one-weight form of ``WeightedScores.thresholds``: the smallest
-    score whose cumulative probability reaches 1 - alpha, or +inf when
-    the finite atoms cannot reach it (i.e. the infinity atom alone
-    exceeds alpha).
-    """
-    return float(ws.thresholds(w_new, alpha))
-
-
 @dataclass(frozen=True)
 class Interval:
     """Prediction interval; bounds may be infinite, and a one-sided
@@ -231,8 +218,10 @@ class PredictionBand:
             raise ValueError("grid and intervals must have matching lengths")
         if len(grid) >= 2 and not np.all(np.diff(grid) > 0):
             raise ValueError("t_grid must be strictly increasing")
-        grid.flags.writeable = False
+        x = np.array(self.x, dtype=float)
+        grid.flags.writeable = x.flags.writeable = False
         object.__setattr__(self, "t_grid", grid)
+        object.__setattr__(self, "x", x)
         object.__setattr__(self, "intervals", tuple(self.intervals))
         for name in ("ess", "p_inf"):
             given = getattr(self, name)
@@ -305,35 +294,6 @@ def score_interval(model, cfg: ConformalConfig, x, t, eta) -> tuple[np.ndarray, 
 
 def _interval(cfg: ConformalConfig, lower, upper) -> Interval:
     return Interval(float(lower), float(upper), _SIDED.get(cfg.score_kind, "two-sided"))
-
-
-def split_conformal_interval(
-    data: Dataset,
-    sp: SplitIndices,
-    mean_model,
-    alpha: float,
-    x_new,
-    t_new,
-) -> Interval:
-    """Plain split-conformal interval around a conditional-mean prediction.
-
-    The threshold is the (1-alpha)(1 + 1/n)-th empirical quantile of the
-    calibration absolute residuals, i.e. the weighted threshold with unit
-    weights and a unit test atom. A calibration set too small for the
-    requested level, an empty one included, yields the infinite interval
-    rather than an error.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly inside (0, 1)")
-    cfg = ConformalConfig(alpha, "absolute-residual")
-    scores = calibration_scores(mean_model, cfg, data, sp.cal)
-    if len(scores) == 0:
-        return Interval(-math.inf, math.inf)
-    eta = WeightedScores(scores, np.ones(len(scores))).thresholds(1.0, alpha)
-    lower, upper = score_interval(
-        mean_model, cfg, np.atleast_2d(x_new), np.array([float(t_new)]), eta
-    )
-    return _interval(cfg, lower[0], upper[0])
 
 
 # calibration weights held per block of distinct assignments: 8192 // n_cal
@@ -465,7 +425,7 @@ def prediction_band(
     return PredictionBand(
         t_grid=grid,
         intervals=tuple(_interval(cfg, lo, up) for lo, up in zip(lower, upper)),
-        x=np.asarray(x_new, dtype=float),
+        x=x_new,
         ess=ess,
         p_inf=p_inf,
     )

@@ -23,8 +23,6 @@ from .data import Dataset, query_rows
 from .dist import NormalParams, Rng, normal_quantile
 
 __all__ = [
-    "QuantileModel",
-    "MeanModel",
     "OracleQuantileModel",
     "LinearPinballModel",
     "OlsMeanModel",
@@ -107,10 +105,6 @@ class OlsMeanModel:
         t, x2, scalar = query_rows(t, x)
         out = np.asarray(self.basis(x2, t), dtype=float) @ self.beta
         return float(out[0]) if scalar else out
-
-
-QuantileModel = OracleQuantileModel | LinearPinballModel
-MeanModel = OracleQuantileModel | OlsMeanModel
 
 
 def pinball_loss(u: np.ndarray, level: float) -> float:

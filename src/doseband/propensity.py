@@ -2,10 +2,11 @@
 treatment given covariates, used as the denominator of stabilized weights.
 
 A model is anything with a ``density(t, x)`` method returning the
-conditional density of treatment ``t`` at covariates ``x``. Three fitted
-variants live here (Gaussian via OLS, Gaussian mixture via EM, and an
-oracle Gaussian with a user-supplied mean function), plus a thin wrapper
-for arbitrary user densities such as truncated-normal oracles.
+conditional density of treatment ``t`` at covariates ``x``. Two fitted
+variants live here, Gaussian via OLS and Gaussian mixture via EM, plus a
+thin wrapper for arbitrary user densities such as truncated-normal
+oracles. A Gaussian oracle with known mean function m and variance s2
+is ``OlsGaussianGps(beta=[0, 1], s2=s2, basis=m)``.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from .data import Dataset, query_rows
 from .dist import Rng
 
 __all__ = [
-    "GpsModel",
-    "OracleGaussianGps",
     "OlsGaussianGps",
     "MixtureGps",
     "CallableGps",
@@ -45,19 +44,6 @@ def _design(x: np.ndarray, basis: Callable | None) -> np.ndarray:
 def _gauss(t, mean, var):
     z = (t - mean) / math.sqrt(var)
     return _INV_SQRT_2PI / math.sqrt(var) * np.exp(-0.5 * z * z)
-
-
-@dataclass(frozen=True)
-class OracleGaussianGps:
-    """Normal conditional density with a known mean function and variance."""
-
-    mean_fn: Callable[[np.ndarray], np.ndarray]
-    variance: float
-
-    def density(self, t, x):
-        t, x2, scalar = query_rows(t, x)
-        out = _gauss(t, np.asarray(self.mean_fn(x2), dtype=float), self.variance)
-        return float(out[0]) if scalar else out
 
 
 @dataclass(frozen=True)
@@ -110,9 +96,6 @@ class CallableGps:
         t, x2, scalar = query_rows(t, x)
         out = np.asarray(self.fn(t, x2), dtype=float)
         return float(out.reshape(-1)[0]) if scalar else out
-
-
-GpsModel = OracleGaussianGps | OlsGaussianGps | MixtureGps | CallableGps
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,30 +12,35 @@ from doseband.assignment import (
     TruncatedNormalAssignment,
     UniformAssignment,
     WeightConfig,
-    assignment_density,
     decile_boundaries,
     decile_index,
-    decile_midpoint,
+    likelihood_ratio,
     stabilized_weight,
 )
 from doseband.dist import NormalParams, TruncatedNormalParams, normal_pdf
-from doseband.propensity import CallableGps, OracleGaussianGps
+from doseband.propensity import CallableGps, OlsGaussianGps
 
 
 def _boundaries_1_to_100():
     return decile_boundaries(np.arange(1.0, 101.0))
 
 
+def _midpoint(b, t):
+    """Midpoint of t's decile, the oracle for the decile-midpoint numerator."""
+    j = int(decile_index(b, t))
+    return 0.5 * (b[j] + b[j + 1])
+
+
 class TestDensities:
     def test_uniform_inside_outside(self):
         h = UniformAssignment(2.0, 6.0)
-        assert assignment_density(h, 3.0) == pytest.approx(0.25)
-        assert assignment_density(h, 1.9) == 0.0
-        assert assignment_density(h, 6.1) == 0.0
+        assert h.density(3.0) == pytest.approx(0.25)
+        assert h.density(1.9) == 0.0
+        assert h.density(6.1) == 0.0
 
     def test_normal_matches_dist(self):
         h = NormalAssignment(NormalParams(1.0, 0.5))
-        assert assignment_density(h, 0.3) == pytest.approx(
+        assert h.density(0.3) == pytest.approx(
             normal_pdf(0.3, NormalParams(1.0, 0.5)), rel=1e-14
         )
 
@@ -43,11 +49,12 @@ class TestDensities:
         h = TruncatedNormalAssignment(p)
         a, b = (1.0 - 2.0) / p.sd, (5.0 - 2.0) / p.sd
         want = stats.truncnorm.pdf(2.7, a, b, loc=2.0, scale=p.sd)
-        assert assignment_density(h, 2.7) == pytest.approx(want, rel=1e-9)
+        assert h.density(2.7) == pytest.approx(want, rel=1e-9)
 
     def test_nonfinite_point_rejected(self):
-        with pytest.raises(ValueError):
-            assignment_density(UniformAssignment(0, 1), float("nan"))
+        gps = CallableGps(fn=lambda t, x: np.ones_like(t))
+        with pytest.raises(ValueError, match="finite"):
+            stabilized_weight(UniformAssignment(0, 1), gps, WeightConfig(), float("nan"), np.array([0.0]))
 
 
 class TestDeciles:
@@ -68,7 +75,7 @@ class TestDeciles:
     def test_midpoint_fixed_point(self):
         b = _boundaries_1_to_100()
         mid3 = 0.5 * (b[3] + b[4])
-        assert decile_midpoint(b, mid3) == pytest.approx(mid3)
+        assert _midpoint(b, mid3) == pytest.approx(mid3)
 
     def test_index_clamps(self):
         b = _boundaries_1_to_100()
@@ -79,12 +86,18 @@ class TestDeciles:
         with pytest.raises(ValueError):
             decile_boundaries(np.array([1.0, 2.0] * 20))
 
+    def test_nonfinite_t_star_rejected(self):
+        b = np.linspace(0.0, 10.0, 11)
+        for t_star in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="t_star must be finite"):
+                DecileMidpointAssignment(b, 1.0, t_star)
+
     def test_k1_reduces_to_plain_normal(self):
         b = _boundaries_1_to_100()
         h = DecileMidpointAssignment(boundaries=b, s2=4.0, t_star=33.0, k=1.0)
-        mid = decile_midpoint(b, 33.0)
+        mid = _midpoint(b, 33.0)
         for t in (5.0, 33.0, 97.0):
-            assert assignment_density(h, t) == pytest.approx(
+            assert h.density(t) == pytest.approx(
                 normal_pdf(t, NormalParams(mid, 4.0)), rel=1e-14
             )
 
@@ -94,21 +107,17 @@ class TestDeciles:
         half = DecileMidpointAssignment(boundaries=b, s2=4.0, t_star=33.0, k=0.5)
         t_other = 77.0  # different decile than 33
         assert decile_index(b, t_other) != decile_index(b, 33.0)
-        assert assignment_density(half, t_other) == pytest.approx(
-            0.5 * assignment_density(full, t_other), rel=1e-14
-        )
+        assert half.density(t_other) == pytest.approx(0.5 * full.density(t_other), rel=1e-14)
         t_same = 34.0
         assert decile_index(b, t_same) == decile_index(b, 33.0)
-        assert assignment_density(half, t_same) == pytest.approx(
-            assignment_density(full, t_same), rel=1e-14
-        )
+        assert half.density(t_same) == pytest.approx(full.density(t_same), rel=1e-14)
 
     def test_same_decile_points_share_numerator_mean(self):
         b = _boundaries_1_to_100()
         h = DecileMidpointAssignment(boundaries=b, s2=1.0, t_star=15.0, k=1.0)
-        mid = decile_midpoint(b, 15.0)
+        mid = _midpoint(b, 15.0)
         for t in (11.5, 15.0, 19.0):
-            assert assignment_density(h, t) == pytest.approx(
+            assert h.density(t) == pytest.approx(
                 normal_pdf(t, NormalParams(mid, 1.0)), rel=1e-14
             )
 
@@ -120,16 +129,41 @@ class TestDeciles:
         )
         for t_star in (b[0] - 3.0, b[0], b[3], 0.5 * (b[3] + b[4]), b[9], b[10], b[10] + 3.0):
             h = DecileMidpointAssignment(boundaries=b, s2=4.0, t_star=t_star, k=0.5)
-            base = normal_pdf(grid, NormalParams(decile_midpoint(b, t_star), 4.0))
+            base = normal_pdf(grid, NormalParams(_midpoint(b, t_star), 4.0))
             old = np.where(decile_index(b, grid) == decile_index(b, t_star), base, 0.5 * base)
             assert np.array_equal(h.density(grid), old)
             assert [h.density(t) for t in grid[:11]] == old[:11].tolist()
 
 
+class TestLikelihoodRatio:
+    def test_scalar_inputs_give_float(self):
+        w = likelihood_ratio(0.5, 0.25, 1.0)
+        assert type(w) is float and w == 2.0
+
+    def test_block_broadcasts_t(self):
+        num = np.array([[1.0, 2.0, 0.0], [3.0, 0.0, 6.0]])
+        t = np.array([0.1, 0.2, 0.3])
+        w = likelihood_ratio(num, np.array([2.0, 4.0, 8.0]), t)
+        assert w.shape == (2, 3) and np.array_equal(w, num / np.array([2.0, 4.0, 8.0]))
+        # only (1, 2) lacks support; its treatment is t's third entry
+        with pytest.raises(PositivityError, match=re.escape("t=[0.3]")):
+            likelihood_ratio(num, np.array([2.0, 4.0, 0.0]), t)
+
+    def test_zero_numerator_over_zero_denominator_gives_zero(self):
+        assert likelihood_ratio(0.0, 0.0, 1.0) == 0.0
+        w = likelihood_ratio(np.array([0.0, 1.0]), np.array([0.0, 2.0]), np.array([1.0, 2.0]))
+        assert w.tolist() == [0.0, 0.5]
+
+    def test_positivity_error_names_three_distinct_treatments_in_order(self):
+        t = np.array([5.0, 3.0, 5.0, 7.0, 9.0])
+        with pytest.raises(PositivityError, match=re.escape("t=[5.0, 3.0, 7.0];")):
+            likelihood_ratio(np.ones(5), np.zeros(5), t)
+
+
 class TestStabilizedWeight:
     def test_identical_densities_weight_one(self):
         h = NormalAssignment(NormalParams(1.0, 0.5))
-        gps = OracleGaussianGps(mean_fn=lambda x: np.full(x.shape[0], 1.0), variance=0.5)
+        gps = OlsGaussianGps(beta=[0.0, 1.0], s2=0.5, basis=lambda x: np.full(x.shape[0], 1.0))
         w = stabilized_weight(h, gps, WeightConfig(), 1.0, np.array([3.3]))
         assert w == pytest.approx(1.0, rel=1e-14)
 
@@ -194,7 +228,7 @@ class TestStabilizedWeight:
     def test_nonnegative_always(self):
         gen = np.random.default_rng(0)
         h = NormalAssignment(NormalParams(0.0, 1.0))
-        gps = OracleGaussianGps(mean_fn=lambda x: x[:, 0], variance=2.0)
+        gps = OlsGaussianGps(beta=[0.0, 1.0], s2=2.0, basis=lambda x: x[:, 0])
         t = gen.normal(size=50)
         x = gen.normal(size=(50, 1))
         w = stabilized_weight(h, gps, WeightConfig(), t, x)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from doseband.assignment import NormalAssignment, WeightConfig
+from doseband.assignment import NormalAssignment, UniformAssignment, WeightConfig
 from doseband.conformal import (
     ConformalConfig,
     Interval,
@@ -14,14 +14,12 @@ from doseband.conformal import (
     calibration_scores,
     prediction_band,
     score_interval,
-    split_conformal_interval,
-    weighted_conformal_quantile,
     weighted_interval,
 )
-from doseband.data import Dataset, split
+from doseband.data import Dataset, SplitIndices, split
 from doseband.dist import NormalParams, Rng
 from doseband.outcome import LinearPinballModel, OracleQuantileModel
-from doseband.propensity import CallableGps, OracleGaussianGps
+from doseband.propensity import CallableGps, OlsGaussianGps
 
 
 def oracle_weighted_quantile(scores, weights, w_new, alpha):
@@ -71,11 +69,11 @@ def _flat_gps():
 class TestWeightedQuantile:
     def test_uniform_weights_example(self):
         ws = WeightedScores([1.0, 2.0, 3.0, 4.0], [1.0] * 4)
-        assert weighted_conformal_quantile(ws, 1.0, 0.2) == 4.0
+        assert ws.thresholds(1.0, 0.2) == 4.0
 
     def test_infinity_mass_dominance(self):
         ws = WeightedScores([1.0], [1.0])
-        assert weighted_conformal_quantile(ws, 9.0, 0.1) == math.inf
+        assert ws.thresholds(9.0, 0.1) == math.inf
 
     def test_small_random_instances_match_oracle(self):
         gen = Rng(17).gen
@@ -86,7 +84,7 @@ class TestWeightedQuantile:
             w_new = float(gen.gamma(1.0, 2.0))
             alpha = float(gen.uniform(0.02, 0.5))
             ws = WeightedScores(scores, weights)
-            got = weighted_conformal_quantile(ws, w_new, alpha)
+            got = ws.thresholds(w_new, alpha)
             want = oracle_weighted_quantile(scores, weights, w_new, alpha)
             assert got == want
 
@@ -109,8 +107,8 @@ class TestWeightedQuantile:
             assert got == [scalar_scan(ws, float(w), alpha) for w in w_new]
             assert got == [oracle_weighted_quantile(scores, weights, float(w), alpha) for w in w_new]
             assert got[-1] == math.inf
-            one = weighted_conformal_quantile(ws, float(w_new[1]), alpha)
-            assert type(one) is float and one == got[1]
+            one = ws.thresholds(float(w_new[1]), alpha)
+            assert one.shape == () and one == got[1]
 
     def test_owner_indexed_lift_matches_rows_queried_separately(self):
         # several rows of atoms in one lift, each query naming its row; ties,
@@ -151,7 +149,7 @@ class TestWeightedQuantile:
         weights = [0.3, 0.3, 0.2, 0.1, 0.1]
         ws = WeightedScores(scores, weights)
         for alpha in (0.05, 0.21, 0.4, 0.61):
-            got = weighted_conformal_quantile(ws, 0.25, alpha)
+            got = ws.thresholds(0.25, alpha)
             assert got == oracle_weighted_quantile(scores, weights, 0.25, alpha)
 
     def test_monotone_in_w_new(self):
@@ -159,7 +157,7 @@ class TestWeightedQuantile:
         ws = WeightedScores(gen.normal(size=40), gen.random(40) + 0.1)
         prev = -math.inf
         for w_new in np.linspace(0.0, 20.0, 50):
-            eta = weighted_conformal_quantile(ws, float(w_new), 0.1)
+            eta = ws.thresholds(float(w_new), 0.1)
             assert eta >= prev
             prev = eta
 
@@ -168,7 +166,7 @@ class TestWeightedQuantile:
         ws = WeightedScores(gen.normal(size=40), gen.random(40) + 0.1)
         prev = math.inf
         for alpha in np.linspace(0.02, 0.9, 40):
-            eta = weighted_conformal_quantile(ws, 0.7, float(alpha))
+            eta = ws.thresholds(0.7, float(alpha))
             assert eta <= prev
             prev = eta
 
@@ -177,12 +175,10 @@ class TestWeightedQuantile:
         gen = Rng(5).gen
         scores = gen.normal(size=30)
         weights = gen.random(30) + 0.05
-        base = weighted_conformal_quantile(WeightedScores(scores, weights), 0.8, 0.13)
+        base = WeightedScores(scores, weights).thresholds(0.8, 0.13)
         for k in (-40, -7, 3, 25):
             c = 2.0**k
-            scaled = weighted_conformal_quantile(
-                WeightedScores(scores, weights * c), 0.8 * c, 0.13
-            )
+            scaled = WeightedScores(scores, weights * c).thresholds(0.8 * c, 0.13)
             assert scaled == base
 
     def test_zero_weights_rejected(self):
@@ -191,10 +187,12 @@ class TestWeightedQuantile:
 
     def test_zero_w_new_always_finite(self):
         ws = WeightedScores([5.0], [1.0])
-        assert weighted_conformal_quantile(ws, 0.0, 0.05) == 5.0
+        assert ws.thresholds(0.0, 0.05) == 5.0
 
 
 class TestSplitConformal:
+    """Plain split conformal: the weighted threshold with unit weights."""
+
     def _dataset(self, n=120, seed=0, noise=1.0):
         gen = Rng(seed).gen
         x = gen.normal(size=(n, 1))
@@ -202,57 +200,42 @@ class TestSplitConformal:
         y = x[:, 0] + t + noise * gen.normal(size=n)
         return Dataset(y, t, x)
 
+    def _equal_weight_interval(self, d, sp, model, alpha, x_new, t_new):
+        # a flat GPS under a uniform numerator covering every treatment:
+        # all weights, the test weight included, are the same constant
+        cfg = ConformalConfig(alpha, "absolute-residual")
+        h = UniformAssignment(-1e3, 1e3)
+        return weighted_interval(d, sp, model, _flat_gps(), h, cfg, x_new, t_new)
+
     def test_perfect_model_zero_width(self):
         d = self._dataset(noise=0.0)
         sp = split(d, 0.5, Rng(1))
-        iv = split_conformal_interval(d, sp, _mean_model(), 0.1, np.array([0.5]), 1.0)
+        iv = self._equal_weight_interval(d, sp, _mean_model(), 0.1, np.array([0.5]), 1.0)
         assert iv.length == pytest.approx(0.0, abs=1e-12)
 
     def test_rank_on_1_to_99(self):
-        # residuals 1..99 at alpha=0.1: the threshold is the 90th order statistic
-        from doseband.data import SplitIndices
-
-        gen = Rng(2).gen
-        resid = np.arange(1.0, 100.0)
-        y = resid * np.where(gen.random(99) < 0.5, 1.0, -1.0)  # model predicts 0
-        big = Dataset(np.r_[np.zeros(9), y], np.zeros(108), np.zeros((108, 1)))
-        sp = SplitIndices(np.arange(9), np.arange(9, 108))
-        model = _mean_model(lambda xx, tt: np.zeros(len(tt)))
-        iv = split_conformal_interval(big, sp, model, 0.1, np.array([0.0]), 0.0)
-        assert iv.upper == pytest.approx(90.0)
-        assert iv.lower == pytest.approx(-90.0)
+        # scores 1..99 at alpha=0.1: the threshold is the 90th order statistic
+        scores = Rng(2).gen.permutation(np.arange(1.0, 100.0))
+        assert WeightedScores(scores, np.ones(99)).thresholds(1.0, 0.1) == 90.0
 
     def test_too_small_calibration_gives_infinite(self):
-        d = self._dataset(n=10)
-        from doseband.data import SplitIndices
-
-        sp = SplitIndices(np.arange(5), np.arange(5, 10))
-        iv = split_conformal_interval(d, sp, _mean_model(), 0.05, np.array([0.0]), 0.0)
-        assert iv.lower == -math.inf and iv.upper == math.inf
-
-    def test_empty_calibration_gives_infinite(self):
-        d = self._dataset(n=10)
-        from doseband.data import SplitIndices
-
-        sp = SplitIndices(np.arange(10), np.arange(0))
-        iv = split_conformal_interval(d, sp, _mean_model(), 0.5, np.array([0.0]), 0.0)
-        assert iv.lower == -math.inf and iv.upper == math.inf
+        # ceil(0.95 * 6) = 6 exceeds the 5 calibration scores
+        ws = WeightedScores(np.arange(1.0, 6.0), np.ones(5))
+        assert ws.thresholds(1.0, 0.05) == math.inf
 
     def test_equal_weights_reduction_exact(self):
-        # the weighted path with unit weights reproduces the split threshold
+        # equal weights give the ceil((1 - alpha)(n + 1))-th order statistic
+        # of the calibration absolute residuals
         d = self._dataset(n=200, seed=5)
         sp = split(d, 0.5, Rng(6))
         model = _mean_model()
+        resid = np.sort(np.abs(model.mean(d.x[sp.cal], d.t[sp.cal]) - d.y[sp.cal]))
+        n = len(resid)
+        m = model.mean(np.array([[0.3]]), np.array([0.7]))[0]
         for alpha in (0.05, 0.1, 0.2, 0.25):
-            split_iv = split_conformal_interval(d, sp, model, alpha, np.array([0.3]), 0.7)
-            cfg = ConformalConfig(alpha, "absolute-residual")
-            h = NormalAssignment(NormalParams(0.0, 1.0))
-            gps = CallableGps(fn=lambda t, x: np.array(
-                [h.density(float(v)) for v in np.atleast_1d(t)]
-            ))
-            w_iv = weighted_interval(d, sp, model, gps, h, cfg, np.array([0.3]), 0.7)
-            assert w_iv.lower == split_iv.lower
-            assert w_iv.upper == split_iv.upper
+            eta = resid[math.ceil((1 - alpha) * (n + 1)) - 1]
+            iv = self._equal_weight_interval(d, sp, model, alpha, np.array([0.3]), 0.7)
+            assert (iv.lower, iv.upper) == (m - eta, m + eta)
 
 
 class TestWeightedIntervals:
@@ -278,7 +261,7 @@ class TestWeightedIntervals:
         V = calibration_scores(model, cfg, d, sp.cal)
         W = stabilized_weight(h, gps, WeightConfig(), d.t[sp.cal], d.x[sp.cal])
         w_new = stabilized_weight(h, gps, WeightConfig(), 0.4, np.array([0.2]))
-        eta = weighted_conformal_quantile(WeightedScores(V, W), w_new, cfg.alpha)
+        eta = float(WeightedScores(V, W).thresholds(w_new, cfg.alpha))
         iv = weighted_interval(d, sp, model, gps, h, cfg, np.array([0.2]), 0.4)
         lo = model.quantile(np.array([0.2]), 0.4, 0.05)
         hi = model.quantile(np.array([0.2]), 0.4, 0.95)
@@ -321,8 +304,6 @@ class TestWeightedIntervals:
             np.array([0.0, 0.0, 0.0, 0.0]),
             np.zeros((4, 1)),
         )
-        from doseband.data import SplitIndices
-
         sp = SplitIndices(np.arange(2), np.arange(2, 4))
         model = OracleQuantileModel(
             mean_fn=lambda x, t: np.zeros(len(t)), variance=1.0, levels=(0.05, 0.95)
@@ -400,6 +381,18 @@ class TestPredictionBand:
         for a, b in zip(b1.intervals, b2.intervals):
             assert a.lower == b.lower and a.upper == b.upper
 
+    def test_band_keeps_its_own_read_only_profile(self):
+        d, sp, model = self._pieces()
+        h = NormalAssignment(NormalParams(0.0, 1.0))
+        x_new = np.array([0.5])
+        band = prediction_band(
+            d, sp, model, _flat_gps(), lambda t: h, ConformalConfig(0.1), x_new, -1.0, 1.0, 3
+        )
+        x_new[0] = 99.0
+        assert band.x.tolist() == [0.5]
+        with pytest.raises(ValueError, match="read-only"):
+            band.x[0] = 1.0
+
     def test_grid_validation(self):
         d, sp, model = self._pieces()
         cfg = ConformalConfig(0.1, "cqr")
@@ -429,7 +422,7 @@ class TestBlockedBand:
         model = OracleQuantileModel(
             mean_fn=lambda xx, tt: np.round(xx[:, 0] + tt), variance=1.0, levels=(0.05, 0.95)
         )
-        gps = OracleGaussianGps(mean_fn=lambda xx: xx[:, 0], variance=1.0)
+        gps = OlsGaussianGps(beta=[0.0, 1.0], s2=1.0, basis=lambda xx: xx[:, 0])
         return d, sp, model, gps
 
     def _assert_matches_oracle(self, h_factory, n_grid):

@@ -1,7 +1,10 @@
 import importlib
+import pkgutil
 from pathlib import Path
 
 import pytest
+
+import doseband
 
 tomllib = pytest.importorskip("tomllib")
 
@@ -18,3 +21,13 @@ def test_every_console_script_target_imports():
         except (ImportError, AttributeError) as exc:
             pytest.fail(f"console script {name!r} -> {target!r} does not resolve: {exc}")
         assert callable(entry), f"console script {name!r} -> {target!r} is not callable"
+
+
+def test_every_exported_name_resolves():
+    checked = 0
+    for info in pkgutil.iter_modules(doseband.__path__):
+        module = importlib.import_module(f"doseband.{info.name}")
+        stale = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not stale, f"doseband.{info.name}.__all__ names missing attributes: {stale}"
+        checked += len(getattr(module, "__all__", ()))
+    assert checked > 0

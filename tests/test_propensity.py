@@ -10,7 +10,7 @@ from doseband.dist import Rng
 from doseband.propensity import (
     CallableGps,
     MixtureGps,
-    OracleGaussianGps,
+    OlsGaussianGps,
     fit_gaussian_mixture,
     fit_ols_gaussian,
 )
@@ -232,7 +232,7 @@ def test_em_fixed_seed_fingerprint(key):
 
 class TestDensities:
     def test_oracle_gaussian(self):
-        m = OracleGaussianGps(mean_fn=lambda x: x[:, 0] ** 2, variance=2.0)
+        m = OlsGaussianGps(beta=[0.0, 1.0], s2=2.0, basis=lambda x: x[:, 0] ** 2)
         x = np.array([1.5])
         expect = 1.0 / math.sqrt(4.0 * math.pi) * math.exp(-((3.0 - 2.25) ** 2) / 4.0)
         assert m.density(3.0, x) == pytest.approx(expect, rel=1e-12)
@@ -252,14 +252,14 @@ class TestDensities:
             betas=np.array([[0.0, 1.0, 0.0], [1.0, 0.5, -0.5]]),
             variances=np.array([0.5, 2.0]),
         )
-        oracle = OracleGaussianGps(mean_fn=lambda z: z[:, 0], variance=1.5)
+        oracle = OlsGaussianGps(beta=[0.0, 1.0], s2=1.5, basis=lambda z: z[:, 0])
         xq = np.array([0.4, -0.9])
         for model in (ols, mix, oracle):
             val, _ = integrate.quad(lambda u: model.density(u, xq), -30, 30, limit=200)
             assert val == pytest.approx(1.0, abs=1e-4)
 
     def test_vectorized_rows(self):
-        m = OracleGaussianGps(mean_fn=lambda x: x[:, 0], variance=1.0)
+        m = OlsGaussianGps(beta=[0.0, 1.0], s2=1.0, basis=lambda x: x[:, 0])
         x = np.array([[0.0], [1.0], [2.0]])
         t = np.array([0.0, 1.0, 2.0])
         out = m.density(t, x)
