@@ -157,16 +157,20 @@ def decile_boundaries(treatments) -> np.ndarray:
     (b_j + b_{j+1}) / 2.
     """
     t = np.asarray(treatments, dtype=float)
+    if not np.isfinite(t).all():
+        raise ValueError("treatment values must be finite")
     if np.unique(t).size < 10:
         raise ValueError("need at least 10 distinct treatment values for deciles")
     return np.percentile(t, np.linspace(0.0, 100.0, 11))
 
 
 def decile_index(boundaries, t):
-    """0-based decile of t; values beyond the outer boundaries clamp to 0/9,
-    because only the 9 inner boundaries are searched."""
-    b = np.asarray(boundaries, dtype=float)
-    return np.searchsorted(b[1:-1], np.asarray(t, dtype=float), side="right")
+    """0-based decile of a finite t; values beyond the outer boundaries
+    clamp to 0/9, because only the 9 inner boundaries are searched."""
+    b, t = np.asarray(boundaries, dtype=float), np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
+        raise ValueError("treatment values must be finite")
+    return np.searchsorted(b[1:-1], t, side="right")
 
 
 def likelihood_ratio(num, den, t):

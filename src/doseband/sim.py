@@ -1,6 +1,9 @@
 """Data-generating processes and the Monte-Carlo coverage harness.
 
-Five scenarios:
+Five scenarios, each one record of ``_DESIGNS``, the one place a design
+is defined: its study defaults, response mean, shifted assignment,
+weight offset, learned basis, treatment family and the setups it runs.
+A setup its record does not list is rejected.
 
 * ``s1`` / ``s2``: three Gaussian covariates, treatment
   T | X ~ N(X1 - X2^2 + 0.5*X3, 20), response noise variance 9; the
@@ -15,10 +18,13 @@ Five scenarios:
   stated alongside the design; 9 matches the reported interval
   lengths). Test treatments are truncated-Normal(2, 0.8) on [1, 5]; the
   weight denominator carries a 0.001 offset because positivity can fail
-  between the two windows.
+  between the two windows. They run the one setup
+  "learned-outcome-oracle-weights" (correctly specified quantile
+  regression with true-density weights).
 * ``unif-compare``: the s2 response with shift N(1, 4) and 200 test
   points per replication, scored with the absolute residual around the
-  true conditional mean; ``compare_uniform`` reruns the same generated
+  true conditional mean, so it runs the two oracle-outcome setups that
+  weight; ``compare_uniform`` reruns the same generated
   data and the setup's GPS with a uniform numerator (equivalently,
   unstabilized 1/gps weights) for the variability comparison.
 
@@ -51,6 +57,7 @@ sqrt(replications).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,7 +98,6 @@ __all__ = [
     "trunc_response_mean",
 ]
 
-SCENARIO_IDS = ("s1", "s2", "trunc-homo", "trunc-hetero", "unif-compare")
 SETUPS = (
     "oracle-oracle",
     "learned-outcome-oracle-weights",
@@ -102,11 +108,81 @@ SETUPS = (
 
 RESPONSE_SD = 3.0
 S12_TREATMENT_VAR = 20.0
-S12_SHIFT = NormalParams(1.0, 0.5)
-UNIF_COMPARE_SHIFT = NormalParams(1.0, 4.0)
 TRUNC_BOUNDS = (0.5, 5.0)
-TRUNC_SHIFT = TruncatedNormalParams(2.0, 0.8, 1.0, 5.0)
-TRUNC_OFFSET = 0.001
+
+
+def s12_treatment_mean(x: np.ndarray) -> np.ndarray:
+    return x[:, 0] - x[:, 1] ** 2 + 0.5 * x[:, 2]
+
+
+def s1_response_mean(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    x1, x2 = x[:, 0], x[:, 1]
+    return x1 + x2 + t + x1**2 + x2**2 + t**2 + x1 * t + x2 * t + x1 * x2
+
+
+def s2_response_mean(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    return x[:, 0] + 2.0 * x[:, 1] + t + 5.0 * x[:, 0] ** 2
+
+
+def trunc_response_mean(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    return 3.0 * x[:, 0] + t + x[:, 0] * t
+
+
+@dataclass(frozen=True)
+class _Design:
+    """Everything a scenario id fixes.
+
+    ``shift`` is the numerator h of the weights, and its ``params`` are
+    the law the test treatments are drawn from. ``trunc_sd`` maps X to
+    the sd of the truncated-Normal T | X; None selects the Gaussian
+    family of s1/s2. ``basis`` is the learned setups' pinball basis.
+    """
+
+    n: int
+    n_test: int
+    alpha: float
+    setup: str
+    setups: tuple[str, ...]
+    response_mean: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    shift: NormalAssignment | TruncatedNormalAssignment
+    score: str = "cqr"
+    basis: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    trunc_sd: Callable[[np.ndarray], np.ndarray] | None = None
+    weights: WeightConfig = WeightConfig()
+
+
+# the learned bases are curvature-free, standing in for a flexible learner
+# (s2 omits the X1^2 term on purpose); the truncated designs' basis is the
+# correctly specified one
+_S12 = dict(
+    n=1000, n_test=10, alpha=0.1, setup="oracle-oracle", setups=SETUPS,
+    shift=NormalAssignment(NormalParams(1.0, 0.5)),
+)
+_TRUNC = dict(
+    n=10000, n_test=10, alpha=0.05, setup="learned-outcome-oracle-weights",
+    setups=("learned-outcome-oracle-weights",), response_mean=trunc_response_mean,
+    shift=TruncatedNormalAssignment(TruncatedNormalParams(2.0, 0.8, 1.0, 5.0)),
+    basis=lambda x, t: np.column_stack([np.ones(len(t)), x[:, 0], t, x[:, 0] * t]),
+    weights=WeightConfig(offset=0.001),
+)
+_DESIGNS = {
+    "s1": _Design(
+        **_S12, response_mean=s1_response_mean,
+        basis=lambda x, t: np.column_stack([np.ones(len(t)), x, t]),
+    ),
+    "s2": _Design(
+        **_S12, response_mean=s2_response_mean,
+        basis=lambda x, t: np.column_stack([np.ones(len(t)), x[:, 0], x[:, 1], t]),
+    ),
+    "trunc-homo": _Design(**_TRUNC, trunc_sd=lambda x: np.ones(len(x))),
+    "trunc-hetero": _Design(**_TRUNC, trunc_sd=lambda x: np.abs(x[:, 0])),  # variance X^2
+    "unif-compare": _Design(
+        n=1000, n_test=200, alpha=0.1, setup="oracle-outcome-estimated-weights",
+        setups=("oracle-oracle", "oracle-outcome-estimated-weights"), response_mean=s2_response_mean,
+        shift=NormalAssignment(NormalParams(1.0, 4.0)), score="absolute-residual",
+    ),
+}
+SCENARIO_IDS = tuple(_DESIGNS)
 
 
 @dataclass(frozen=True)
@@ -118,20 +194,19 @@ class Scenario:
     setup: str = "oracle-oracle"
 
     def __post_init__(self):
-        if self.id not in SCENARIO_IDS:
+        if self.id not in _DESIGNS:
             raise ValueError(f"unknown scenario {self.id!r}")
         if self.setup not in SETUPS:
             raise ValueError(f"unknown setup {self.setup!r}")
         if self.n < 20:
             raise ValueError("scenario needs n >= 20")
+        if self.n_test < 1:
+            raise ValueError("scenario needs n_test >= 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly inside (0, 1)")
-        if self.id in ("trunc-homo", "trunc-hetero") and self.setup != "learned-outcome-oracle-weights":
-            raise ValueError(
-                "truncated scenarios run the fixed configuration "
-                "'learned-outcome-oracle-weights' (correctly specified quantile "
-                "regression with true-density weights)"
-            )
+        setups = _DESIGNS[self.id].setups
+        if self.setup not in setups:
+            raise ValueError(f"scenario {self.id!r} does not run setup {self.setup!r}; it runs {setups}")
 
 
 def make_scenario(
@@ -142,23 +217,16 @@ def make_scenario(
     alpha: float | None = None,
 ) -> Scenario:
     """Scenario with the coverage-study defaults filled in."""
-    if scenario_id in ("s1", "s2"):
-        defaults = dict(n=1000, n_test=10, alpha=0.1, setup="oracle-oracle")
-    elif scenario_id in ("trunc-homo", "trunc-hetero"):
-        defaults = dict(n=10000, n_test=10, alpha=0.05, setup="learned-outcome-oracle-weights")
-    elif scenario_id == "unif-compare":
-        defaults = dict(n=1000, n_test=200, alpha=0.1, setup="oracle-outcome-estimated-weights")
-    else:
+    if scenario_id not in _DESIGNS:
         raise ValueError(f"unknown scenario {scenario_id!r}")
-    if setup is not None:
-        defaults["setup"] = setup
-    if n is not None:
-        defaults["n"] = n
-    if n_test is not None:
-        defaults["n_test"] = n_test
-    if alpha is not None:
-        defaults["alpha"] = alpha
-    return Scenario(id=scenario_id, **defaults)
+    d = _DESIGNS[scenario_id]
+    return Scenario(
+        scenario_id,
+        d.n if n is None else n,
+        d.n_test if n_test is None else n_test,
+        d.alpha if alpha is None else alpha,
+        d.setup if setup is None else setup,
+    )
 
 
 @dataclass(frozen=True)
@@ -192,75 +260,34 @@ class UniformComparison:
     uniform_length_sd: float
 
 
-def s12_treatment_mean(x: np.ndarray) -> np.ndarray:
-    return x[:, 0] - x[:, 1] ** 2 + 0.5 * x[:, 2]
-
-
-def s1_response_mean(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    x1, x2 = x[:, 0], x[:, 1]
-    return x1 + x2 + t + x1**2 + x2**2 + t**2 + x1 * t + x2 * t + x1 * x2
-
-
-def s2_response_mean(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    return x[:, 0] + 2.0 * x[:, 1] + t + 5.0 * x[:, 0] ** 2
-
-
-def trunc_response_mean(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    return 3.0 * x[:, 0] + t + x[:, 0] * t
-
-
-def _response_mean_fn(scenario_id: str):
-    if scenario_id == "s1":
-        return s1_response_mean
-    if scenario_id in ("s2", "unif-compare"):
-        return s2_response_mean
-    return trunc_response_mean
-
-
-def _trunc_sd(scenario_id: str, x: np.ndarray) -> np.ndarray:
-    if scenario_id == "trunc-homo":
-        return np.ones(len(x))
-    return np.abs(x[:, 0])  # heteroskedastic: variance X^2
-
-
 def generate(scenario: Scenario, rng: Rng) -> tuple[Dataset, TestPoints]:
     """Observed data from P_X x P_{T|X} x P_{Y|X,T}; test points from the
     scenario's shifted treatment distribution with potential outcomes
     drawn at the shifted treatment."""
+    d = _DESIGNS[scenario.id]
     gen = rng.gen
     n, m = scenario.n, scenario.n_test
-    mean_fn = _response_mean_fn(scenario.id)
+    shift = d.shift.params
 
-    if scenario.id in ("s1", "s2", "unif-compare"):
-        x = np.column_stack(
-            [gen.normal(1.0, 1.0, n), gen.normal(1.0, 1.0, n), gen.normal(4.0, 1.0, n)]
-        )
+    if d.trunc_sd is None:
+        def covariates(k):
+            return np.column_stack([gen.normal(1.0, 1.0, k), gen.normal(1.0, 1.0, k), gen.normal(4.0, 1.0, k)])
+
+        x = covariates(n)
         t = s12_treatment_mean(x) + math.sqrt(S12_TREATMENT_VAR) * gen.normal(size=n)
-        y = mean_fn(x, t) + RESPONSE_SD * gen.normal(size=n)
-        shift = UNIF_COMPARE_SHIFT if scenario.id == "unif-compare" else S12_SHIFT
-        xs = np.column_stack(
-            [gen.normal(1.0, 1.0, m), gen.normal(1.0, 1.0, m), gen.normal(4.0, 1.0, m)]
-        )
+        y = d.response_mean(x, t) + RESPONSE_SD * gen.normal(size=n)
+        xs = covariates(m)
         ts = shift.mean + shift.sd * gen.normal(size=m)
-        ys = mean_fn(xs, ts) + RESPONSE_SD * gen.normal(size=m)
-        return Dataset(y, t, x), TestPoints(xs, ts, ys)
-
-    # truncated scenarios
-    lo, hi = TRUNC_BOUNDS
-    x = gen.normal(0.0, 1.0, n)[:, None]
-    t = _truncated_normal_transform(
-        x[:, 0] ** 2 + 1.0, _trunc_sd(scenario.id, x), lo, hi, gen.random(n)
-    )
-    y = mean_fn(x, t) + RESPONSE_SD * gen.normal(size=n)
-    xs = gen.normal(0.0, 1.0, m)[:, None]
-    ts = _truncated_normal_transform(
-        np.full(m, TRUNC_SHIFT.mean),
-        np.full(m, TRUNC_SHIFT.sd),
-        TRUNC_SHIFT.lower,
-        TRUNC_SHIFT.upper,
-        gen.random(m),
-    )
-    ys = mean_fn(xs, ts) + RESPONSE_SD * gen.normal(size=m)
+    else:
+        lo, hi = TRUNC_BOUNDS
+        x = gen.normal(0.0, 1.0, n)[:, None]
+        t = _truncated_normal_transform(x[:, 0] ** 2 + 1.0, d.trunc_sd(x), lo, hi, gen.random(n))
+        y = d.response_mean(x, t) + RESPONSE_SD * gen.normal(size=n)
+        xs = gen.normal(0.0, 1.0, m)[:, None]
+        ts = _truncated_normal_transform(
+            np.full(m, shift.mean), np.full(m, shift.sd), shift.lower, shift.upper, gen.random(m)
+        )
+    ys = d.response_mean(xs, ts) + RESPONSE_SD * gen.normal(size=m)
     return Dataset(y, t, x), TestPoints(xs, ts, ys)
 
 
@@ -269,45 +296,13 @@ def _s12_gps_basis(x: np.ndarray) -> np.ndarray:
     return np.column_stack([x[:, 0], x[:, 1] ** 2, x[:, 2]])
 
 
-def _learned_basis(scenario_id: str):
-    """Curvature-free quantile-regression bases standing in for a flexible
-    learner; s2 omits the X1^2 term on purpose."""
-    if scenario_id == "s1":
-        return lambda x, t: np.column_stack([np.ones(len(t)), x, t])
-    if scenario_id == "s2":
-        return lambda x, t: np.column_stack([np.ones(len(t)), x[:, 0], x[:, 1], t])
-    # truncated scenarios: the correctly specified basis
-    return lambda x, t: np.column_stack([np.ones(len(t)), x[:, 0], t, x[:, 0] * t])
-
-
-def _trunc_oracle_gps(scenario_id: str) -> CallableGps:
-    lo, hi = TRUNC_BOUNDS
-
-    def density(t, x):
-        mean = x[:, 0] ** 2 + 1.0
-        sd = _trunc_sd(scenario_id, x)
-        return np.exp(_truncated_normal_logpdf_core(t, mean, sd, lo, hi))
-
-    return CallableGps(fn=density)
-
-
-def _fit_outcome(scenario: Scenario, data: Dataset, sp, levels) -> object:
-    if scenario.setup in ("oracle-oracle", "oracle-outcome-estimated-weights"):
-        return OracleQuantileModel(
-            mean_fn=_response_mean_fn(scenario.id),
-            variance=RESPONSE_SD**2,
-            levels=levels,
-        )
-    basis = _learned_basis(scenario.id)
-    coefs = {
-        level: fit_linear_pinball(data, sp.train, level, basis) for level in levels
-    }
-    return LinearPinballModel(basis=basis, coefs=coefs, levels=levels)
-
-
 def _fit_gps(scenario: Scenario, data: Dataset, sp, rng: Rng):
-    if scenario.id in ("trunc-homo", "trunc-hetero"):
-        return _trunc_oracle_gps(scenario.id)
+    sd = _DESIGNS[scenario.id].trunc_sd
+    if sd is not None:  # the true truncated-Normal density
+        lo, hi = TRUNC_BOUNDS
+        return CallableGps(
+            fn=lambda t, x: np.exp(_truncated_normal_logpdf_core(t, x[:, 0] ** 2 + 1.0, sd(x), lo, hi))
+        )
     if scenario.setup in ("oracle-oracle", "learned-outcome-oracle-weights"):
         return fit_ols_gaussian(data, sp.train, basis=_s12_gps_basis)
     # estimated weights: mixture with component means linear in the raw covariates
@@ -315,76 +310,57 @@ def _fit_gps(scenario: Scenario, data: Dataset, sp, rng: Rng):
     return model
 
 
-def _shift_assignment(scenario: Scenario):
-    if scenario.id in ("trunc-homo", "trunc-hetero"):
-        return TruncatedNormalAssignment(TRUNC_SHIFT)
-    if scenario.id == "unif-compare":
-        return NormalAssignment(UNIF_COMPARE_SHIFT)
-    return NormalAssignment(S12_SHIFT)
-
-
-def _weight_cfg(scenario: Scenario) -> WeightConfig:
-    if scenario.id in ("trunc-homo", "trunc-hetero"):
-        return WeightConfig(offset=TRUNC_OFFSET)
-    return WeightConfig()
-
-
-def _levels(scenario: Scenario) -> tuple[float, float]:
-    return (scenario.alpha / 2.0, 1.0 - scenario.alpha / 2.0)
-
-
-def _prelude(scenario: Scenario, rng: Rng):
-    """Generate, split 50/50 and fit the setup's models on the training
-    half: the score configuration, the outcome model and the GPS (None
-    for the unadjusted setup, which uses no weights)."""
-    data, test = generate(scenario, rng)
-    sp = split(data, 0.5, rng)
-    if scenario.id == "unif-compare":
-        cfg = ConformalConfig(scenario.alpha, "absolute-residual")
-        model = OracleQuantileModel(mean_fn=_response_mean_fn(scenario.id), variance=RESPONSE_SD**2)
-    else:
-        cfg = ConformalConfig(scenario.alpha, "cqr")
-        model = _fit_outcome(scenario, data, sp, _levels(scenario))
-    gps = None if scenario.setup == "unadjusted" else _fit_gps(scenario, data, sp, rng)
-    return data, sp, test, cfg, model, gps
-
-
-def _thresholds(scenario, h, gps, model, cfg, data, sp, test, test_atom: bool) -> np.ndarray:
-    """Per-test-point thresholds from one calibration.
+def _replicate(scenario: Scenario, rng: Rng, test_atom: bool, numerators) -> list[tuple[float, float, int]]:
+    """One replication: generate, split 50/50 and fit the setup's models on
+    the training half; then, per numerator h, the coverage, the mean finite
+    length and the infinite-interval count of the intervals at the shifted
+    test points.
 
     With ``test_atom`` each test point contributes its own weight as an
     infinity atom (the guaranteed construction); without it the
     threshold is the plain weighted quantile of the calibration scores,
     i.e. the same query with zero test mass.
     """
-    wcfg = _weight_cfg(scenario)
-    scores = calibration_scores(model, cfg, data, sp.cal)
-    weights = stabilized_weight(h, gps, wcfg, data.t[sp.cal], data.x[sp.cal])
-    w_new = stabilized_weight(h, gps, wcfg, test.t, test.x) if test_atom else np.zeros(test.n)
-    return WeightedScores(scores, weights).thresholds(w_new, cfg.alpha)
-
-
-def _evaluate(model, cfg, test, eta) -> tuple[np.ndarray, np.ndarray]:
-    """Per-test-point coverage indicators and interval lengths."""
-    lower, upper = score_interval(model, cfg, test.x, test.t, eta)
-    return (lower <= test.y) & (test.y <= upper), upper - lower
-
-
-def _replicate(scenario: Scenario, rng: Rng, test_atom: bool) -> tuple[float, float, int]:
-    data, sp, test, cfg, model, gps = _prelude(scenario, rng)
-    if gps is None:
-        eta = np.zeros(test.n)
+    d = _DESIGNS[scenario.id]
+    data, test = generate(scenario, rng)
+    sp = split(data, 0.5, rng)
+    cfg = ConformalConfig(scenario.alpha, d.score)
+    levels = (scenario.alpha / 2.0, 1.0 - scenario.alpha / 2.0)
+    if scenario.setup in ("oracle-oracle", "oracle-outcome-estimated-weights"):
+        model = OracleQuantileModel(mean_fn=d.response_mean, variance=RESPONSE_SD**2, levels=levels)
     else:
-        h = _shift_assignment(scenario)
-        eta = _thresholds(scenario, h, gps, model, cfg, data, sp, test, test_atom)
-    return _summarize_rep(*_evaluate(model, cfg, test, eta))
+        coefs = {level: fit_linear_pinball(data, sp.train, level, d.basis) for level in levels}
+        model = LinearPinballModel(basis=d.basis, coefs=coefs, levels=levels)
+    gps = None if scenario.setup == "unadjusted" else _fit_gps(scenario, data, sp, rng)
+    scores = None if gps is None else calibration_scores(model, cfg, data, sp.cal)
+    rows = []
+    for h in numerators:
+        eta = np.zeros(test.n)  # unadjusted: the outcome model's own interval; also no test mass
+        if gps is not None:
+            weights = stabilized_weight(h, gps, d.weights, data.t[sp.cal], data.x[sp.cal])
+            w_new = stabilized_weight(h, gps, d.weights, test.t, test.x) if test_atom else eta
+            eta = WeightedScores(scores, weights).thresholds(w_new, cfg.alpha)
+        lower, upper = score_interval(model, cfg, test.x, test.t, eta)
+        lengths = upper - lower
+        finite = np.isfinite(lengths)
+        mean_len = float(lengths[finite].mean()) if finite.any() else math.nan
+        covered = (lower <= test.y) & (test.y <= upper)
+        rows.append((float(covered.mean()), mean_len, int((~finite).sum())))
+    return rows
 
 
-def _summarize_rep(covered: np.ndarray, lengths: np.ndarray) -> tuple[float, float, int]:
-    finite = np.isfinite(lengths)
-    n_inf = int((~finite).sum())
-    mean_len = float(lengths[finite].mean()) if finite.any() else math.nan
-    return float(covered.mean()), mean_len, n_inf
+def _study(scenario: Scenario, replications: int, rng: Rng, test_atom: bool, numerators) -> list[tuple]:
+    """Per numerator, its rows of every replication; the numerators share
+    each replication's data and fits."""
+    if replications < 10:
+        raise ValueError("need at least 10 replications")
+    return list(zip(*[_replicate(scenario, r, test_atom, numerators) for r in rng.spawn(replications)]))
+
+
+def _length_sd(lens: np.ndarray) -> float:
+    """SD of the finite per-replication mean lengths; NaN with fewer than two."""
+    ok = lens[np.isfinite(lens)]
+    return float(ok.std(ddof=1)) if ok.size > 1 else math.nan
 
 
 def _aggregate(rows: list[tuple[float, float, int]], replications: int) -> SimResult:
@@ -401,7 +377,7 @@ def _aggregate(rows: list[tuple[float, float, int]], replications: int) -> SimRe
         coverage_mean=float(cov.mean()),
         coverage_se=float(cov.std(ddof=1) / sqrt_r),
         length_mean=float(lens_ok.mean()) if lens_ok.size else math.inf,
-        length_se=float(lens_ok.std(ddof=1) / math.sqrt(lens_ok.size)) if lens_ok.size > 1 else math.nan,
+        length_se=_length_sd(lens) / math.sqrt(max(lens_ok.size, 1)),
         replications=replications,
         infinite_intervals=n_inf,
     )
@@ -419,24 +395,8 @@ def run_study(
 
     ``test_atom`` selects the threshold construction; see the module
     docstring. The default reproduces the published study tables."""
-    if replications < 10:
-        raise ValueError("need at least 10 replications")
-    rows = [_replicate(scenario, r, test_atom) for r in rng.spawn(replications)]
+    (rows,) = _study(scenario, replications, rng, test_atom, [_DESIGNS[scenario.id].shift])
     return _aggregate(rows, replications)
-
-
-def _replicate_compare(scenario: Scenario, rng: Rng, test_atom: bool):
-    data, sp, test, cfg, model, gps = _prelude(scenario, rng)
-    # uniform numerator over the assignment's effective support (+-6 sd,
-    # all but ~2e-9 of its mass); the flat numerator stops damping the
-    # 1/gps tails, which is exactly the variability being compared
-    shift = UNIF_COMPARE_SHIFT
-    h_unif = UniformAssignment(shift.mean - 6.0 * shift.sd, shift.mean + 6.0 * shift.sd)
-    out = []
-    for h in (_shift_assignment(scenario), h_unif):
-        eta = _thresholds(scenario, h, gps, model, cfg, data, sp, test, test_atom)
-        out.append(_summarize_rep(*_evaluate(model, cfg, test, eta)))
-    return out[0], out[1]
 
 
 def compare_uniform(
@@ -454,18 +414,15 @@ def compare_uniform(
     """
     if scenario.id != "unif-compare":
         raise ValueError("compare_uniform runs the 'unif-compare' scenario")
-    if scenario.setup == "unadjusted":
-        raise ValueError("compare_uniform compares weightings; the unadjusted setup has none")
-    if replications < 10:
-        raise ValueError("need at least 10 replications")
-    rows = [_replicate_compare(scenario, r, test_atom) for r in rng.spawn(replications)]
-    ipb = _aggregate([r[0] for r in rows], replications)
-    unif = _aggregate([r[1] for r in rows], replications)
-    ipb_lens = np.array([r[0][1] for r in rows])
-    unif_lens = np.array([r[1][1] for r in rows])
+    h = _DESIGNS[scenario.id].shift
+    # uniform numerator over the assignment's effective support (+-6 sd,
+    # all but ~2e-9 of its mass); the flat numerator stops damping the
+    # 1/gps tails, which is exactly the variability being compared
+    h_unif = UniformAssignment(h.params.mean - 6.0 * h.params.sd, h.params.mean + 6.0 * h.params.sd)
+    ipb, unif = _study(scenario, replications, rng, test_atom, [h, h_unif])
     return UniformComparison(
-        ipb=ipb,
-        uniform=unif,
-        ipb_length_sd=float(np.nanstd(ipb_lens, ddof=1)),
-        uniform_length_sd=float(np.nanstd(unif_lens, ddof=1)),
+        ipb=_aggregate(ipb, replications),
+        uniform=_aggregate(unif, replications),
+        ipb_length_sd=_length_sd(np.array([r[1] for r in ipb])),
+        uniform_length_sd=_length_sd(np.array([r[1] for r in unif])),
     )

@@ -86,6 +86,16 @@ class TestDeciles:
         with pytest.raises(ValueError):
             decile_boundaries(np.array([1.0, 2.0] * 20))
 
+    def test_nonfinite_treatments_rejected(self):
+        b = np.linspace(0.0, 10.0, 11)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                decile_boundaries(np.r_[np.arange(20.0), bad])
+            with pytest.raises(ValueError, match="finite"):
+                decile_index(b, bad)
+            with pytest.raises(ValueError, match="finite"):
+                decile_index(b, np.array([1.0, bad, 3.0]))
+
     def test_nonfinite_t_star_rejected(self):
         b = np.linspace(0.0, 10.0, 11)
         for t_star in (math.nan, math.inf, -math.inf):

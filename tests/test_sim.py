@@ -39,18 +39,36 @@ FINGERPRINTS = {
     ("s2", "unadjusted", True): (0.8899999999999999, 23.400948896467842, 0),
     ("unif-compare", "oracle-oracle", False): (0.9100000000000001, 9.968337162628131, 0),
     ("unif-compare", "oracle-oracle", True): (0.9200000000000002, 10.578580707389799, 0),
-    ("unif-compare", "learned-outcome-oracle-weights", False): (0.9100000000000001, 9.968337162628131, 0),
-    ("unif-compare", "learned-outcome-oracle-weights", True): (0.9200000000000002, 10.578580707389799, 0),
     ("unif-compare", "oracle-outcome-estimated-weights", False): (0.9, 9.837214939123074, 0),
     ("unif-compare", "oracle-outcome-estimated-weights", True): (0.9200000000000002, 10.542375779447985, 0),
-    ("unif-compare", "learned-learned", False): (0.9, 9.837214939123074, 0),
-    ("unif-compare", "learned-learned", True): (0.9200000000000002, 10.542375779447985, 0),
-    ("unif-compare", "unadjusted", False): (0.0, 0.0, 0),
-    ("unif-compare", "unadjusted", True): (0.0, 0.0, 0),
     ("trunc-homo", "learned-outcome-oracle-weights", False): (0.9400000000000001, 13.408049380688647, 0),
     ("trunc-homo", "learned-outcome-oracle-weights", True): (0.99, 15.24246762486519, 4),
     ("trunc-hetero", "learned-outcome-oracle-weights", False): (0.9400000000000001, 13.181073277633914, 0),
     ("trunc-hetero", "learned-outcome-oracle-weights", True): (0.9800000000000001, 14.5847649224972, 40),
+}
+
+# compare_uniform(make_scenario("unif-compare", setup, n=N, n_test=N_TEST),
+# REPLICATIONS, Rng(SEED), test_atom) -> ((coverage_mean, length_mean,
+# infinite_intervals) of ipb, the same of uniform, ipb_length_sd,
+# uniform_length_sd), recorded before the two numerators shared one
+# replication path
+COMPARE_FINGERPRINTS = {
+    ("oracle-oracle", False): (
+        (0.9100000000000001, 9.968337162628131, 0), (0.8699999999999999, 9.50773166266297, 0),
+        1.0887417933212682, 1.2367818009075684,
+    ),
+    ("oracle-oracle", True): (
+        (0.9200000000000002, 10.578580707389799, 0), (0.8800000000000001, 9.58841433707018, 0),
+        1.1315825082227409, 1.2093343939150958,
+    ),
+    ("oracle-outcome-estimated-weights", False): (
+        (0.9, 9.837214939123074, 0), (0.8800000000000001, 9.707969248448372, 0),
+        0.9942175217651308, 1.3461779963224594,
+    ),
+    ("oracle-outcome-estimated-weights", True): (
+        (0.9200000000000002, 10.542375779447985, 0), (0.89, 9.921958885024422, 0),
+        1.1315486335011993, 1.4616745262487818,
+    ),
 }
 
 
@@ -100,6 +118,37 @@ def test_fixed_seed_fingerprint(key, shared_fits):
     assert res.infinite_intervals == infinite
     assert res.length_mean == pytest.approx(length, rel=1e-12, abs=0.0)
     assert res.replications == REPLICATIONS
+
+
+@pytest.mark.parametrize("key", sorted(COMPARE_FINGERPRINTS), ids=lambda k: "-".join(map(str, k)))
+def test_compare_uniform_fingerprint(key, shared_fits):
+    setup, test_atom = key
+    scenario = sim.make_scenario("unif-compare", setup=setup, n=N, n_test=N_TEST)
+    res = sim.compare_uniform(scenario, REPLICATIONS, Rng(SEED), test_atom=test_atom)
+    *studies, ipb_sd, unif_sd = COMPARE_FINGERPRINTS[key]
+    for got, (coverage, length, infinite) in zip((res.ipb, res.uniform), studies):
+        assert got.coverage_mean == coverage
+        assert got.infinite_intervals == infinite
+        assert got.length_mean == pytest.approx(length, rel=1e-12, abs=0.0)
+        assert got.replications == REPLICATIONS
+    assert res.ipb_length_sd == pytest.approx(ipb_sd, rel=1e-12, abs=0.0)
+    assert res.uniform_length_sd == pytest.approx(unif_sd, rel=1e-12, abs=0.0)
+
+
+def test_compare_uniform_all_lengths_infinite():
+    # alpha = 1e-4 with the test atom makes every threshold infinite: both
+    # studies report inf mean length and NaN spread, as run_study does
+    scenario = sim.make_scenario("unif-compare", setup="oracle-oracle", n=N, n_test=N_TEST, alpha=1e-4)
+    res = sim.compare_uniform(scenario, REPLICATIONS, Rng(1), test_atom=True)
+    for study in (res.ipb, res.uniform):
+        assert (study.length_mean, study.infinite_intervals) == (math.inf, N_TEST * REPLICATIONS)
+        assert math.isnan(study.length_se)
+    assert math.isnan(res.ipb_length_sd) and math.isnan(res.uniform_length_sd)
+
+
+def test_fingerprints_cover_every_design_and_setup():
+    runnable = {(sid, setup) for sid, design in sim._DESIGNS.items() for setup in design.setups}
+    assert set(FINGERPRINTS) == {(sid, setup, atom) for sid, setup in runnable for atom in (False, True)}
 
 
 def test_true_weights_with_test_atom_reach_nominal_coverage(monkeypatch):
@@ -160,7 +209,16 @@ class TestScenario:
             (dict(id="s1", n=19, n_test=5, alpha=0.1), "n >= 20"),
             (dict(id="s1", n=100, n_test=5, alpha=1.0), "alpha"),
             (dict(id="s1", n=100, n_test=5, alpha=0.0), "alpha"),
-            (dict(id="trunc-homo", n=100, n_test=5, alpha=0.05), "truncated scenarios"),
+            (dict(id="trunc-homo", n=100, n_test=5, alpha=0.05), "does not run setup"),
+            (dict(id="s1", n=100, n_test=0, alpha=0.1), "n_test >= 1"),
+            (dict(id="s1", n=100, n_test=-3, alpha=0.1), "n_test >= 1"),
+            (dict(id="trunc-hetero", n=100, n_test=5, alpha=0.05, setup="unadjusted"), "does not run setup"),
+            (dict(id="unif-compare", n=100, n_test=5, alpha=0.1, setup="unadjusted"), "does not run setup"),
+            (dict(id="unif-compare", n=100, n_test=5, alpha=0.1, setup="learned-learned"), "does not run setup"),
+            (
+                dict(id="unif-compare", n=100, n_test=5, alpha=0.1, setup="learned-outcome-oracle-weights"),
+                "does not run setup",
+            ),
         ],
     )
     def test_invalid_rejected(self, kwargs, match):
