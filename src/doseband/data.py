@@ -97,7 +97,9 @@ class SplitIndices:
     def __post_init__(self) -> None:
         train = _frozen_array(self.train, dtype=np.intp, ndim=1)
         cal = _frozen_array(self.cal, dtype=np.intp, ndim=1)
-        if np.intersect1d(train, cal).size:
+        # numpy picks its linear-time lookup table for any split of range(n)
+        # and falls back to sorting when the index range is too wide for one
+        if np.isin(cal, train).any():
             raise ValueError("train and calibration indices overlap")
         object.__setattr__(self, "train", train)
         object.__setattr__(self, "cal", cal)

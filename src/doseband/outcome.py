@@ -13,6 +13,7 @@ validity.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -52,6 +53,12 @@ def _check_levels(levels) -> tuple[float, ...]:
     return levels
 
 
+@functools.lru_cache(maxsize=256)
+def _normal_shift(level: float, variance: float) -> float:
+    """Level quantile of Normal(0, variance), resolved once per pair."""
+    return normal_quantile(level, NormalParams(0.0, variance))
+
+
 @dataclass(frozen=True)
 class OracleQuantileModel:
     """True conditional quantiles: mean_fn(x, t) + Normal(0, variance) shift."""
@@ -65,7 +72,7 @@ class OracleQuantileModel:
 
     def quantile(self, x, t, level):
         t, x2, scalar = query_rows(t, x)
-        shift = normal_quantile(level, NormalParams(0.0, self.variance))
+        shift = _normal_shift(float(level), float(self.variance))
         out = np.asarray(self.mean_fn(x2, t), dtype=float) + shift
         return float(out[0]) if scalar else out
 

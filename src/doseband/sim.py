@@ -25,8 +25,8 @@ A setup its record does not list is rejected.
   points per replication, scored with the absolute residual around the
   true conditional mean, so it runs the two oracle-outcome setups that
   weight; ``compare_uniform`` reruns the same generated
-  data and the setup's GPS with a uniform numerator (equivalently,
-  unstabilized 1/gps weights) for the variability comparison.
+  data and the setup's GPS with a uniform numerator on the shift's
+  mean +- 6 sd for the variability comparison.
 
 Setups mirror the outcome/weight grid of the coverage study: "oracle"
 outcome models use the true conditional distribution; "learned" outcome
@@ -408,16 +408,20 @@ def compare_uniform(
     """Run the shifted-numerator and uniform-numerator weightings on
     identical generated data and report both studies.
 
-    The uniform numerator spans the observed and test treatments, which
-    (by scale invariance of the weighted quantile) is the same as using
-    unstabilized 1/gps weights.
+    The uniform numerator is flat on the shift's mean +- 6 sd, [-11, 13].
+    Inside that window it gives the same threshold as unstabilized 1/gps
+    weights (the weighted quantile is scale invariant). The observed
+    treatments spread wider: 1.3-2.9% of them fall outside the window
+    (``generate`` at ``Rng(0)``-``Rng(4)``: minimum -22.4, maximum 19.1),
+    and those calibration points get weight 0, where 1/gps would weigh
+    them.
     """
     if scenario.id != "unif-compare":
         raise ValueError("compare_uniform runs the 'unif-compare' scenario")
     h = _DESIGNS[scenario.id].shift
-    # uniform numerator over the assignment's effective support (+-6 sd,
-    # all but ~2e-9 of its mass); the flat numerator stops damping the
-    # 1/gps tails, which is exactly the variability being compared
+    # flat over the shift's mean +- 6 sd (all but ~2e-9 of its mass, so
+    # every test treatment in practice, but not every observed one); it
+    # stops damping the 1/gps tails, which is the variability compared
     h_unif = UniformAssignment(h.params.mean - 6.0 * h.params.sd, h.params.mean + 6.0 * h.params.sd)
     ipb, unif = _study(scenario, replications, rng, test_atom, [h, h_unif])
     return UniformComparison(

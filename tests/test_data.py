@@ -72,6 +72,37 @@ class TestSplit:
         with pytest.raises(ValueError):
             SplitIndices([0, 1], [1, 2])
 
+    def test_overlap_check_matches_intersect1d(self):
+        gen = Rng(4).gen
+        pairs = [
+            ([], [0, 1]),
+            ([3, 1], []),
+            ([5, 0, 9], [0, 2]),  # shared index at the low end
+            ([7, 3, 1], [2, 4, 7]),  # and at the high end
+            ([2, 2, -3], [-3, 8]),  # duplicates and a negative index
+            ([-1, -5], [-2, 6, 6]),
+            ([0], [2**62]),  # a range too wide for a lookup table
+            ([-(2**62), 2**62], [2**62]),
+        ]
+        for _ in range(300):
+            lo = int(gen.integers(-50, 50))
+            span = int(gen.integers(1, 200))
+            n_train, n_cal = gen.integers(0, 40, size=2)
+            pairs.append(
+                (gen.integers(lo, lo + span, n_train), gen.integers(lo, lo + span, n_cal))
+            )
+        overlaps = 0
+        for train, cal in pairs:
+            overlap = np.intersect1d(train, cal).size > 0
+            overlaps += overlap
+            if overlap:
+                with pytest.raises(ValueError, match="overlap"):
+                    SplitIndices(train, cal)
+            else:
+                sp = SplitIndices(train, cal)
+                np.testing.assert_array_equal(sp.train, np.asarray(train, dtype=np.intp))
+        assert 0 < overlaps < len(pairs)
+
 
 class TestCsv:
     def test_roundtrip_exact(self, tmp_path):

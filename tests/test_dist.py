@@ -9,6 +9,7 @@ from doseband.dist import (
     NormalParams,
     Rng,
     TruncatedNormalParams,
+    _erfc,
     _truncated_normal_transform,
     normal_cdf,
     normal_pdf,
@@ -117,6 +118,38 @@ class TestNormal:
             NormalParams(0.0, 0.0)
         with pytest.raises(ValueError):
             NormalParams(0.0, -1.0)
+
+
+class TestErfc:
+    """The array erfc against math.erfc, the correctly rounded reference."""
+
+    def test_within_8_ulp_of_math_erfc(self):
+        edges = [0.46875, -0.46875, 4.0, -4.0]
+        x = np.concatenate(
+            [
+                np.linspace(-6.0, 27.0, 200_001),
+                Rng(0).gen.standard_normal(100_000),
+                [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)],
+                edges,
+                [0.0, -0.0],
+            ]
+        )
+        ref = np.array([math.erfc(v) for v in x])
+        normal = ref >= np.finfo(float).tiny
+        assert normal.sum() > 280_000
+        ulps = np.abs(_erfc(x) - ref)[normal] / np.spacing(ref[normal])
+        assert ulps.max() <= 8.0
+
+    def test_special_values(self):
+        out = _erfc(np.array([np.inf, -np.inf, np.nan, 0.0, -0.0]))
+        assert out[0] == 0.0 and out[1] == 2.0
+        assert np.isnan(out[2])
+        assert out[3] == 1.0 and out[4] == 1.0
+
+    def test_keeps_shape(self):
+        assert _erfc(np.array(0.3)).shape == ()
+        assert _erfc(np.array(0.3)) == pytest.approx(math.erfc(0.3), rel=1e-15)
+        assert _erfc(np.zeros((2, 3))).shape == (2, 3)
 
 
 def _truncated_draws(p: TruncatedNormalParams, rng: Rng, size: int) -> np.ndarray:

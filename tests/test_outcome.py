@@ -6,7 +6,7 @@ import pytest
 from doseband import outcome
 from doseband.adrf import AdrfEstimate, bootstrap_ci
 from doseband.data import Dataset
-from doseband.dist import Rng
+from doseband.dist import NormalParams, Rng, normal_quantile
 from doseband.outcome import (
     LinearPinballModel,
     OracleQuantileModel,
@@ -56,6 +56,18 @@ class TestOracle:
             lo, hi = predict_quantile_pair(model, x, t, 0.05, 0.95)
             assert hi - lo == pytest.approx(2.0 * Z95 * 3.0, abs=1e-9)
         assert 2.0 * Z95 * 3.0 == pytest.approx(9.8691, abs=1e-4)
+
+    def test_shift_is_the_normal_quantile_for_each_level_and_variance(self):
+        x = Rng(2).gen.normal(size=(5, 3))
+        t = np.linspace(-1.0, 1.0, 5)
+        narrow = OracleQuantileModel(mean_fn=s1_mean, variance=4.0, levels=(0.1, 0.9))
+        wide = OracleQuantileModel(mean_fn=s1_mean, variance=9.0, levels=(0.1, 0.9))
+        for model in (narrow, wide, narrow):
+            for level in (0.1, 0.9, 0.5):
+                shift = normal_quantile(level, NormalParams(0.0, model.variance))
+                np.testing.assert_array_equal(model.quantile(x, t, level), s1_mean(x, t) + shift)
+                assert model.quantile(x[0], t[0], level) == s1_mean(x[:1], t[:1])[0] + shift
+        assert narrow.quantile(x, t, 0.9)[0] != wide.quantile(x, t, 0.9)[0]
 
 
 class TestLinearPinball:

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import pkgutil
 from pathlib import Path
@@ -31,3 +32,16 @@ def test_every_exported_name_resolves():
         assert not stale, f"doseband.{info.name}.__all__ names missing attributes: {stale}"
         checked += len(getattr(module, "__all__", ()))
     assert checked > 0
+
+
+def test_no_module_calls_np_vectorize():
+    # np.vectorize runs one Python call per element; array paths stay in numpy
+    calls = []
+    for path in sorted(Path(doseband.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "vectorize":
+                    calls.append(f"{path.name}:{node.lineno}")
+    assert not calls, f"np.vectorize called at {calls}"
