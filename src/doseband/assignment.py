@@ -35,7 +35,6 @@ from .dist import (
 )
 
 __all__ = [
-    "AssignmentDist",
     "NormalAssignment",
     "TruncatedNormalAssignment",
     "UniformAssignment",
@@ -78,6 +77,8 @@ class UniformAssignment:
     upper: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+            raise ValueError("uniform assignment bounds must be finite")
         if not self.lower < self.upper:
             raise ValueError("uniform assignment needs lower < upper")
 
@@ -131,11 +132,6 @@ class DecileMidpointAssignment:
         same = decile_index(self.boundaries, t) == self._decile
         out = np.where(same, base, self.k * base)
         return float(out) if out.ndim == 0 else out
-
-
-AssignmentDist = (
-    NormalAssignment | TruncatedNormalAssignment | UniformAssignment | DecileMidpointAssignment
-)
 
 
 @dataclass(frozen=True)

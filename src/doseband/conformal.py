@@ -1,5 +1,11 @@
 """Weighted split-conformal intervals and dose-response prediction bands.
 
+Both score kinds follow one rule: a score is the distance of y outside
+the outcome model's base interval [lo, hi], max(lo - y, y - hi), and a
+threshold eta widens that interval to [lo - eta, hi + eta]. The base
+interval is the sorted quantile pair for cqr and the degenerate pair
+[m, m] of the conditional mean for absolute residuals.
+
 The engine is a weighted empirical quantile over calibration
 non-conformity scores plus a point mass at +infinity carried by the
 test-point weight: with calibration weights W_i and test weight w,
@@ -45,7 +51,6 @@ import numpy as np
 
 from .assignment import WeightConfig, likelihood_ratio
 from .data import Dataset, SplitIndices
-from .outcome import predict_quantile_pair
 
 __all__ = [
     "WeightedScores",
@@ -59,8 +64,7 @@ __all__ = [
     "prediction_band",
 ]
 
-SCORE_KINDS = ("absolute-residual", "cqr", "one-sided-upper", "one-sided-lower")
-_SIDED = {"one-sided-upper": "upper-only", "one-sided-lower": "lower-only"}
+SCORE_KINDS = ("absolute-residual", "cqr")
 
 
 def _tie_index(scores) -> tuple[np.ndarray, np.ndarray]:
@@ -173,16 +177,12 @@ class WeightedScores:
 
 @dataclass(frozen=True)
 class Interval:
-    """Prediction interval; bounds may be infinite, and a one-sided
-    interval carries the corresponding infinite bound."""
+    """Prediction interval; bounds may be infinite."""
 
     lower: float
     upper: float
-    sided: str = "two-sided"
 
     def __post_init__(self):
-        if self.sided not in ("two-sided", "upper-only", "lower-only"):
-            raise ValueError(f"unknown sidedness {self.sided!r}")
         if math.isnan(self.lower) or math.isnan(self.upper):
             raise ValueError("interval bounds must not be NaN")
         if self.lower > self.upper:
@@ -203,14 +203,14 @@ class PredictionBand:
 
     Per grid point, ``ess`` is the Kish effective sample size
     (sum W)^2 / sum W^2 of the calibration weights and ``p_inf`` the
-    test-atom mass w / (sum W + w); both are NaN when not supplied.
+    test-atom mass w / (sum W + w).
     """
 
     t_grid: np.ndarray
     intervals: tuple[Interval, ...]
     x: np.ndarray
-    ess: np.ndarray | None = None
-    p_inf: np.ndarray | None = None
+    ess: np.ndarray
+    p_inf: np.ndarray
 
     def __post_init__(self):
         grid = np.array(self.t_grid, dtype=float)
@@ -224,8 +224,7 @@ class PredictionBand:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "intervals", tuple(self.intervals))
         for name in ("ess", "p_inf"):
-            given = getattr(self, name)
-            arr = np.full(grid.shape, math.nan) if given is None else np.array(given, dtype=float)
+            arr = np.array(getattr(self, name), dtype=float)
             if arr.shape != grid.shape:
                 raise ValueError(f"{name} must have one value per grid point")
             arr.flags.writeable = False
@@ -244,56 +243,41 @@ class ConformalConfig:
             raise ValueError(f"score_kind must be one of {SCORE_KINDS}")
 
 
-def _quantile_pair_levels(model) -> tuple[float, float]:
+def _base_interval(model, kind: str, x, t):
+    """The model's own interval at (x, t), the one place that reads the
+    outcome model: [m, m] for absolute residuals, and for cqr the
+    quantile pair sorted to (min, max), which repairs a crossed pair."""
+    if kind == "absolute-residual":
+        m = model.mean(x, t)
+        return m, m
     if len(model.levels) != 2:
-        raise ValueError("two-sided quantile scoring needs a model with two levels")
-    return model.levels[0], model.levels[1]
+        raise ValueError("quantile scoring needs a model with two levels")
+    lo, hi = (model.quantile(x, t, level) for level in model.levels)
+    return np.minimum(lo, hi), np.maximum(lo, hi)
 
 
 def calibration_scores(model, cfg: ConformalConfig, data: Dataset, idx) -> np.ndarray:
-    """Non-conformity scores on the given rows under cfg.score_kind."""
+    """Non-conformity scores on the given rows: the distance of y outside
+    the base interval, max(lo - y, y - hi); for absolute-residual scores
+    this is |m - y| exactly, IEEE subtraction being antisymmetric."""
     idx = np.asarray(idx)
-    x, t, y = data.x[idx], data.t[idx], data.y[idx]
-    kind = cfg.score_kind
-    if kind == "absolute-residual":
-        return np.abs(model.mean(x, t) - y)
-    if kind == "cqr":
-        lo, hi = predict_quantile_pair(model, x, t, *_quantile_pair_levels(model))
-        return np.maximum(lo - y, y - hi)
-    if kind == "one-sided-upper":
-        return y - model.quantile(x, t, max(model.levels))
-    # one-sided-lower
-    return model.quantile(x, t, min(model.levels)) - y
+    y = data.y[idx]
+    lo, hi = _base_interval(model, cfg.score_kind, data.x[idx], data.t[idx])
+    return np.maximum(lo - y, y - hi)
 
 
 def score_interval(model, cfg: ConformalConfig, x, t, eta) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper bounds at the rows of (x, t) from thresholds eta.
-
-    Two-sided CQR gives [q_lo - eta, q_hi + eta] (eta may be negative,
-    shrinking the pair). If an inverted pair ever arises (possible only
-    for strongly negative eta under heteroskedastic quantile widths) it
-    collapses to its midpoint, which is empty for a continuous response.
-    One-sided kinds shift the single fitted level and leave the other
-    side infinite.
-    """
+    """Bounds [lo - eta, hi + eta] at the rows of (x, t) from thresholds
+    eta. A negative eta shrinks the pair; should it invert (only when -2 eta
+    exceeds the base width) it collapses to its midpoint, which is empty
+    for a continuous response."""
     eta = np.asarray(eta, dtype=float)
-    kind = cfg.score_kind
-    if kind == "absolute-residual":
-        m = model.mean(x, t)
-        return m - eta, m + eta
-    if kind == "one-sided-upper":
-        return np.full(eta.shape, -math.inf), model.quantile(x, t, max(model.levels)) + eta
-    if kind == "one-sided-lower":
-        return model.quantile(x, t, min(model.levels)) - eta, np.full(eta.shape, math.inf)
-    lo, hi = predict_quantile_pair(model, x, t, *_quantile_pair_levels(model))
-    lower, upper = lo - eta, hi + eta
+    lo, hi = _base_interval(model, cfg.score_kind, x, t)
+    # asarray: a single-point query gives scalars, which take no masked assignment
+    lower, upper = np.asarray(lo - eta), np.asarray(hi + eta)
     crossed = lower > upper
     lower[crossed] = upper[crossed] = 0.5 * (lower[crossed] + upper[crossed])
     return lower, upper
-
-
-def _interval(cfg: ConformalConfig, lower, upper) -> Interval:
-    return Interval(float(lower), float(upper), _SIDED.get(cfg.score_kind, "two-sided"))
 
 
 # calibration weights held per block of distinct assignments: 8192 // n_cal
@@ -372,14 +356,13 @@ def weighted_interval(
     """Weighted split-conformal interval at (x_new, t_new), with
     likelihood-ratio weights h(t) / (gps(t | x) + offset).
 
-    ``model`` is a conditional-mean model for absolute-residual scores
-    (interval [m - eta, m + eta]) and a quantile model for the CQR kinds
-    (see ``score_interval``).
+    ``model`` needs a ``mean`` for absolute-residual scores and two
+    quantile ``levels`` for cqr (see ``_base_interval``).
     """
     lower, upper, _, _ = _weighted_bounds(
         data, sp, model, gps, lambda t: h, cfg, x_new, np.array([float(t_new)]), weight_cfg
     )
-    return _interval(cfg, lower[0], upper[0])
+    return Interval(float(lower[0]), float(upper[0]))
 
 
 def prediction_band(
@@ -424,7 +407,7 @@ def prediction_band(
     )
     return PredictionBand(
         t_grid=grid,
-        intervals=tuple(_interval(cfg, lo, up) for lo, up in zip(lower, upper)),
+        intervals=tuple(Interval(float(lo), float(up)) for lo, up in zip(lower, upper)),
         x=x_new,
         ess=ess,
         p_inf=p_inf,

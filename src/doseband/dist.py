@@ -163,11 +163,15 @@ def _checked_points(x) -> np.ndarray:
     return x
 
 
+def _normal_density(x, mean, sd):
+    """Normal density at x, unchecked, for arrays of x and mean."""
+    z = (x - mean) / sd
+    return _INV_SQRT_2PI / sd * np.exp(-0.5 * z * z)
+
+
 def normal_pdf(x, p: NormalParams):
     """Normal density at x: (2*pi*var)^(-1/2) exp(-(x-mean)^2 / (2*var))."""
-    x = _checked_points(x)
-    z = (x - p.mean) / p.sd
-    return _maybe_scalar(_INV_SQRT_2PI / p.sd * np.exp(-0.5 * z * z))
+    return _maybe_scalar(_normal_density(_checked_points(x), p.mean, p.sd))
 
 
 def normal_cdf(x, p: NormalParams):

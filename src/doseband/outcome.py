@@ -6,9 +6,9 @@ The learned quantile model is linear in a caller-supplied basis over
 run on slightly jittered responses, that ends with a dual optimality
 certificate on the original ones. Oracle variants take the true
 conditional mean function plus a Normal noise variance and answer any
-level in closed form. Quantile crossing at prediction time is repaired
-by swapping the pair to (min, max); any monotone fix preserves interval
-validity.
+level in closed form. Models return each level as fitted: a crossed
+pair is repaired where ``conformal`` reads it, by sorting it to
+(min, max); any monotone fix preserves interval validity.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "pinball_loss",
     "fit_linear_pinball",
     "fit_ols_mean",
-    "predict_quantile_pair",
 ]
 
 
@@ -68,6 +67,7 @@ class OracleQuantileModel:
     levels: tuple[float, ...] = (0.05, 0.95)
 
     def __post_init__(self):
+        NormalParams(0.0, self.variance)  # rejects a non-finite or non-positive variance
         object.__setattr__(self, "levels", _check_levels(self.levels))
 
     def quantile(self, x, t, level):
@@ -258,9 +258,3 @@ def fit_ols_mean(data: Dataset, train, basis) -> OlsMeanModel:
         raise ValueError("mean design matrix is rank deficient")
     return OlsMeanModel(basis=basis, beta=beta)
 
-
-def predict_quantile_pair(model, x, t, level_lo, level_hi):
-    """Lower/upper conditional quantiles with the crossing fix applied."""
-    lo = model.quantile(x, t, level_lo)
-    hi = model.quantile(x, t, level_hi)
-    return np.minimum(lo, hi), np.maximum(lo, hi)

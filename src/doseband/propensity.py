@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .data import Dataset, query_rows
-from .dist import Rng
+from .dist import Rng, _normal_density
 
 __all__ = [
     "OlsGaussianGps",
@@ -31,19 +31,12 @@ __all__ = [
 
 VARIANCE_FLOOR = 1e-8
 
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
 
 def _design(x: np.ndarray, basis: Callable | None) -> np.ndarray:
     b = x if basis is None else np.asarray(basis(x), dtype=float)
     if b.ndim == 1:
         b = b[:, None]
     return np.column_stack([np.ones(b.shape[0]), b])
-
-
-def _gauss(t, mean, var):
-    z = (t - mean) / math.sqrt(var)
-    return _INV_SQRT_2PI / math.sqrt(var) * np.exp(-0.5 * z * z)
 
 
 @dataclass(frozen=True)
@@ -64,7 +57,7 @@ class OlsGaussianGps:
 
     def density(self, t, x):
         t, x2, scalar = query_rows(t, x)
-        out = _gauss(t, self.mean(x2), self.s2)
+        out = _normal_density(t, self.mean(x2), math.sqrt(self.s2))
         return float(out[0]) if scalar else out
 
 
@@ -82,7 +75,7 @@ class MixtureGps:
         Z = _design(x2, self.basis)
         out = np.zeros_like(t)
         for pi_k, beta_k, var_k in zip(self.mix_weights, self.betas, self.variances):
-            out += pi_k * _gauss(t, Z @ beta_k, var_k)
+            out += pi_k * _normal_density(t, Z @ beta_k, math.sqrt(var_k))
         return float(out[0]) if scalar else out
 
 
@@ -138,6 +131,11 @@ def fit_ols_gaussian(data: Dataset, train, basis: Callable | None = None) -> Ols
 
 # a mixing weight below this starves its component and collapses the start
 MIN_MIX_WEIGHT = 1e-10
+# EM tuning of fit_gaussian_mixture: seeded Dirichlet starts besides the
+# quantile split, and each start's iteration cap and relative tolerance
+N_RESTARTS = 5
+MAX_ITER = 500
+REL_TOL = 1e-8
 
 
 class _EmRun(NamedTuple):
@@ -240,9 +238,6 @@ def fit_gaussian_mixture(
     max_components: int = 2,
     basis: Callable | None = None,
     rng: Rng | None = None,
-    n_restarts: int = 5,
-    max_iter: int = 500,
-    rel_tol: float = 1e-8,
 ) -> tuple[MixtureGps, FitReport]:
     """Fit a Gaussian mixture of linear regressions, selected by BIC.
 
@@ -255,8 +250,8 @@ def fit_gaussian_mixture(
     ``RuntimeError``.
 
     For k >= 2, EM (Dempster, Laird & Rubin 1977) runs from 1 +
-    ``n_restarts`` starts at once: a deterministic residual-quantile
-    split and ``n_restarts`` seeded Dirichlet assignments, stepped
+    ``N_RESTARTS`` starts at once: a deterministic residual-quantile
+    split and ``N_RESTARTS`` seeded Dirichlet assignments, stepped
     together as one (starts, k, n) responsibility array (see
     ``_run_em``). Each start stops at its own convergence. A start
     collapses, and is dropped, when a component starves (mixing weight
@@ -282,7 +277,7 @@ def fit_gaussian_mixture(
         )
     if rng is None:
         rng = Rng(0)
-    children = rng.spawn(n_restarts)
+    children = rng.spawn(N_RESTARTS)
 
     beta, _, rank, _ = np.linalg.lstsq(Z, t, rcond=None)
     resid = t - Z @ beta
@@ -300,7 +295,7 @@ def fit_gaussian_mixture(
             fit = (loglik, np.ones(1), beta[None, :], np.ones((1, n)), True, 0)
         else:
             resp0 = np.stack([_quantile_split_init(resid, k), *draws])
-            em = _run_em(Z, t, resp0, max_iter, rel_tol)
+            em = _run_em(Z, t, resp0, MAX_ITER, REL_TOL)
             collapsed += int(em.collapsed.sum())
             if em.collapsed.all():
                 raise _all_collapsed(k)

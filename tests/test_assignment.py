@@ -38,6 +38,16 @@ class TestDensities:
         assert h.density(1.9) == 0.0
         assert h.density(6.1) == 0.0
 
+    def test_uniform_rejects_nonfinite_bounds(self):
+        # an infinite width would give density 0 everywhere, and fail only
+        # later as "weights must not all be zero"
+        inf, nan = math.inf, math.nan
+        for lower, upper in ((0.0, inf), (-inf, 0.0), (-inf, inf), (nan, 1.0), (0.0, nan)):
+            with pytest.raises(ValueError, match="bounds must be finite"):
+                UniformAssignment(lower, upper)
+        with pytest.raises(ValueError, match="lower < upper"):
+            UniformAssignment(1.0, 1.0)
+
     def test_normal_matches_dist(self):
         h = NormalAssignment(NormalParams(1.0, 0.5))
         assert h.density(0.3) == pytest.approx(

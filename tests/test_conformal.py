@@ -7,6 +7,7 @@ import pytest
 
 from doseband.assignment import NormalAssignment, UniformAssignment, WeightConfig
 from doseband.conformal import (
+    SCORE_KINDS,
     ConformalConfig,
     Interval,
     PredictionBand,
@@ -270,33 +271,6 @@ class TestWeightedIntervals:
             assert iv.lower <= lo and iv.upper >= hi
         assert iv.length == pytest.approx((hi - lo) + 2 * eta)
 
-    def test_one_sided_upper(self):
-        d, sp = self._setup()
-        model = OracleQuantileModel(
-            mean_fn=lambda x, t: x[:, 0] + t, variance=1.0, levels=(0.9,)
-        )
-        cfg = ConformalConfig(0.1, "one-sided-upper")
-        h = NormalAssignment(NormalParams(0.0, 1.0))
-        iv = weighted_interval(d, sp, model, _flat_gps(), h, cfg, np.array([0.2]), 0.4)
-        assert iv.lower == -math.inf
-        assert iv.sided == "upper-only"
-        # signed score: V = y - q_{0.9}; threshold shifts the fitted quantile
-        scores = calibration_scores(model, cfg, d, sp.cal)
-        np.testing.assert_allclose(
-            scores,
-            d.y[sp.cal] - model.quantile(d.x[sp.cal], d.t[sp.cal], 0.9),
-        )
-
-    def test_one_sided_lower(self):
-        d, sp = self._setup()
-        model = OracleQuantileModel(
-            mean_fn=lambda x, t: x[:, 0] + t, variance=1.0, levels=(0.1,)
-        )
-        cfg = ConformalConfig(0.1, "one-sided-lower")
-        h = NormalAssignment(NormalParams(0.0, 1.0))
-        iv = weighted_interval(d, sp, model, _flat_gps(), h, cfg, np.array([0.2]), 0.4)
-        assert iv.upper == math.inf and iv.sided == "lower-only"
-
     def test_infinite_eta_gives_whole_line(self):
         ws_scores = np.array([0.5, 1.0])
         d = Dataset(
@@ -318,6 +292,74 @@ class TestWeightedIntervals:
         band = prediction_band(d, sp, model, gps, lambda t: h, cfg, np.array([0.0]), -1.0, 0.0, 2)
         assert band.intervals[1] == iv
         assert math.isfinite(band.intervals[0].length)
+
+
+@dataclass(frozen=True)
+class _CrossingPinball(LinearPinballModel):
+    """A linear quantile model with a mean: its 0.5 level."""
+
+    def mean(self, x, t):
+        return self.quantile(x, t, 0.5)
+
+
+def _affine_basis(x, t):
+    return np.column_stack([np.ones(len(t)), x[:, 0], t])
+
+
+def _crossing_model():
+    # q_0.95 - q_0.05 = 0.5 - 0.8 t: the fitted levels cross where t > 0.625
+    coefs = {
+        0.05: np.array([0.0, 1.0, 1.0]),
+        0.5: np.array([0.25, 1.0, 0.6]),
+        0.95: np.array([0.5, 1.0, 0.2]),
+    }
+    return _CrossingPinball(basis=_affine_basis, coefs=coefs, levels=(0.05, 0.95))
+
+
+class TestOneScoringRule:
+    """Both score kinds: a score is the distance of y outside the model's
+    base interval, and a threshold widens that interval on each side."""
+
+    @pytest.mark.parametrize("kind", SCORE_KINDS)
+    def test_scores_and_bounds_follow_the_base_interval(self, kind):
+        gen = Rng(17).gen
+        x, t = gen.normal(size=(200, 1)), gen.normal(size=200)
+        d = Dataset(x[:, 0] + 0.5 * t + gen.normal(size=200), t, x)
+        model, cfg = _crossing_model(), ConformalConfig(0.1, kind)
+        q_lo, q_hi = model.quantile(x, t, 0.05), model.quantile(x, t, 0.95)
+        assert np.any(q_lo > q_hi) and np.any(q_lo < q_hi)
+        lo, hi = score_interval(model, cfg, x, t, 0.0)
+        if kind == "cqr":
+            np.testing.assert_array_equal(lo, np.minimum(q_lo, q_hi))
+            np.testing.assert_array_equal(hi, np.maximum(q_lo, q_hi))
+        else:
+            np.testing.assert_array_equal(lo, model.mean(x, t))
+            np.testing.assert_array_equal(hi, lo)
+        scores = calibration_scores(model, cfg, d, np.arange(d.n))
+        np.testing.assert_array_equal(scores, np.maximum(lo - d.y, d.y - hi))
+        if kind == "absolute-residual":
+            np.testing.assert_array_equal(scores, np.abs(lo - d.y))
+        eta = np.linspace(0.1, 2.0, d.n)
+        lower, upper = score_interval(model, cfg, x, t, eta)
+        np.testing.assert_array_equal(lower, lo - eta)
+        np.testing.assert_array_equal(upper, hi + eta)
+
+    @pytest.mark.parametrize("kind", SCORE_KINDS)
+    def test_single_point_query_gives_the_row_bounds(self, kind):
+        model, cfg, x = _crossing_model(), ConformalConfig(0.1, kind), np.array([0.2])
+        # crossed and uncrossed quantiles, widened, shrunk and inverted (midpoint)
+        for t, eta in ((0.4, 1.5), (1.0, 0.3), (2.0, -0.5), (0.4, -1.0), (0.0, math.inf)):
+            lo, hi = score_interval(model, cfg, x, t, eta)
+            rows = score_interval(model, cfg, x[None], np.array([t]), np.array([eta]))
+            assert (float(lo), float(hi)) == (rows[0][0], rows[1][0])
+            assert lo <= hi
+
+    def test_cqr_needs_two_levels(self):
+        model = LinearPinballModel(
+            basis=lambda x, t: np.ones((len(t), 1)), coefs={0.9: np.zeros(1)}, levels=(0.9,)
+        )
+        with pytest.raises(ValueError, match="two levels"):
+            score_interval(model, ConformalConfig(0.1, "cqr"), np.array([0.0]), 0.0, 1.0)
 
 
 class TestPredictionBand:
@@ -538,9 +580,6 @@ class TestBlockedBand:
             assert band.ess[k] == pytest.approx(W.sum() ** 2 / np.sum(W**2), rel=1e-12)
             assert band.p_inf[k] == pytest.approx(w / (W.sum() + w), rel=1e-12)
         assert np.all((band.ess >= 1.0) & (band.ess <= len(t_cal)))
-        # a band built without diagnostics reads NaN for them
-        bare = PredictionBand(band.t_grid, band.intervals, band.x)
-        assert np.all(np.isnan(bare.ess)) and np.all(np.isnan(bare.p_inf))
 
     def test_vanishing_gps_names_the_calibration_treatment(self):
         import re
@@ -599,4 +638,6 @@ class TestIntervalType:
                 t_grid=np.array([1.0, 0.5]),
                 intervals=(Interval(0, 1), Interval(0, 1)),
                 x=np.array([0.0]),
+                ess=np.ones(2),
+                p_inf=np.zeros(2),
             )

@@ -5,6 +5,7 @@ import pytest
 
 from doseband import outcome
 from doseband.adrf import AdrfEstimate, bootstrap_ci
+from doseband.conformal import ConformalConfig, score_interval
 from doseband.data import Dataset
 from doseband.dist import NormalParams, Rng, normal_quantile
 from doseband.outcome import (
@@ -14,7 +15,6 @@ from doseband.outcome import (
     fit_linear_pinball,
     fit_ols_mean,
     pinball_loss,
-    predict_quantile_pair,
 )
 
 Z95 = 1.6448536269514722
@@ -53,9 +53,14 @@ class TestOracle:
         for _ in range(10):
             x = gen.normal(size=3)
             t = gen.normal()
-            lo, hi = predict_quantile_pair(model, x, t, 0.05, 0.95)
+            lo, hi = score_interval(model, ConformalConfig(0.1), x, t, 0.0)
             assert hi - lo == pytest.approx(2.0 * Z95 * 3.0, abs=1e-9)
         assert 2.0 * Z95 * 3.0 == pytest.approx(9.8691, abs=1e-4)
+
+    def test_variance_must_be_positive_and_finite(self):
+        for variance in (0.0, -4.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite|positive"):
+                OracleQuantileModel(mean_fn=s1_mean, variance=variance)
 
     def test_shift_is_the_normal_quantile_for_each_level_and_variance(self):
         x = Rng(2).gen.normal(size=(5, 3))
@@ -147,8 +152,8 @@ class TestLinearPinball:
             coefs={0.05: np.array([10.0, 0, 0, 0]), 0.95: np.array([-10.0, 0, 0, 0])},
             levels=(0.05, 0.95),
         )
-        lo, hi = predict_quantile_pair(model, np.array([0.0, 0.0]), 0.0, 0.05, 0.95)
-        assert lo <= hi
+        lo, hi = score_interval(model, ConformalConfig(0.1), np.array([0.0, 0.0]), 0.0, 0.0)
+        assert (lo, hi) == (-10.0, 10.0)
 
 
 def _lp_optimum(Z, y, level):

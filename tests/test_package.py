@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import doseband
+from doseband import conformal, sim
 
 tomllib = pytest.importorskip("tomllib")
 
@@ -32,6 +33,11 @@ def test_every_exported_name_resolves():
         assert not stale, f"doseband.{info.name}.__all__ names missing attributes: {stale}"
         checked += len(getattr(module, "__all__", ()))
     assert checked > 0
+
+
+def test_every_score_kind_has_a_study_design():
+    # a score kind stays only while a simulation design scores with it
+    assert set(conformal.SCORE_KINDS) == {d.score for d in sim._DESIGNS.values()}
 
 
 def test_no_module_calls_np_vectorize():

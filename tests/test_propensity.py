@@ -135,9 +135,9 @@ class TestMixtureEm:
 
     def test_report_counts_iterations_and_collapsed_starts(self):
         d = _two_component_data(1000, 12)
-        _, report = fit_gaussian_mixture(d, np.arange(d.n), max_components=2, rng=Rng(6), max_iter=400)
+        _, report = fit_gaussian_mixture(d, np.arange(d.n), max_components=2, rng=Rng(6))
         assert report.n_components == 2 and report.converged
-        assert isinstance(report.iterations, int) and 2 <= report.iterations < 400
+        assert isinstance(report.iterations, int) and 2 <= report.iterations < propensity.MAX_ITER
         assert report.collapsed_starts == 0
         # the one-component fit is closed form: no EM iterations
         _, report = fit_gaussian_mixture(self._single_gaussian_data(n=400), np.arange(400), max_components=1)
