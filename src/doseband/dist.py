@@ -265,7 +265,7 @@ def _std_normal_quantile(prob: np.ndarray) -> np.ndarray:
 
     # One Newton step; x <= 0 here so the erfc form of the CDF is accurate.
     cdf = 0.5 * _erfc(-x / _SQRT2)
-    pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+    pdf = _normal_density(x, 0.0, 1.0)
     step = np.zeros_like(x)
     ok = pdf > 0.0
     step[ok] = (cdf[ok] - q[ok]) / pdf[ok]

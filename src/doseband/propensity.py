@@ -163,8 +163,18 @@ def _run_em(Z, t, resp0, max_iter, rel_tol) -> _EmRun:
     weighted normal equations of every start and component at once from
     a table of the per-row products Z_i Z_i^T and Z_i t_i; the design
     counts as rank deficient when the Gram matrix's eigenvalue ratio is
-    at or below lstsq's default cutoff eps * max(n, q). A start's
-    history is non-decreasing by the EM monotonicity property.
+    at or below lstsq's default cutoff eps * max(n, q). ``Z`` is a
+    ``_design`` matrix, so its first column is the intercept and the
+    table's first column, Z_i0 Z_i0, is 1: the mixing weights are read
+    from those weighted sums instead of summing the responsibilities.
+
+    Starts do not interact: every operation acts on each start's own
+    slice, so a start's iterates are those of its own one-start run.
+    While every start is still running, the loop works on the full
+    responsibility array; the running starts are gathered by index only
+    once one has stopped or collapsed. ``history`` has one row per
+    iteration up to the longest run, (iterations.max(), starts), and a
+    start's column is non-decreasing by the EM monotonicity property.
     """
     n_starts, k, n = resp0.shape
     q = Z.shape[1]
@@ -178,31 +188,43 @@ def _run_em(Z, t, resp0, max_iter, rel_tol) -> _EmRun:
     converged = np.zeros(n_starts, dtype=bool)
     collapsed = np.zeros(n_starts, dtype=bool)
     iterations = np.zeros(n_starts, dtype=int)
-    history = []
+    history = np.full((max_iter, n_starts), np.nan)
     run = np.arange(n_starts)
-    while run.size and len(history) < max_iter:
-        r = resp[run]
-        pi = r.sum(axis=2) / n
+    it = 0
+    while run.size and it < max_iter:
+        r = resp if run.size == n_starts else resp[run]
         sums = (r.reshape(-1, n) @ moments).reshape(run.size, k, q * q + q)
+        pi = sums[..., 0] / n
         gram = sums[..., : q * q].reshape(run.size, k, q, q)
         eig = np.linalg.eigvalsh(gram)
         ok = np.all((pi >= MIN_MIX_WEIGHT) & (eig[..., 0] > cutoff * eig[..., -1]), axis=1)
-        collapsed[run[~ok]] = True
-        run, r, pi, gram, sums = run[ok], r[ok], pi[ok], gram[ok], sums[ok]
+        if not ok.all():
+            collapsed[run[~ok]] = True
+            run, r, pi, gram, sums = run[ok], r[ok], pi[ok], gram[ok], sums[ok]
         beta = np.linalg.solve(gram, sums[..., q * q :, None])[..., 0]
-        e = t - (beta.reshape(-1, q) @ Z.T).reshape(r.shape)
-        var = (r * e * e).sum(axis=2) / (pi * n)
+        e2 = (beta.reshape(-1, q) @ Z.T).reshape(r.shape)
+        np.subtract(t, e2, out=e2)
+        e2 *= e2
+        var = np.einsum("skn,skn->sk", r, e2) / (pi * n)
         ok = np.all(var >= VARIANCE_FLOOR, axis=1)
-        collapsed[run[~ok]] = True
-        run, pi, beta, e, var = run[ok], pi[ok], beta[ok], e[ok], var[ok]
+        if not ok.all():
+            collapsed[run[~ok]] = True
+            run, pi, beta, e2, var = run[ok], pi[ok], beta[ok], e2[ok], var[ok]
 
-        z = e / np.sqrt(var)[..., None]
-        log_comp = np.log(pi)[..., None] - 0.5 * z * z - 0.5 * np.log(2 * np.pi * var)[..., None]
-        top = log_comp.max(axis=1, keepdims=True)
-        dens = np.exp(log_comp - top)
-        total = dens.sum(axis=1, keepdims=True)
+        # E-step: log pi - log(2 pi var) / 2 - e^2 / (2 var), normalised
+        # over the components by log-sum-exp, all in e2's buffer
+        e2 *= (-0.5 / var)[..., None]
+        e2 += (np.log(pi) - 0.5 * np.log(2.0 * np.pi * var))[..., None]
+        top = e2.max(axis=1, keepdims=True)
+        e2 -= top
+        np.exp(e2, out=e2)
+        total = e2.sum(axis=1, keepdims=True)
         ll = (top + np.log(total)).sum(axis=(1, 2))
-        resp[run] = dens / total
+        e2 /= total
+        if run.size == n_starts:
+            resp = e2
+        else:
+            resp[run] = e2
         pis[run], betas[run] = pi, beta
         iterations[run] += 1
 
@@ -210,12 +232,12 @@ def _run_em(Z, t, resp0, max_iter, rel_tol) -> _EmRun:
         done = (prev > -np.inf) & (np.abs(ll - prev) <= rel_tol * (1.0 + np.abs(prev)))
         loglik[run] = ll
         converged[run[done]] = True
-        row = np.full(n_starts, np.nan)
-        row[run] = ll
-        history.append(row)
+        history[it, run] = ll
+        it += 1
         run = run[~done]
     loglik[collapsed] = -np.inf
-    return _EmRun(loglik, pis, betas, resp, converged, collapsed, iterations, np.array(history))
+    history = history[: iterations.max(initial=0)]
+    return _EmRun(loglik, pis, betas, resp, converged, collapsed, iterations, history)
 
 
 def _quantile_split_init(resid, k):
@@ -267,6 +289,8 @@ def fit_gaussian_mixture(
     report gives the selected fit's EM iterations (0 for k = 1) and the
     number of starts that collapsed over every k.
     """
+    if not isinstance(max_components, (int, np.integer)) or max_components < 1:
+        raise ValueError("max_components must be a positive integer")
     train = np.asarray(train)
     Z = _design(data.x[train], basis)
     t = data.t[train]

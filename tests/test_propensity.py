@@ -187,6 +187,41 @@ class TestMixtureEm:
         with pytest.raises(ValueError, match="training rows"):
             fit_gaussian_mixture(d, np.arange(d.n), max_components=2)
 
+    @pytest.mark.parametrize("max_components", [0, -1, 2.5])
+    def test_max_components_must_be_positive_integer(self, max_components):
+        d = self._single_gaussian_data(n=400)
+        with pytest.raises(ValueError, match="max_components must be a positive integer"):
+            fit_gaussian_mixture(d, np.arange(d.n), max_components=max_components)
+
+    def test_batched_start_equals_its_solo_run(self):
+        # the four starts stop at different iterations, so the batch moves
+        # from the all-running path to the indexed one part way through
+        d = _two_component_data(1000, 12)
+        Z = _design(d.x, None)
+        starts = [_quantile_split_init(_ols_residual(Z, d.t), 2)]
+        starts += [Rng(seed).gen.dirichlet(np.ones(2), size=d.n).T for seed in (1, 2, 3)]
+        em = _run_em(Z, d.t, np.stack(starts), propensity.MAX_ITER, propensity.REL_TOL)
+        assert len(set(em.iterations.tolist())) > 1 and em.converged.all()
+        for i, start in enumerate(starts):
+            alone = _run_em(Z, d.t, start[None], propensity.MAX_ITER, propensity.REL_TOL)
+            assert em.iterations[i] == alone.iterations[0]
+            assert em.loglik[i] == pytest.approx(alone.loglik[0], rel=1e-12, abs=0.0)
+            history = em.history[:, i]
+            np.testing.assert_allclose(history[~np.isnan(history)], alone.history[:, 0], rtol=1e-12, atol=0.0)
+
+    def test_history_is_two_dimensional(self):
+        d = _two_component_data(1000, 12)
+        Z = _design(d.x, None)
+        healthy = np.stack([Rng(seed).gen.dirichlet(np.ones(2), size=d.n).T for seed in (1, 2, 3)])
+        starved = np.vstack([np.ones(d.n), np.zeros(d.n)])[None]
+        em = _run_em(Z, d.t, healthy, 0, propensity.REL_TOL)
+        assert em.history.shape == (0, 3) and not em.iterations.any()
+        em = _run_em(Z, d.t, healthy, propensity.MAX_ITER, propensity.REL_TOL)
+        assert em.history.shape == (em.iterations.max(), 3)
+        assert not np.isnan(em.history[-1]).all()
+        em = _run_em(Z, d.t, starved, propensity.MAX_ITER, propensity.REL_TOL)
+        assert em.collapsed.all() and em.history.shape == (0, 1)
+
 
 # fit_gaussian_mixture on a fixed seed -> (n_components, log_likelihood,
 # mix_weights, betas, variances), recorded with the per-start,
@@ -228,6 +263,34 @@ def test_em_fixed_seed_fingerprint(key):
     assert report.log_likelihood == pytest.approx(loglik, rel=1e-8, abs=0.0)
     for got, want in ((model.mix_weights, mix_weights), (model.betas, betas), (model.variances, variances)):
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-6)
+
+
+# The k = 2 EM of an s1 fit that runs every start to MAX_ITER without
+# converging, after which BIC selects k = 1 (so EM_FINGERPRINTS cannot
+# see it): final log-likelihood of each start, quantile split first.
+CAPPED_EM_LOGLIKS = {
+    1: [-1474.9647040103328, -1475.0047450631505, -1475.0083238059551,
+        -1474.9926016254328, -1475.0297218937858, -1475.005084447231],
+    2: [-1450.6406221063323, -1452.172052305978, -1452.1927969379126,
+        -1452.1771230074296, -1452.1831616430395, -1452.1789934191097],
+}
+
+
+@pytest.mark.parametrize("seed", list(CAPPED_EM_LOGLIKS))
+def test_capped_s1_em_runs_every_start_to_the_cap(seed, monkeypatch):
+    runs = []
+
+    def spy(*args, **kwargs):
+        runs.append(_run_em(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(propensity, "_run_em", spy)
+    _, report = _fingerprint_fit(("s1", seed, 2))
+    assert report.n_components == 1 and len(runs) == 1
+    em = runs[0]
+    assert em.iterations.tolist() == [propensity.MAX_ITER] * 6
+    assert not em.converged.any() and not em.collapsed.any()
+    np.testing.assert_allclose(em.loglik, CAPPED_EM_LOGLIKS[seed], rtol=1e-9, atol=0.0)
 
 
 class TestDensities:
