@@ -120,13 +120,25 @@ def pinball_loss(u: np.ndarray, level: float) -> float:
     return float(np.mean(u * (level - (u < 0.0))))
 
 
+# breakpoints sorted per exchange before a full sort; in the trunc-*
+# studies a walk crosses a median of 3 and 2% of walks cross more than 32
+_WALK = 32
+
+
 def _initial_active_set(Z, u, level):
     """q linearly independent rows whose residuals u lie nearest the
     residuals' level-quantile."""
     q = Z.shape[1]
+    dist = np.abs(u - np.quantile(u, level))
+    near = np.argpartition(dist, q - 1)[:q]
+    near = near[np.argsort(dist[near])]
+    # the greedy scan below keeps all q nearest rows when they are
+    # independent, since every subset of independent rows is independent
+    if np.linalg.matrix_rank(Z[near]) == q:
+        return near
     active: list[int] = []
     rows: list[np.ndarray] = []
-    for i in np.argsort(np.abs(u - np.quantile(u, level))):
+    for i in np.argsort(dist):
         cand = rows + [Z[i]]
         if np.linalg.matrix_rank(np.array(cand)) == len(cand):
             active.append(int(i))
@@ -136,6 +148,13 @@ def _initial_active_set(Z, u, level):
     if len(active) < q:
         raise ValueError("pinball design matrix is rank deficient")
     return np.array(active, dtype=int)
+
+
+def _crossing(rate, slopes):
+    """First k at which rate + slopes[0] + ... + slopes[k], summed left to
+    right, is nonnegative, or -1."""
+    hit = np.flatnonzero(np.cumsum(np.concatenate(([rate], slopes)))[1:] >= 0.0)
+    return int(hit[0]) if hit.size else -1
 
 
 def _vertex_polish(Z, y, level, beta, max_exchanges=200, dual_slack=1e-9):
@@ -148,15 +167,21 @@ def _vertex_polish(Z, y, level, beta, max_exchanges=200, dual_slack=1e-9):
     sign of its residual. A minimizer interpolates q rows (Koenker &
     Bassett 1978). Starting from the q rows whose residuals lie nearest
     their level-quantile, solve that interpolation, recover the basic
-    dual from stationarity and check psi_j in [tau - 1, tau]. While an entry
+    dual from stationarity and check psi_j in [tau - 1, tau]; the
+    inactive duals enter that solve as one product psi @ Z with the
+    active entries zeroed, so no rows of Z are copied. While an entry
     escapes its box, move along the corresponding edge, walking
     breakpoints (each adds |z_i d| to the directional derivative) until
     the derivative turns nonnegative, and exchange rows; each exchange
-    lowers the jittered objective. Once the box holds, psi is dual
-    feasible for the unjittered rows as well, and the vertex they give
-    is certified when its duality gap is at most ``dual_slack`` times
-    its objective. Returns the last vertex and whether its certificate
-    held.
+    lowers the jittered objective. The walk sorts only the ``_WALK``
+    nearest breakpoints and sums their slopes by a cumulative sum, in
+    the order a one-by-one walk adds them; only when those do not turn
+    the derivative does it sort every breakpoint. Once the box holds,
+    psi is dual feasible for the unjittered rows as well, and the
+    vertex they give is certified when its duality gap is at most
+    ``dual_slack`` times its objective. ``max_exchanges`` bounds the
+    number of exchanges; the vertex the last one reaches is checked too.
+    Returns the last vertex and whether its certificate held.
     """
     n, q = Z.shape
     # the descent fits the start's residuals r by a correction to beta, so
@@ -167,14 +192,12 @@ def _vertex_polish(Z, y, level, beta, max_exchanges=200, dual_slack=1e-9):
     size = math.sqrt(np.finfo(float).eps * float(np.max(np.abs(r))) * float(np.mean(np.abs(r))) / n)
     jittered = r + size * Rng(0).gen.random(n)
     active = _initial_active_set(Z, jittered, level)
-    for _ in range(max_exchanges):
+    for exchanges in range(max_exchanges + 1):
         ZA = Z[active]
         u = jittered - Z @ np.linalg.solve(ZA, jittered[active])
-        inactive = np.ones(n, dtype=bool)
-        inactive[active] = False
         psi = np.where(u >= 0.0, level, level - 1.0)
-        g = Z[inactive].T @ psi[inactive]
-        psi[active] = np.linalg.solve(ZA.T, -g)
+        psi[active] = 0.0
+        psi[active] = np.linalg.solve(ZA.T, -(psi @ Z))
         over = psi[active] - level
         under = (level - 1.0) - psi[active]
         worst = np.maximum(over, under)
@@ -185,30 +208,34 @@ def _vertex_polish(Z, y, level, beta, max_exchanges=200, dual_slack=1e-9):
             u = r - Z @ step
             loss = u * (level - (u < 0.0))
             return beta + step, float(np.sum(loss - psi * u)) <= dual_slack * float(np.sum(loss))
+        if exchanges == max_exchanges:
+            break
         # leave the j-th active row along the edge that keeps the other
         # active residuals at zero; psi above tau means the objective
         # falls when u_j turns positive, below tau - 1 when negative
         d = np.linalg.solve(ZA, np.eye(q)[j])
         if over[j] >= under[j]:
             d = -d
-        rate = -worst[j]
         zd = Z @ d
+        slope = np.abs(zd)
         with np.errstate(divide="ignore", invalid="ignore"):
-            steps = np.where(np.abs(zd) > 1e-300, u / zd, np.inf)
-        steps[active] = np.inf
-        steps[steps <= 0.0] = np.inf
-        order = np.argsort(steps)
-        enter = -1
-        for i in order:
-            if not np.isfinite(steps[i]):
-                break
-            rate += abs(zd[i])
-            enter = int(i)
-            if rate >= 0.0:
-                break
-        if enter < 0 or rate < 0.0:
+            steps = u / zd
+        ahead = (steps > 0.0) & (steps < np.inf) & (slope > 1e-300)
+        ahead[active] = False
+        ahead = np.flatnonzero(ahead)
+        steps = steps[ahead]
+        if steps.size > _WALK:
+            near = np.argpartition(steps, _WALK - 1)[:_WALK]
+            order = near[np.argsort(steps[near])]
+        else:
+            order = np.argsort(steps)
+        k = _crossing(-worst[j], slope[ahead[order]])
+        if k < 0 and steps.size > _WALK:
+            order = np.argsort(steps)
+            k = _crossing(-worst[j], slope[ahead[order]])
+        if k < 0:
             break  # numerically unbounded edge; certify failure below
-        active[j] = enter
+        active[j] = ahead[order[k]]
     return beta + np.linalg.solve(Z[active], r[active]), False
 
 

@@ -394,7 +394,11 @@ def run_study(
     length of the interval at each shifted test point.
 
     ``test_atom`` selects the threshold construction; see the module
-    docstring. The default reproduces the published study tables."""
+    docstring. The default reproduces the published study tables.
+
+    A learned setup whose pinball fit cannot be certified optimal raises
+    ``outcome.PinballFitError``, which carries the best objective the fit
+    reached; the study stops there rather than skip the replication."""
     (rows,) = _study(scenario, replications, rng, test_atom, [_DESIGNS[scenario.id].shift])
     return _aggregate(rows, replications)
 

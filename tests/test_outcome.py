@@ -192,6 +192,13 @@ def _pinball_design(kind, n=300, seed=3):
     return d
 
 
+def _offset_grid():
+    """500 rows on few distinct integer x, with integer y."""
+    gen = Rng(0).gen
+    x = gen.integers(0, 4, size=(500, 3)).astype(float)
+    return x, np.round(1.0 + x.sum(axis=1) + gen.normal(size=500))
+
+
 class TestPinballOptimum:
     @pytest.mark.parametrize("level", [0.025, 0.5, 0.95])
     @pytest.mark.parametrize("kind", ["continuous", "discrete", "integer", "bootstrap"])
@@ -209,9 +216,7 @@ class TestPinballOptimum:
         # many copies of few distinct rows, with y near 1e6: the jitter must
         # still exceed the residuals' rounding error; the intercept absorbs
         # the offset, so the optimum is the unshifted one
-        gen = Rng(0).gen
-        x = gen.integers(0, 4, size=(500, 3)).astype(float)
-        y = np.round(1.0 + x.sum(axis=1) + gen.normal(size=500))
+        x, y = _offset_grid()
         basis = lambda xx, tt: np.column_stack([np.ones(len(tt)), xx])
         Z = basis(x, np.zeros(500))
         losses = []
@@ -220,6 +225,83 @@ class TestPinballOptimum:
             beta = fit_linear_pinball(d, np.arange(500), level, basis)
             losses.append(pinball_loss(d.y - Z @ beta, level))
         assert abs(losses[1] - losses[0]) <= 1e-9 * losses[0]
+
+
+def _greedy_active_set(Z, u, level):
+    """Reference scan: rows by distance of u to its level-quantile, each
+    kept when it is independent of the rows kept before it."""
+    kept = []
+    for i in np.argsort(np.abs(u - np.quantile(u, level))):
+        if np.linalg.matrix_rank(Z[kept + [i]]) == len(kept) + 1:
+            kept.append(int(i))
+            if len(kept) == Z.shape[1]:
+                break
+    return np.array(kept)
+
+
+def _descent_designs():
+    """(Z, y) of every _pinball_design kind, and the large-offset grid."""
+    for kind in ("continuous", "discrete", "integer", "bootstrap"):
+        d = _pinball_design(kind)
+        yield _affine_xt(d.x, d.t), d.y
+    x, y = _offset_grid()
+    Z = np.column_stack([np.ones(500), x])
+    for shift in (0.0, 1e6):
+        yield Z, y + shift
+
+
+class TestVertexDescent:
+    def test_budget_counts_exchanges(self):
+        # this fit needs 6 exchanges; the vertex the 6th reaches is checked
+        d = _pinball_design("continuous")
+        Z = _affine_xt(d.x, d.t)
+        ols = np.linalg.lstsq(Z, d.y, rcond=None)[0]
+        certified = [outcome._vertex_polish(Z, d.y, 0.1, ols, max_exchanges=m)[1] for m in (0, 5, 6)]
+        assert certified == [False, False, True]
+        # with no exchange allowed, a start already at the optimum certifies
+        optimum = outcome._vertex_polish(Z, d.y, 0.1, ols)[0]
+        beta, certified = outcome._vertex_polish(Z, d.y, 0.1, optimum, max_exchanges=0)
+        assert certified
+        np.testing.assert_allclose(beta, optimum, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("level", [0.025, 0.5, 0.95])
+    def test_full_sort_fallback_reaches_the_same_vertex(self, level, monkeypatch):
+        starts = [(Z, y, np.linalg.lstsq(Z, y, rcond=None)[0]) for Z, y in _descent_designs()]
+        fits = [outcome._vertex_polish(Z, y, level, ols) for Z, y, ols in starts]
+        walked = []
+        crossing = outcome._crossing
+
+        def recorded(rate, slopes):
+            walked.append(len(slopes))
+            return crossing(rate, slopes)
+
+        monkeypatch.setattr(outcome, "_WALK", 1)
+        monkeypatch.setattr(outcome, "_crossing", recorded)
+        for (Z, y, ols), (beta, certified) in zip(starts, fits):
+            fallback = outcome._vertex_polish(Z, y, level, ols)
+            np.testing.assert_array_equal(fallback[0], beta)
+            assert fallback[1] == certified
+        assert max(walked) > 1  # some walk crossed more than one breakpoint: the full sort ran
+
+    @pytest.mark.parametrize("level", [0.025, 0.5, 0.95])
+    def test_initial_set_is_the_greedy_scan(self, level):
+        for Z, y in _descent_designs():
+            # the descent passes jittered residuals, which have no ties
+            u = y - Z @ np.linalg.lstsq(Z, y, rcond=None)[0] + 1e-9 * Rng(1).gen.random(len(y))
+            np.testing.assert_array_equal(outcome._initial_active_set(Z, u, level), _greedy_active_set(Z, u, level))
+
+    def test_initial_set_skips_dependent_nearest_rows(self):
+        d = _pinball_design("continuous")
+        Z = _affine_xt(d.x, d.t)
+        u = d.y - Z @ np.linalg.lstsq(Z, d.y, rcond=None)[0]
+        nearest = np.argsort(np.abs(u - np.quantile(u, 0.5)))
+        Z[nearest[1]] = Z[nearest[0]]
+        assert np.linalg.matrix_rank(Z[nearest[:4]]) < 4
+        active = outcome._initial_active_set(Z, u, 0.5)
+        np.testing.assert_array_equal(active, _greedy_active_set(Z, u, 0.5))
+        assert nearest[1] not in active
+        with pytest.raises(ValueError, match="pinball design matrix is rank deficient"):
+            outcome._initial_active_set(np.column_stack([Z, Z[:, 1]]), u, 0.5)
 
 
 class TestUncertifiedFit:

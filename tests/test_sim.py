@@ -4,8 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from doseband import sim
+from doseband import outcome, sim
 from doseband.dist import Rng
+from doseband.outcome import PinballFitError
 from doseband.propensity import CallableGps
 
 SEED = 7
@@ -198,6 +199,13 @@ def test_aggregate_all_or_all_but_one_lengths_infinite():
         res = sim._aggregate(one_finite, REPLICATIONS)
         assert res.length_mean == 12.5 and math.isnan(res.length_se)
         assert res.coverage_mean == pytest.approx(0.99)
+
+
+def test_uncertified_pinball_fit_fails_the_study(monkeypatch):
+    monkeypatch.setattr(outcome, "_vertex_polish", lambda Z, y, level, beta: (beta, False))
+    with pytest.raises(PinballFitError) as info:
+        sim.run_study(sim.make_scenario("trunc-homo", n=1000), REPLICATIONS, Rng(SEED))
+    assert info.value.best_objective > 0.0
 
 
 class TestScenario:
