@@ -37,6 +37,8 @@ def query_rows(t, x):
     scalar = x.ndim == 1
     x2 = x[None, :] if scalar else x
     t = np.asarray(t, dtype=float)
+    if t.ndim > 1 or x.ndim not in (1, 2):
+        raise ValueError(f"need a scalar or 1-d t and a 1-d or 2-d x, got {t.shape} and {x.shape}")
     if t.ndim == 0:
         t = np.full(x2.shape[0], float(t))
     if t.shape[0] != x2.shape[0]:
@@ -81,10 +83,6 @@ class Dataset:
     @property
     def p(self) -> int:
         return self.x.shape[1]
-
-    def subset(self, idx) -> "Dataset":
-        idx = np.asarray(idx)
-        return Dataset(self.y[idx], self.t[idx], self.x[idx])
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ __all__ = [
     "TruncatedNormalParams",
     "Rng",
     "normal_pdf",
-    "normal_cdf",
     "normal_quantile",
 ]
 
@@ -174,17 +173,6 @@ def normal_pdf(x, p: NormalParams):
     return _maybe_scalar(_normal_density(_checked_points(x), p.mean, p.sd))
 
 
-def normal_cdf(x, p: NormalParams):
-    """Normal CDF at x, computed through erfc for accuracy in both tails.
-
-    No package code calls it: it is the reference the ``normal_quantile``
-    tests compare against (round trips and accuracy in CDF terms).
-    """
-    x = _checked_points(x)
-    z = (x - p.mean) / p.sd
-    return _maybe_scalar(0.5 * _erfc(-z / _SQRT2))
-
-
 def _rational(v: np.ndarray, num: tuple, den: tuple) -> np.ndarray:
     """num(v) / den(v) by Horner's rule, in the coefficient layout above."""
     p = num[0] * v
@@ -237,6 +225,10 @@ def _erfc(x) -> np.ndarray:
     return np.where(x < 0.0, 2.0 - out, out)
 
 
+def _std_lower_tail(z: np.ndarray) -> np.ndarray:
+    return 0.5 * _erfc(-z / _SQRT2)
+
+
 def _std_normal_quantile(prob: np.ndarray) -> np.ndarray:
     """Inverse standard-normal CDF: Acklam's approximation + one Newton step.
 
@@ -264,7 +256,7 @@ def _std_normal_quantile(prob: np.ndarray) -> np.ndarray:
         ) * u / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
 
     # One Newton step; x <= 0 here so the erfc form of the CDF is accurate.
-    cdf = 0.5 * _erfc(-x / _SQRT2)
+    cdf = _std_lower_tail(x)
     pdf = _normal_density(x, 0.0, 1.0)
     step = np.zeros_like(x)
     ok = pdf > 0.0
@@ -274,15 +266,11 @@ def _std_normal_quantile(prob: np.ndarray) -> np.ndarray:
 
 
 def normal_quantile(prob, p: NormalParams):
-    """Value q with normal_cdf(q) = prob; prob strictly inside (0, 1)."""
+    """Quantile of Normal(mean, variance) at prob; prob strictly inside (0, 1)."""
     prob = np.asarray(prob, dtype=float)
     if not np.all((prob > 0.0) & (prob < 1.0)):
         raise ValueError("prob must lie strictly inside (0, 1)")
     return _maybe_scalar(p.mean + p.sd * _std_normal_quantile(prob))
-
-
-def _std_lower_tail(z: np.ndarray) -> np.ndarray:
-    return 0.5 * _erfc(-z / _SQRT2)
 
 
 def _log_std_lower_tail(z: np.ndarray) -> np.ndarray:
@@ -299,7 +287,7 @@ def _log_std_lower_tail(z: np.ndarray) -> np.ndarray:
         )
     rest = ~deep
     if rest.any():
-        out[rest] = np.log(0.5 * _erfc(-z[rest] / _SQRT2))
+        out[rest] = np.log(_std_lower_tail(z[rest]))
     return out
 
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from doseband.data import Dataset, SplitIndices, read_csv, split, write_csv
+from doseband.data import Dataset, SplitIndices, query_rows, read_csv, split, write_csv
 from doseband.dist import Rng
+from doseband.propensity import OlsGaussianGps
 
 
 def _toy(n=20, p=3, seed=0):
@@ -28,11 +29,20 @@ class TestDataset:
         with pytest.raises(ValueError):
             d.y[0] = 99.0
 
-    def test_subset(self):
-        d = _toy(10)
-        s = d.subset([1, 3, 5])
-        assert s.n == 3
-        np.testing.assert_array_equal(s.t, d.t[[1, 3, 5]])
+
+class TestQueryRows:
+    def test_rejects_2d_t_and_a_scalar_or_3d_x(self):
+        with pytest.raises(ValueError, match=r"got \(3, 1\) and \(3, 2\)"):
+            query_rows(np.zeros((3, 1)), np.ones((3, 2)))
+        for x in (np.float64(1.0), np.ones((3, 2, 1))):
+            with pytest.raises(ValueError, match="1-d or 2-d x"):
+                query_rows(np.zeros(3), x)
+
+    def test_model_rejects_column_t_instead_of_broadcasting(self):
+        gps = OlsGaussianGps(beta=np.array([0.0, 1.0, 1.0]), s2=1.0)
+        with pytest.raises(ValueError, match="1-d t"):
+            gps.density(np.zeros((3, 1)), np.ones((3, 2)))
+        assert gps.density(np.zeros(3), np.ones((3, 2))).shape == (3,)
 
 
 class TestSplit:
