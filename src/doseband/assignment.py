@@ -23,7 +23,8 @@ from __future__ import annotations
 import bisect
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -89,47 +90,83 @@ class UniformAssignment:
         return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
 class DecileMidpointAssignment:
     """Normal numerator centered at the midpoint of t_star's decile.
 
     Treatments outside t_star's decile get k times the same density.
-    t_star's decile and the numerator are resolved once, at construction.
     Two instances compare and hash equal exactly when their densities
     are the same: same boundaries, s2, k and decile of t_star, whatever
     t_star is within that decile. A prediction band relies on this to
     calibrate once per decile rather than once per grid point.
+
+    A band builds one instance per grid point and keeps one per decile,
+    so construction is lean: it validates the inputs and resolves
+    t_star's decile from one list of the boundaries, with no array copy,
+    and hashes the key once. The owned read-only ``boundaries`` array
+    and the Normal numerator are built on first use. Instances are
+    immutable. Unlike the other assignments this is a plain class: a
+    dataclass field cannot be built lazily, and a frozen dataclass's
+    per-field ``object.__setattr__`` made each construction about 1 µs
+    slower.
     """
 
-    boundaries: np.ndarray = field(compare=False)  # 11 increasing reals
-    s2: float = field(compare=False)
-    t_star: float = field(compare=False)
-    k: float = field(default=1.0, compare=False)
-    _key: tuple = field(init=False, repr=False)  # (boundaries, s2, k, decile)
-
-    def __post_init__(self):
-        b = np.array(self.boundaries, dtype=float)
-        bl = b.tolist()
-        if b.shape != (11,) or not all(map(operator.lt, bl, bl[1:])):
+    def __init__(self, boundaries, s2: float, t_star: float, k: float = 1.0):
+        b = np.asarray(boundaries, dtype=float)
+        if b.shape != (11,):
             raise ValueError("boundaries must be 11 strictly increasing values")
-        if not 0.0 < self.k <= 1.0:
+        bl = b.tolist()
+        # strictly increasing between finite ends: every boundary is then finite
+        if not (math.isfinite(bl[0]) and math.isfinite(bl[10]) and all(map(operator.lt, bl, bl[1:]))):
+            if not all(map(math.isfinite, bl)):
+                raise ValueError("boundaries must be finite")
+            raise ValueError("boundaries must be 11 strictly increasing values")
+        if not 0.0 < k <= 1.0:
             raise ValueError("k must lie in (0, 1]")
-        if self.s2 <= 0.0:
+        if not math.isfinite(s2):
+            raise ValueError("s2 must be finite")
+        if s2 <= 0.0:
             raise ValueError("s2 must be positive")
-        if not math.isfinite(self.t_star):
+        if not math.isfinite(t_star):
             raise ValueError("t_star must be finite")
-        b.flags.writeable = False
         # decile_index of t_star: the count of inner boundaries at or below it
-        j = bisect.bisect_right(bl, self.t_star, 1, 10) - 1
-        object.__setattr__(self, "boundaries", b)
-        object.__setattr__(self, "_key", (tuple(bl), self.s2, self.k, j))
-        object.__setattr__(self, "_decile", j)
-        object.__setattr__(self, "_numerator", NormalParams(0.5 * (bl[j] + bl[j + 1]), self.s2))
+        j = bisect.bisect_right(bl, t_star, 1, 10) - 1
+        key = (tuple(bl), s2, k, j)
+        self.__dict__.update(s2=s2, t_star=t_star, k=k, _key=key, _hash=hash(key))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self._key == other._key if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return (
+            f"DecileMidpointAssignment(boundaries={list(self._key[0])}, s2={self.s2!r}, "
+            f"t_star={self.t_star!r}, k={self.k!r})"
+        )
+
+    @cached_property
+    def boundaries(self) -> np.ndarray:
+        """The 11 increasing boundaries, an owned read-only array."""
+        b = np.array(self._key[0])
+        b.flags.writeable = False
+        return b
+
+    @cached_property
+    def _numerator(self) -> NormalParams:
+        bl, s2, _, j = self._key
+        return NormalParams(0.5 * (bl[j] + bl[j + 1]), s2)
 
     def density(self, t):
         t = np.asarray(t, dtype=float)
         base = normal_pdf(t, self._numerator)
-        same = decile_index(self.boundaries, t) == self._decile
+        same = decile_index(self.boundaries, t) == self._key[3]
         out = np.where(same, base, self.k * base)
         return float(out) if out.ndim == 0 else out
 

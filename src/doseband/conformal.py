@@ -39,13 +39,17 @@ assignment distribution h, and many grid points can share one (the
 decile-midpoint allocation has 10). So the band calibrates once per
 distinct assignment, one row of tie-merged atoms each, and queries
 every grid point against its assignment's row through the engine
-behind ``WeightedScores.thresholds`` (see ``_weighted_bounds``).
+behind ``WeightedScores.thresholds`` (see ``_weighted_bounds``). What
+still runs per grid point in Python is building its assignment and one
+dict lookup; each distinct assignment evaluates its density once, and
+the band keeps its bounds as arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -201,34 +205,45 @@ class PredictionBand:
     """Pointwise prediction intervals over a treatment grid, one
     covariate profile.
 
-    Per grid point, ``ess`` is the Kish effective sample size
-    (sum W)^2 / sum W^2 of the calibration weights and ``p_inf`` the
-    test-atom mass w / (sum W + w).
+    ``lower`` and ``upper`` hold the bounds at each grid point; they may
+    be infinite, never NaN, and lower <= upper. Per grid point, ``ess``
+    is the Kish effective sample size (sum W)^2 / sum W^2 of the
+    calibration weights and ``p_inf`` the test-atom mass w / (sum W + w).
+    Every array is an owned read-only copy. ``intervals`` gives the same
+    bounds as one ``Interval`` per grid point, built on first access.
     """
 
     t_grid: np.ndarray
-    intervals: tuple[Interval, ...]
+    lower: np.ndarray
+    upper: np.ndarray
     x: np.ndarray
     ess: np.ndarray
     p_inf: np.ndarray
 
     def __post_init__(self):
         grid = np.array(self.t_grid, dtype=float)
-        if grid.ndim != 1 or len(grid) != len(self.intervals):
-            raise ValueError("grid and intervals must have matching lengths")
+        if grid.ndim != 1:
+            raise ValueError("t_grid must be a vector")
         if len(grid) >= 2 and not np.all(np.diff(grid) > 0):
             raise ValueError("t_grid must be strictly increasing")
         x = np.array(self.x, dtype=float)
         grid.flags.writeable = x.flags.writeable = False
         object.__setattr__(self, "t_grid", grid)
         object.__setattr__(self, "x", x)
-        object.__setattr__(self, "intervals", tuple(self.intervals))
-        for name in ("ess", "p_inf"):
+        for name in ("lower", "upper", "ess", "p_inf"):
             arr = np.array(getattr(self, name), dtype=float)
             if arr.shape != grid.shape:
                 raise ValueError(f"{name} must have one value per grid point")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        if np.isnan(self.lower).any() or np.isnan(self.upper).any():
+            raise ValueError("band bounds must not be NaN")
+        if np.any(self.lower > self.upper):
+            raise ValueError("need lower <= upper at every grid point")
+
+    @cached_property
+    def intervals(self) -> tuple[Interval, ...]:
+        return tuple(map(Interval, self.lower.tolist(), self.upper.tolist()))
 
 
 @dataclass(frozen=True)
@@ -300,9 +315,11 @@ def _weighted_bounds(data, sp, model, gps, h_factory, cfg, x_new, t_new, weight_
     atoms and the ESS. Distinct assignments go through in blocks of
     _BLOCK_ELEMENTS // n_cal rows, so peak memory grows with the block,
     not with the grid or the number of distinct assignments. Per block,
-    the grid points it owns take their numerators from one density call
-    per assignment and their thresholds from one binary lifting, in
-    which each query names its atom row.
+    each assignment's density is evaluated once, on the calibration
+    treatments followed by the grid points it owns (a density is
+    elementwise, so the values are those of separate calls), and the
+    grid points take their thresholds from one binary lifting, in which
+    each query names its atom row.
     """
     t_cal, x_cal = data.t[sp.cal], data.x[sp.cal]
     if not (np.all(np.isfinite(t_cal)) and np.all(np.isfinite(t_new))):
@@ -319,17 +336,21 @@ def _weighted_bounds(data, sp, model, gps, h_factory, cfg, x_new, t_new, weight_
     x_rows = np.tile(np.asarray(x_new, dtype=float), (len(t_new), 1))
     den_new = gps.density(t_new, x_rows) + weight_cfg.offset
     den_cal = gps.density(t_cal, x_cal) + weight_cfg.offset
-    rows = max(1, _BLOCK_ELEMENTS // len(t_cal))
+    n_cal = len(t_cal)
+    rows = max(1, _BLOCK_ELEMENTS // n_cal)
     bins = (inverse + len(values) * np.arange(rows)[:, None]).ravel()
     eta, ess, p_inf = (np.empty(len(t_new)) for _ in range(3))
     hs = list(distinct)
     for start in range(0, len(hs), rows):
         block = hs[start : start + rows]
         at = np.flatnonzero((owner >= start) & (owner < start + len(block)))
-        own, num_at = owner[at] - start, np.empty(len(at))
+        own = owner[at] - start
+        num_cal, num_at = np.empty((len(block), n_cal)), np.empty(len(at))
         for i, h in enumerate(block):
-            num_at[own == i] = h.density(t_new[at[own == i]])
-        cal = likelihood_ratio(np.array([h.density(t_cal) for h in block]), den_cal, t_cal)
+            mine = own == i
+            num = h.density(np.concatenate([t_cal, t_new[at[mine]]]))
+            num_cal[i], num_at[mine] = num[:n_cal], num[n_cal:]
+        cal = likelihood_ratio(num_cal, den_cal, t_cal)
         suffix, total, scale = _tail_mass(bins[: cal.size], len(values), cal)
         w = likelihood_ratio(num_at, den_new[at], t_new[at])
         eta[at] = _lift(values, suffix, total, scale, w, own, cfg.alpha)
@@ -391,11 +412,14 @@ def prediction_band(
     unhashable assignment raises ``TypeError``. The band calibrates
     once per distinct assignment (see ``_weighted_bounds``): a fixed
     shift once, the decile-midpoint weights at most 10 times, whatever
-    n_grid. Per grid point only h_factory(t_k) runs in Python, and the
-    calibration weights held at once are bounded by a fixed element
-    budget, so memory does not grow with n_grid. The band also carries,
-    per grid point, the Kish ESS of the calibration weights and the
-    test-atom mass p_inf.
+    n_grid, with one density call per distinct assignment. Per grid
+    point only h_factory(t_k) and one dict lookup of its result run in
+    Python, and the calibration weights held at once are bounded by a
+    fixed element budget, so memory does not grow with n_grid. The band
+    holds its bounds as arrays, ``lower`` and ``upper``; its
+    ``intervals`` are built on first access. It also carries, per grid
+    point, the Kish ESS of the calibration weights and the test-atom
+    mass p_inf.
     """
     if n_grid < 2:
         raise ValueError("need at least 2 grid points")
@@ -405,10 +429,4 @@ def prediction_band(
     lower, upper, ess, p_inf = _weighted_bounds(
         data, sp, model, gps, h_factory, cfg, x_new, grid, weight_cfg
     )
-    return PredictionBand(
-        t_grid=grid,
-        intervals=tuple(Interval(float(lo), float(up)) for lo, up in zip(lower, upper)),
-        x=x_new,
-        ess=ess,
-        p_inf=p_inf,
-    )
+    return PredictionBand(t_grid=grid, lower=lower, upper=upper, x=x_new, ess=ess, p_inf=p_inf)

@@ -112,6 +112,27 @@ class TestDeciles:
             with pytest.raises(ValueError, match="t_star must be finite"):
                 DecileMidpointAssignment(b, 1.0, t_star)
 
+    @pytest.mark.parametrize("t_star", [45.0, 5.0, 95.0], ids=["inner", "first", "last"])
+    def test_nonfinite_boundaries_rejected(self, t_star):
+        b = _boundaries_1_to_100()
+        for j, bad in ((0, -math.inf), (10, math.inf), (0, math.nan), (5, math.nan), (10, math.nan)):
+            nonfinite = b.copy()
+            nonfinite[j] = bad
+            with pytest.raises(ValueError, match="boundaries must be finite"):
+                DecileMidpointAssignment(nonfinite, 4.0, t_star, 0.5)
+        with pytest.raises(ValueError, match="11 strictly increasing"):
+            DecileMidpointAssignment(b[::-1], 4.0, t_star, 0.5)
+
+    @pytest.mark.parametrize("t_star", [45.0, 5.0, 95.0], ids=["inner", "first", "last"])
+    def test_s2_must_be_finite_and_positive(self, t_star):
+        b = _boundaries_1_to_100()
+        for s2 in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="s2 must be finite"):
+                DecileMidpointAssignment(b, s2, t_star, 0.5)
+        for s2 in (0.0, -1.0):
+            with pytest.raises(ValueError, match="s2 must be positive"):
+                DecileMidpointAssignment(b, s2, t_star, 0.5)
+
     def test_k1_reduces_to_plain_normal(self):
         b = _boundaries_1_to_100()
         h = DecileMidpointAssignment(boundaries=b, s2=4.0, t_star=33.0, k=1.0)
@@ -309,6 +330,20 @@ class TestValueSemantics:
         h = DecileMidpointAssignment(mine, s2=4.0, t_star=33.0, k=0.5)
         mine[4] = 99.5
         assert h == DecileMidpointAssignment(b, s2=4.0, t_star=33.0, k=0.5)
+        assert np.array_equal(h.boundaries, b)
+        assert not h.boundaries.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            h.boundaries[4] = 99.5
+
+    def test_decile_is_immutable(self):
+        h = DecileMidpointAssignment(_boundaries_1_to_100(), s2=4.0, t_star=33.0, k=0.5)
+        key = hash(h)
+        for name in ("k", "s2", "t_star", "boundaries"):
+            with pytest.raises(AttributeError):
+                setattr(h, name, 1.0)
+            with pytest.raises(AttributeError):
+                delattr(h, name)
+        assert hash(h) == key and h.k == 0.5
 
     def test_equal_assignments_have_bit_identical_densities(self):
         b = _boundaries_1_to_100()

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -530,21 +531,29 @@ class TestBlockedBand:
                 self.seen.append(np.size(t))
                 return self.inner.density(t)
 
-        def calibrations(h_factory):
+        grid = np.linspace(-2.0, 2.0, 60)
+
+        def density_calls(h_factory):
+            """Sizes of the density calls of one band, and the number of
+            grid points each distinct assignment owns."""
             lengths.clear()
             prediction_band(
                 d, sp, model, gps, h_factory, ConformalConfig(0.1), np.array([0.3]), -2.0, 2.0, 60
             )
-            return sum(size >= n_cal for size in lengths)
+            owned = Counter(h_factory(t) for t in grid.tolist())
+            return sorted(lengths), sorted(n_cal + k for k in owned.values())
 
+        # one density call per distinct assignment, on the calibration
+        # treatments and the grid points the assignment owns
         shift = NormalAssignment(NormalParams(0.5, 1.0))
-        assert calibrations(lambda t: Counted(shift, lengths)) == 1
+        assert density_calls(lambda t: Counted(shift, lengths)) == ([n_cal + 60], [n_cal + 60])
         b = decile_boundaries(d.t[sp.train])
-        reached = len(set(decile_index(b, np.linspace(-2.0, 2.0, 60)).tolist()))
-        deciles = calibrations(
+        reached = len(set(decile_index(b, grid).tolist()))
+        sizes, expected = density_calls(
             lambda t: Counted(DecileMidpointAssignment(b, s2=1.0, t_star=t, k=0.5), lengths)
         )
-        assert deciles == reached <= 10
+        assert sizes == expected
+        assert 1 < len(sizes) == reached <= 10
 
     def test_unhashable_assignment_rejected(self):
         d, sp, model, gps = self._tied(n=200)
@@ -633,11 +642,60 @@ class TestIntervalType:
         assert iv.length == 4.0
 
     def test_band_grid_must_increase(self):
-        with pytest.raises(ValueError):
-            PredictionBand(
-                t_grid=np.array([1.0, 0.5]),
-                intervals=(Interval(0, 1), Interval(0, 1)),
-                x=np.array([0.0]),
-                ess=np.ones(2),
-                p_inf=np.zeros(2),
-            )
+        with pytest.raises(ValueError, match="strictly increasing"):
+            _two_point_band(t_grid=np.array([1.0, 0.5]))
+
+
+def _two_point_band(**fields):
+    """A valid two-point band, with the given fields replaced."""
+    kw = dict(
+        t_grid=np.array([0.5, 1.0]),
+        lower=np.array([-1.0, -math.inf]),
+        upper=np.array([1.0, math.inf]),
+        x=np.array([0.0]),
+        ess=np.ones(2),
+        p_inf=np.zeros(2),
+    )
+    return PredictionBand(**{**kw, **fields})
+
+
+class TestArrayBackedBand:
+    """The band keeps its bounds as read-only arrays; ``intervals`` is a
+    view of them."""
+
+    def test_nan_bound_rejected(self):
+        for name in ("lower", "upper"):
+            with pytest.raises(ValueError, match="must not be NaN"):
+                _two_point_band(**{name: np.array([0.0, math.nan])})
+
+    def test_crossed_bounds_rejected(self):
+        with pytest.raises(ValueError, match="lower <= upper"):
+            _two_point_band(lower=np.array([-1.0, 2.0]), upper=np.array([1.0, 1.0]))
+
+    def test_one_value_per_grid_point(self):
+        for name in ("lower", "upper", "ess", "p_inf"):
+            with pytest.raises(ValueError, match=f"{name} must have one value per grid point"):
+                _two_point_band(**{name: np.zeros(3)})
+
+    def test_bounds_are_owned_and_read_only(self):
+        lower = np.array([-1.0, 0.0])
+        band = _two_point_band(lower=lower)
+        lower[0] = -5.0
+        assert band.lower.tolist() == [-1.0, 0.0]
+        for name in ("lower", "upper"):
+            assert not getattr(band, name).flags.writeable
+
+    def test_intervals_view_matches_the_arrays(self):
+        gen = Rng(5).gen
+        d = Dataset(gen.normal(size=200), gen.normal(size=200), gen.normal(size=(200, 1)))
+        sp = split(d, 0.5, Rng(6))
+        model = OracleQuantileModel(mean_fn=lambda xx, tt: xx[:, 0] + tt, variance=1.0, levels=(0.05, 0.95))
+        band = prediction_band(
+            d, sp, model, _flat_gps(), lambda t: NormalAssignment(NormalParams(t, 0.5)),
+            ConformalConfig(0.1), np.array([0.2]), -1.0, 1.0, 9,
+        )
+        assert len(band.intervals) == len(band.t_grid)
+        for k, iv in enumerate(band.intervals):
+            assert iv == Interval(band.lower[k], band.upper[k])
+        assert band.intervals is band.intervals
+        assert _two_point_band().intervals == (Interval(-1.0, 1.0), Interval(-math.inf, math.inf))
