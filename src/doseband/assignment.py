@@ -31,6 +31,8 @@ import numpy as np
 from .dist import (
     NormalParams,
     TruncatedNormalParams,
+    _checked_points,
+    _truncated_normal_log_mass,
     _truncated_normal_logpdf_core,
     normal_pdf,
 )
@@ -66,9 +68,16 @@ class NormalAssignment:
 class TruncatedNormalAssignment:
     params: TruncatedNormalParams
 
+    @cached_property
+    def _log_mass(self) -> np.ndarray:
+        """The normalising log mass, computed on first use."""
+        p = self.params
+        return _truncated_normal_log_mass(p.mean, p.sd, p.lower, p.upper)
+
     def density(self, t):
         p = self.params
-        out = np.exp(_truncated_normal_logpdf_core(np.asarray(t, dtype=float), p.mean, p.sd, p.lower, p.upper))
+        t = _checked_points(t)
+        out = np.exp(_truncated_normal_logpdf_core(t, p.mean, p.sd, p.lower, p.upper, self._log_mass))
         return float(out) if out.ndim == 0 else out
 
 
@@ -84,7 +93,7 @@ class UniformAssignment:
             raise ValueError("uniform assignment needs lower < upper")
 
     def density(self, t):
-        t = np.asarray(t, dtype=float)
+        t = _checked_points(t)
         inside = (t >= self.lower) & (t <= self.upper)
         out = np.where(inside, 1.0 / (self.upper - self.lower), 0.0)
         return float(out) if out.ndim == 0 else out

@@ -13,6 +13,18 @@ for Cody's rational Chebyshev approximations (W. J. Cody, Math. Comp.
 approximation refined by one Newton step against that erfc-based CDF,
 which brings the error well below 1e-10 in CDF terms without reaching
 outside numpy.
+
+The kernels are built for arrays of thousands of elements: each formula
+step is one in-place pass over a few buffers. A kernel with several
+ranges runs one range's formula on every element, under a clamp that
+keeps it finite and free of warnings, then overwrites the elements of
+the other ranges by integer index: ``_erfc`` runs the (0.46875, 4]
+formula on every |x| capped at 40, ``_log_std_lower_tail`` log Phi on z
+clamped at -25, ``_std_normal_quantile`` Acklam's central formula on p
+folded into (0, 1/2]. The truncated-Normal kernels evaluate both
+standardized bounds in one stacked array. Each element still goes
+through the same IEEE operations in the same order as when evaluated
+alone, so no result depends on what shares its array.
 """
 
 from __future__ import annotations
@@ -33,15 +45,15 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-# Coefficients of Cody's erfc approximations, as in his CALERF routine.
-# Each numerator lists its coefficients from the highest power down; each
-# denominator is monic, so its leading 1 is left out.
+# Coefficients of Cody's erfc approximations, as in his CALERF routine,
+# and of Acklam's inverse normal CDF. Each polynomial lists its
+# coefficients from the highest power down, as ``_horner`` takes them.
 _CODY_SMALL_NUM = (
     1.85777706184603153e-01, 3.16112374387056560e00, 1.13864154151050156e02,
     3.77485237685302021e02, 3.20937758913846947e03,
 )
 _CODY_SMALL_DEN = (
-    2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
+    1.0, 2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
     2.84423683343917062e03,
 )
 _CODY_MID_NUM = (
@@ -50,7 +62,7 @@ _CODY_MID_NUM = (
     1.71204761263407058e03, 2.05107837782607147e03, 1.23033935479799725e03,
 )
 _CODY_MID_DEN = (
-    1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
+    1.0, 1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
     1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
     3.43936767414372164e03, 1.23033935480374942e03,
 )
@@ -59,19 +71,18 @@ _CODY_TAIL_NUM = (
     1.25781726111229246e-01, 1.60837851487422766e-02, 6.58749161529837803e-04,
 )
 _CODY_TAIL_DEN = (
-    2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-01,
+    1.0, 2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-01,
     6.05183413124413191e-02, 2.33520497626869185e-03,
 )
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 
-# Acklam's coefficients for the inverse standard-normal CDF.
 _ACKLAM_A = (
     -3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
     1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00,
 )
 _ACKLAM_B = (
     -5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-    6.680131188771972e01, -1.328068155288572e01,
+    6.680131188771972e01, -1.328068155288572e01, 1.0,
 )
 _ACKLAM_C = (
     -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
@@ -79,7 +90,7 @@ _ACKLAM_C = (
 )
 _ACKLAM_D = (
     7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-    3.754408661907416e00,
+    3.754408661907416e00, 1.0,
 )
 _ACKLAM_PLOW = 0.02425
 
@@ -173,24 +184,49 @@ def normal_pdf(x, p: NormalParams):
     return _maybe_scalar(_normal_density(_checked_points(x), p.mean, p.sd))
 
 
+def _at_least_two(a: np.ndarray) -> np.ndarray:
+    """A 1-d array, or its one element twice: numpy runs an in-place ufunc
+    on one element about twice as slowly as on two (it takes the array
+    for a broadcast one), so the kernels never work on a single element."""
+    return a if a.size != 1 else np.repeat(a, 2)
+
+
+def _horner(v: np.ndarray, coefs: tuple) -> np.ndarray:
+    """The polynomial with coefficients ``coefs`` (highest power first) at
+    v, by Horner's rule: one in-place pass per step over a new array."""
+    p = np.multiply(v, coefs[0])
+    for c in coefs[1:-1]:
+        p += c
+        p *= v
+    p += coefs[-1]
+    return p
+
+
 def _rational(v: np.ndarray, num: tuple, den: tuple) -> np.ndarray:
-    """num(v) / den(v) by Horner's rule, in the coefficient layout above."""
-    p = num[0] * v
-    for c in num[1:-1]:
-        p = (p + c) * v
-    q = v + den[0]
-    for c in den[1:]:
-        q = q * v + c
-    return (p + num[-1]) / q
+    """num(v) / den(v), both by Horner's rule, in a new array."""
+    p = _horner(v, num)
+    p /= _horner(v, den)
+    return p
 
 
 def _exp_neg_square(y: np.ndarray) -> np.ndarray:
-    """exp(-y^2) as exp(-s^2) exp(-(y - s)(y + s)) with s = trunc(16 y) / 16.
+    """exp(-y^2) as exp(-s^2) exp(-(y - s)(y + s)) with s = trunc(16 y) / 16,
+    in a new array.
 
     s^2 is exact, so the rounding error of y^2 never reaches the exponent.
     """
-    s = np.trunc(16.0 * y) / 16.0
-    return np.exp(-s * s) * np.exp(-(y - s) * (y + s))
+    s = np.multiply(y, 16.0)
+    np.trunc(s, out=s)
+    s /= 16.0
+    e = np.negative(s)
+    e *= s
+    np.exp(e, out=e)
+    d = np.subtract(s, y)  # -(y - s), exactly
+    s += y
+    d *= s
+    np.exp(d, out=d)
+    e *= d
+    return e
 
 
 def _erfc(x) -> np.ndarray:
@@ -202,67 +238,80 @@ def _erfc(x) -> np.ndarray:
     (0.46875, 4] and exp(-y^2) (1/sqrt(pi) - R(1/y^2) / y^2) / y above
     4, with y = |x| and erfc(x) = 2 - erfc(-x) for x < 0. Within 8 ulp of
     math.erfc wherever that is a normal float (tests/test_dist.py); exactly
-    0 and 2 at +inf and -inf, NaN at NaN. The result has the shape of x.
+    0 and 2 at +inf and -inf, NaN at NaN. The result is a new array with
+    the shape of x.
     """
     x = np.asarray(x, dtype=float)
-    y = np.abs(x)
-    out = np.empty_like(y)
-    small = y <= 0.46875
-    tail = y > 4.0
-    mid = ~(small | tail)  # NaN lands here and propagates
-    if small.any():
+    xf = _at_least_two(x.reshape(-1))
+    y = np.abs(xf)
+    # erfc underflows to 0 well before 40; the cap keeps inf out of every formula
+    np.minimum(y, 40.0, out=y)
+    small = (y <= 0.46875).nonzero()[0]
+    tail = (y > 4.0).nonzero()[0]
+    if small.size + tail.size < y.size:  # NaN counts as mid range and propagates
+        out = _exp_neg_square(y)
+        out *= _rational(y, _CODY_MID_NUM, _CODY_MID_DEN)
+    else:
+        out = np.empty_like(y)
+    if small.size:
+        small = _at_least_two(small)
         v = y[small]
-        out[small] = 1.0 - v * _rational(v * v, _CODY_SMALL_NUM, _CODY_SMALL_DEN)
-    if mid.any():
-        v = y[mid]
-        out[mid] = _exp_neg_square(v) * _rational(v, _CODY_MID_NUM, _CODY_MID_DEN)
-    if tail.any():
-        # erfc underflows to 0 well before 40; the cap keeps inf out of the split
-        v = np.minimum(y[tail], 40.0)
-        z = 1.0 / (v * v)
-        r = (_INV_SQRT_PI - z * _rational(z, _CODY_TAIL_NUM, _CODY_TAIL_DEN)) / v
-        out[tail] = _exp_neg_square(v) * r
-    return np.where(x < 0.0, 2.0 - out, out)
+        r = _rational(v * v, _CODY_SMALL_NUM, _CODY_SMALL_DEN)
+        r *= v
+        out[small] = np.subtract(1.0, r, out=r)
+    if tail.size:
+        tail = _at_least_two(tail)
+        v = y[tail]
+        z = np.multiply(v, v)
+        np.divide(1.0, z, out=z)
+        r = _rational(z, _CODY_TAIL_NUM, _CODY_TAIL_DEN)
+        r *= z
+        np.subtract(_INV_SQRT_PI, r, out=r)
+        r /= v
+        r *= _exp_neg_square(v)
+        out[tail] = r
+    neg = (xf < 0.0).nonzero()[0]
+    if neg.size:
+        out[neg] = 2.0 - out[neg]
+    return out[: x.size].reshape(x.shape)
 
 
-def _std_lower_tail(z: np.ndarray) -> np.ndarray:
-    return 0.5 * _erfc(-z / _SQRT2)
+def _std_lower_tail(z) -> np.ndarray:
+    """Phi(z) = erfc(-z / sqrt(2)) / 2, in a new array."""
+    p = _erfc(np.divide(z, -_SQRT2))
+    p *= 0.5
+    return p
 
 
-def _std_normal_quantile(prob: np.ndarray) -> np.ndarray:
+def _std_normal_quantile(prob) -> np.ndarray:
     """Inverse standard-normal CDF: Acklam's approximation + one Newton step.
 
     Works on the lower half only; p > 1/2 is mapped through symmetry
-    (1 - p is exact for p in [0.5, 1], so no cancellation).
+    (1 - p is exact for p in [0.5, 1], so no cancellation). The central
+    formula's denominator has no root on (0, 1/2]. Returns a new array.
     """
-    flip = prob > 0.5
-    q = np.where(flip, 1.0 - prob, prob)
-    x = np.empty_like(q)
-
-    lo = q < _ACKLAM_PLOW
-    if lo.any():
-        r = np.sqrt(-2.0 * np.log(q[lo]))
-        c, d = _ACKLAM_C, _ACKLAM_D
-        x[lo] = (
-            ((((c[0] * r + c[1]) * r + c[2]) * r + c[3]) * r + c[4]) * r + c[5]
-        ) / ((((d[0] * r + d[1]) * r + d[2]) * r + d[3]) * r + 1.0)
-    mid = ~lo
-    if mid.any():
-        u = q[mid] - 0.5
-        r = u * u
-        a, b = _ACKLAM_A, _ACKLAM_B
-        x[mid] = (
-            ((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]
-        ) * u / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
+    prob = np.asarray(prob, dtype=float)
+    q = _at_least_two(prob.flatten())
+    flip = (q > 0.5).nonzero()[0]
+    q[flip] = 1.0 - q[flip]
+    u = q - 0.5
+    r = np.multiply(u, u)
+    x = _horner(r, _ACKLAM_A)
+    x *= u
+    x /= _horner(r, _ACKLAM_B)
+    lo = _at_least_two((q < _ACKLAM_PLOW).nonzero()[0])
+    if lo.size:
+        x[lo] = _rational(np.sqrt(-2.0 * np.log(q[lo])), _ACKLAM_C, _ACKLAM_D)
 
     # One Newton step; x <= 0 here so the erfc form of the CDF is accurate.
-    cdf = _std_lower_tail(x)
+    step = _std_lower_tail(x)
+    step -= q
     pdf = _normal_density(x, 0.0, 1.0)
-    step = np.zeros_like(x)
     ok = pdf > 0.0
-    step[ok] = (cdf[ok] - q[ok]) / pdf[ok]
-    x = x - step
-    return np.where(flip, -x, x)
+    np.divide(step, pdf, out=step, where=ok)
+    np.subtract(x, step, out=x, where=ok)
+    x[flip] = -x[flip]
+    return x[: prob.size].reshape(prob.shape)
 
 
 def normal_quantile(prob, p: NormalParams):
@@ -273,45 +322,83 @@ def normal_quantile(prob, p: NormalParams):
     return _maybe_scalar(p.mean + p.sd * _std_normal_quantile(prob))
 
 
-def _log_std_lower_tail(z: np.ndarray) -> np.ndarray:
-    """log Phi(z), stable far into the lower tail (where erfc underflows)."""
+def _log_std_lower_tail(z) -> np.ndarray:
+    """log Phi(z), stable far into the lower tail (where erfc underflows),
+    in a new array."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    deep = z < -25.0
-    if deep.any():
-        zz = z[deep]
-        # asymptotic expansion of Mills' ratio
-        out[deep] = (
-            -0.5 * zz * zz - np.log(-zz) - 0.5 * math.log(2.0 * math.pi)
-            + np.log1p(-1.0 / (zz * zz) + 3.0 / (zz * zz * zz * zz))
-        )
-    rest = ~deep
-    if rest.any():
-        out[rest] = np.log(_std_lower_tail(z[rest]))
+    out = _std_lower_tail(np.maximum(z, -25.0))
+    np.log(out, out=out)
+    zf = z.reshape(-1)
+    deep = (zf < -25.0).nonzero()[0]
+    if deep.size:
+        zz = zf[deep]
+        # asymptotic expansion of Mills' ratio; a power of z that overflows
+        # to inf gives the right limit
+        with np.errstate(over="ignore"):
+            out.reshape(-1)[deep] = (
+                -0.5 * zz * zz - np.log(-zz) - 0.5 * math.log(2.0 * math.pi)
+                + np.log1p(-1.0 / (zz * zz) + 3.0 / (zz * zz * zz * zz))
+            )
     return out
 
 
-def _truncated_normal_logpdf_core(x, mean, sd, lower, upper):
+def _reflected_bounds(mean, sd, lower, upper):
+    """Standardized bounds as one (2, ...) array, [-b, -a] where a + b > 0
+    (that is, [min(a, -b), min(b, -a)]) so that neither CDF evaluation
+    loses precision near 1; and the mask of reflected elements."""
+    ab = np.empty((2,) + np.broadcast_shapes(np.shape(mean), np.shape(sd), np.shape(lower), np.shape(upper)))
+    a, b = ab[0, ...], ab[1, ...]
+    np.subtract(lower, mean, out=a)
+    a /= sd
+    np.subtract(upper, mean, out=b)
+    b /= sd
+    flip = (a + b) > 0.0
+    np.minimum(ab, np.negative(ab[::-1]), out=ab)
+    return ab, flip
+
+
+def _truncated_normal_log_mass(mean, sd, lower, upper) -> np.ndarray:
+    """log(Phi(b) - Phi(a)) of the standardized bounds, elementwise over
+    broadcastable mean/sd; finite even where that mass underflows."""
+    ab, _ = _reflected_bounds(mean, sd, lower, upper)
+    log_p = _log_std_lower_tail(ab)
+    log_pa, log_pb = log_p[0, ...], log_p[1, ...]
+    np.subtract(log_pa, log_pb, out=log_pa)
+    np.minimum(log_pa, 0.0, out=log_pa)
+    np.exp(log_pa, out=log_pa)
+    np.negative(log_pa, out=log_pa)
+    np.log1p(log_pa, out=log_pa)
+    log_pa += log_pb
+    return log_pa
+
+
+def _truncated_normal_logpdf_core(x, mean, sd, lower, upper, log_mass=None):
     """Truncated-normal log density.
 
     Elementwise over broadcastable x/mean/sd; -inf outside [lower, upper].
     Stays finite even when the in-bounds mass underflows in linear space,
     which the simulation scenarios rely on (conditional means can sit far
-    outside the truncation window).
+    outside the truncation window). ``log_mass`` is
+    ``_truncated_normal_log_mass(mean, sd, lower, upper)`` when a caller
+    already holds it; otherwise it is computed here.
     """
     x = np.asarray(x, dtype=float)
     mean = np.asarray(mean, dtype=float)
     sd = np.asarray(sd, dtype=float)
-    a = (lower - mean) / sd
-    b = (upper - mean) / sd
-    flip = (a + b) > 0.0
-    a_, b_ = np.where(flip, -b, a), np.where(flip, -a, b)
-    log_pb = _log_std_lower_tail(b_)
-    log_pa = _log_std_lower_tail(a_)
-    log_mass = log_pb + np.log1p(-np.exp(np.minimum(log_pa - log_pb, 0.0)))
-    z = (x - mean) / sd
-    logpdf = -0.5 * z * z - np.log(sd) - 0.5 * math.log(2.0 * math.pi) - log_mass
-    return np.where((x >= lower) & (x <= upper), logpdf, -np.inf)
+    if log_mass is None:
+        log_mass = _truncated_normal_log_mass(mean, sd, lower, upper)
+    shape = np.broadcast_shapes(x.shape, mean.shape, sd.shape, np.shape(lower), np.shape(upper))
+    z = np.subtract(x, mean, out=np.empty(shape))
+    z /= sd
+    logpdf = np.multiply(z, -0.5, out=np.empty_like(z))
+    logpdf *= z
+    logpdf -= np.log(sd)
+    logpdf -= 0.5 * math.log(2.0 * math.pi)
+    logpdf -= log_mass
+    inside = x >= lower
+    inside &= x <= upper
+    np.copyto(logpdf, -np.inf, where=~inside)
+    return logpdf
 
 
 def _truncated_normal_transform(mean, sd, lower, upper, u):
@@ -322,12 +409,15 @@ def _truncated_normal_transform(mean, sd, lower, upper, u):
     """
     mean = np.asarray(mean, dtype=float)
     sd = np.asarray(sd, dtype=float)
-    a = (lower - mean) / sd
-    b = (upper - mean) / sd
-    flip = (a + b) > 0.0
-    a_, b_ = np.where(flip, -b, a), np.where(flip, -a, b)
-    pa = _std_lower_tail(a_)
-    pb = _std_lower_tail(b_)
-    z = _std_normal_quantile(np.clip(pa + u * (pb - pa), 1e-320, 1.0 - 1e-16))
-    z = np.where(flip, -z, z)
-    return np.clip(mean + sd * z, lower, upper)
+    u = np.asarray(u, dtype=float)
+    ab, flip = _reflected_bounds(mean, sd, lower, upper)
+    p = _std_lower_tail(ab)
+    pa, pb = p[0, ...], p[1, ...]
+    np.subtract(pb, pa, out=pb)
+    prob = np.multiply(u, pb, out=np.empty(np.broadcast_shapes(u.shape, pb.shape)))
+    prob += pa
+    np.clip(prob, 1e-320, 1.0 - 1e-16, out=prob)
+    z = _std_normal_quantile(prob)
+    z *= np.where(flip, -sd, sd)  # undoes the reflection: (-sd) z = sd (-z)
+    z += mean
+    return np.clip(z, lower, upper, out=z)

@@ -125,11 +125,36 @@ def pinball_loss(u: np.ndarray, level: float) -> float:
 _WALK = 32
 
 
+def _level_quantile(u, level):
+    """np.quantile(u, level) with the default linear method, from one
+    partition at the two order statistics it interpolates: the same
+    index, weight and interpolation formula (numpy's ``_lerp``), so the
+    same bits."""
+    n = u.size
+    virtual = (n - 1) * level
+    i = math.floor(virtual)
+    if i >= n - 1:
+        return float(np.max(u))
+    below, above = np.partition(u, (i, i + 1))[i : i + 2].tolist()
+    gamma = virtual - i
+    diff = above - below
+    return above - diff * (1 - gamma) if gamma >= 0.5 else below + diff * gamma
+
+
+@functools.lru_cache(maxsize=8)
+def _jitter(n):
+    """The descent's fixed pseudo-random jitter of n rows, drawn once per
+    n as a read-only array."""
+    jitter = Rng(0).gen.random(n)
+    jitter.flags.writeable = False
+    return jitter
+
+
 def _initial_active_set(Z, u, level):
     """q linearly independent rows whose residuals u lie nearest the
     residuals' level-quantile."""
     q = Z.shape[1]
-    dist = np.abs(u - np.quantile(u, level))
+    dist = np.abs(u - _level_quantile(u, level))
     near = np.argpartition(dist, q - 1)[:q]
     near = near[np.argsort(dist[near])]
     # the greedy scan below keeps all q nearest rows when they are
@@ -190,7 +215,7 @@ def _vertex_polish(Z, y, level, beta, max_exchanges=200, dual_slack=1e-9):
     # residuals' typical spacing, mean|r| / n
     r = y - Z @ beta
     size = math.sqrt(np.finfo(float).eps * float(np.max(np.abs(r))) * float(np.mean(np.abs(r))) / n)
-    jittered = r + size * Rng(0).gen.random(n)
+    jittered = r + size * _jitter(n)
     active = _initial_active_set(Z, jittered, level)
     for exchanges in range(max_exchanges + 1):
         ZA = Z[active]

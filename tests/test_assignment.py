@@ -17,7 +17,13 @@ from doseband.assignment import (
     likelihood_ratio,
     stabilized_weight,
 )
-from doseband.dist import NormalParams, TruncatedNormalParams, normal_pdf
+from doseband.dist import (
+    NormalParams,
+    TruncatedNormalParams,
+    _truncated_normal_log_mass,
+    _truncated_normal_logpdf_core,
+    normal_pdf,
+)
 from doseband.propensity import CallableGps, OlsGaussianGps
 
 
@@ -65,6 +71,38 @@ class TestDensities:
         gps = CallableGps(fn=lambda t, x: np.ones_like(t))
         with pytest.raises(ValueError, match="finite"):
             stabilized_weight(UniformAssignment(0, 1), gps, WeightConfig(), float("nan"), np.array([0.0]))
+
+    @pytest.mark.parametrize(
+        "h",
+        [
+            NormalAssignment(NormalParams(1.0, 0.5)),
+            TruncatedNormalAssignment(TruncatedNormalParams(2.0, 0.8, 1.0, 5.0)),
+            UniformAssignment(0.0, 3.0),
+            DecileMidpointAssignment(np.arange(11.0), 1.0, 4.5),
+        ],
+        ids=lambda h: type(h).__name__,
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_density_rejects_nonfinite_points(self, h, bad):
+        for t in (bad, np.array([1.0, bad])):
+            with pytest.raises(ValueError, match="evaluation points must be finite"):
+                h.density(t)
+
+    def test_truncated_normal_log_mass_computed_once(self, monkeypatch):
+        p = TruncatedNormalParams(2.0, 0.8, 1.0, 5.0)
+        calls = []
+        monkeypatch.setattr(
+            "doseband.assignment._truncated_normal_log_mass",
+            lambda *a: calls.append(a) or _truncated_normal_log_mass(*a),
+        )
+        h = TruncatedNormalAssignment(p)
+        t = np.linspace(0.0, 6.0, 601)
+        first, second = h.density(t), h.density(t[::-1])
+        assert len(calls) == 1
+        # bit-identical to the log density that computes its own mass
+        want = np.exp(_truncated_normal_logpdf_core(t, p.mean, p.sd, p.lower, p.upper))
+        assert np.array_equal(first, want) and np.array_equal(second, want[::-1])
+        assert [h.density(v) for v in t[:5]] == want[:5].tolist()
 
 
 class TestDeciles:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,10 @@ from doseband.dist import (
     Rng,
     TruncatedNormalParams,
     _erfc,
+    _log_std_lower_tail,
+    _std_lower_tail,
+    _std_normal_quantile,
+    _truncated_normal_logpdf_core,
     _truncated_normal_transform,
     normal_pdf,
     normal_quantile,
@@ -151,6 +156,101 @@ class TestErfc:
         assert _erfc(np.array(0.3)).shape == ()
         assert _erfc(np.array(0.3)) == pytest.approx(math.erfc(0.3), rel=1e-15)
         assert _erfc(np.zeros((2, 3))).shape == (2, 3)
+
+
+# Each kernel evaluates one range's formula on every element and patches
+# the others by index; the ranges below are those of its input.
+_ERFC_RANGES = {
+    "small": lambda g, k: g.uniform(-0.46875, 0.46875, k),
+    "mid": lambda g, k: g.choice([-1.0, 1.0], k) * g.uniform(0.47, 4.0, k),
+    "tail": lambda g, k: g.choice([-1.0, 1.0], k) * g.uniform(4.01, 30.0, k),
+}
+_SQRT2 = math.sqrt(2.0)
+_KERNEL_RANGES = [
+    (_erfc, _ERFC_RANGES),
+    # Phi(z) = erfc(-z / sqrt(2)) / 2: the same ranges, scaled
+    (_std_lower_tail, {k: lambda g, n, f=f: _SQRT2 * f(g, n) for k, f in _ERFC_RANGES.items()}),
+    (
+        _log_std_lower_tail,
+        {
+            "small": lambda g, k: g.uniform(-0.66, 0.66, k),
+            "mid": lambda g, k: g.uniform(-5.6, -0.67, k),
+            "tail": lambda g, k: g.uniform(-25.0, -5.7, k),
+            "deep": lambda g, k: g.uniform(-60.0, -25.01, k),
+        },
+    ),
+    (
+        _std_normal_quantile,
+        {
+            "central": lambda g, k: g.uniform(0.02425, 0.97575, k),
+            "low": lambda g, k: 10.0 ** g.uniform(-320.0, -1.62, k),
+            "high": lambda g, k: 1.0 - 10.0 ** g.uniform(-16.0, -1.62, k),
+        },
+    ),
+]
+
+
+def _mixed_values(ranges: dict, majority: str, g) -> np.ndarray:
+    """10,000 values in shuffled order: 9,000 from the majority range, the
+    rest split over the other ranges; each range draws from a few
+    distinct values, so every element can be checked alone."""
+    minority = [k for k in ranges if k != majority]
+    parts = [g.choice(ranges[majority](g, 100), 9000)]
+    parts += [g.choice(ranges[k](g, 25), 1000 // len(minority)) for k in minority]
+    values = np.concatenate(parts)
+    values = np.concatenate([values, values[: 10_000 - values.size]])
+    return g.permutation(values)
+
+
+class TestKernels:
+    """The array kernels act elementwise, whatever shares the array."""
+
+    @pytest.mark.parametrize("kernel, ranges", _KERNEL_RANGES, ids=[k.__name__ for k, _ in _KERNEL_RANGES])
+    def test_each_element_as_if_alone(self, kernel, ranges):
+        g = Rng(7).gen
+        for majority in ranges:
+            x = _mixed_values(ranges, majority, g)
+            got = kernel(x)
+            distinct = np.unique(x)
+            alone = [kernel(np.array(v)) for v in distinct]
+            assert all(a.shape == () for a in alone)
+            want = np.array(alone)[np.searchsorted(distinct, x)]
+            assert np.array_equal(got, want), majority
+            square = x.reshape(100, 100)
+            assert np.array_equal(kernel(square), got.reshape(100, 100))
+            assert np.array_equal(kernel(square.T), got.reshape(100, 100).T)  # a strided view
+
+    def test_truncated_rows_as_if_alone(self):
+        g = Rng(8).gen
+        x = g.standard_normal(100)
+        for sd in (np.ones(100), np.abs(x)):  # trunc-homo, trunc-hetero
+            rows = g.integers(0, 100, 10_000)
+            mean, sd_rows = x[rows] ** 2 + 1.0, sd[rows]
+            u, t = g.random(100)[rows], g.uniform(0.0, 6.0, 100)[rows]
+            draws = _truncated_normal_transform(mean, sd_rows, 0.5, 5.0, u)
+            logpdf = _truncated_normal_logpdf_core(t, mean, sd_rows, 0.5, 5.0)
+            for i in np.unique(rows):
+                k = rows == i
+                alone = (np.array(mean[k][0]), np.array(sd_rows[k][0]), 0.5, 5.0)
+                assert np.all(draws[k] == _truncated_normal_transform(*alone, np.array(u[k][0])))
+                assert np.all(logpdf[k] == _truncated_normal_logpdf_core(np.array(t[k][0]), *alone))
+
+    def test_no_runtime_warning_at_the_edges(self):
+        big = np.finfo(float).max
+        edges = np.array(
+            [0.0, -0.0, np.inf, -np.inf, np.nan, 40.0, -40.0, 41.0, -41.0, 1e3, -1e3, 1e200, -1e200, big, -big]
+        )
+        probs = np.array([1e-320, 1.0 - 1e-16, 0.5, np.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kernel in (_erfc, _std_lower_tail, _log_std_lower_tail):
+                kernel(edges)
+                for v in edges:
+                    kernel(np.array(v))
+            _std_normal_quantile(probs)
+            means = np.array([2.0, 37.0, -50.0, 1e3, -1e3])
+            _truncated_normal_transform(means, 1.0, 0.5, 5.0, np.array([0.0, 1.0, 0.5, 1.0 - 1e-16, 1e-320]))
+            _truncated_normal_logpdf_core(np.array([np.inf, -np.inf, np.nan, 0.0, 6.0]), means, 1.0, 0.5, 5.0)
 
 
 def _truncated_draws(p: TruncatedNormalParams, rng: Rng, size: int) -> np.ndarray:

@@ -289,6 +289,21 @@ class TestVertexDescent:
             u = y - Z @ np.linalg.lstsq(Z, y, rcond=None)[0] + 1e-9 * Rng(1).gen.random(len(y))
             np.testing.assert_array_equal(outcome._initial_active_set(Z, u, level), _greedy_active_set(Z, u, level))
 
+    @pytest.mark.parametrize("n", [5, 500, 5000, 10000])
+    def test_level_quantile_is_numpys(self, n):
+        g = Rng(n).gen
+        for u in (g.standard_normal(n), np.round(g.standard_normal(n), 1)):  # the second has ties
+            before = u.copy()
+            for level in (0.025, 0.5, 0.975, 1 / 3):
+                assert outcome._level_quantile(u, level) == np.quantile(u, level)
+            np.testing.assert_array_equal(u, before)
+
+    def test_jitter_is_drawn_once_per_size(self):
+        jitter = outcome._jitter(500)
+        np.testing.assert_array_equal(jitter, Rng(0).gen.random(500))
+        assert outcome._jitter(500) is jitter
+        assert not jitter.flags.writeable
+
     def test_initial_set_skips_dependent_nearest_rows(self):
         d = _pinball_design("continuous")
         Z = _affine_xt(d.x, d.t)
