@@ -47,7 +47,6 @@ __all__ = [
     "decile_boundaries",
     "decile_index",
     "likelihood_ratio",
-    "stabilized_weight",
 ]
 
 
@@ -239,15 +238,3 @@ def likelihood_ratio(num, den, t):
     out = np.where(num > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
     return float(out[0]) if scalar else out
 
-
-def stabilized_weight(h, gps, cfg: WeightConfig, t, x):
-    """Likelihood-ratio weight h(t) / (gps.density(t, x) + offset).
-
-    Vectorized over rows of (t, x); treatment values must be finite.
-    Weights are zero exactly where h puts no mass; a zero denominator
-    under positive numerator raises ``PositivityError`` when the offset
-    is zero.
-    """
-    if not np.all(np.isfinite(t)):
-        raise ValueError("treatment values must be finite")
-    return likelihood_ratio(h.density(t), gps.density(t, x) + cfg.offset, t)

@@ -17,32 +17,33 @@ sum_i p_i * delta_{V_i} + p_inf * delta_{inf}. When the finite mass
 cannot reach 1 - alpha the threshold is +infinity and the interval is
 the whole line.
 
-The threshold depends on a test point only through its weight w, so
-the calibration side is built once and queried many times:
-``WeightedScores.thresholds`` answers an array of test weights, and
-``score_interval`` turns an array of thresholds into bounds.
+Every interval is a query of one ``Calibration``, built once per fitted
+outcome model and GPS. It holds what no test point changes: the tie
+index of the calibration scores and the offset GPS densities at the
+calibration points. ``Calibration.bounds`` takes test covariate rows
+and treatments, each row naming its assignment h, and gives every
+row's bounds, the Kish ESS of its calibration weights and its
+test-atom mass. The coverage study makes one query per numerator for
+all its test points, ``weighted_interval`` one query of one row, and
+``prediction_band`` one query of a row per grid point.
 
-Every threshold comes from this one engine, the plain split one
-included: ``WeightedScores.thresholds`` with unit calibration weights
-and a unit test weight gives the ceil((1 - alpha)(n + 1))-th smallest
-of the n calibration scores, the test atom contributing exactly the +1,
-and +inf when that rank exceeds n.
+A row's weights depend on it only through its assignment, and many
+rows can share one: a fixed shift is one for every test point, and the
+decile-midpoint allocation of a band has 10. So a query weights the
+scores once per distinct assignment, one row of tie-merged atoms each,
+and takes every test row's threshold against its assignment's row in
+one vectorized pass.
+
+The plain split threshold comes from the same engine: unit
+calibration weights and a unit test weight give the
+ceil((1 - alpha)(n + 1))-th smallest of the n calibration scores, the
+test atom contributing exactly the +1, and +inf when that rank exceeds
+n.
 
 Atoms at tied score values merge their mass before the cumulative scan,
 which keeps the quantile well defined for arbitrary inputs; merging
 never changes the result because the scan already accumulates mass in
 score order.
-
-A prediction band reweights the same scores at every grid point, but
-its weights depend on a grid point only through that point's
-assignment distribution h, and many grid points can share one (the
-decile-midpoint allocation has 10). So the band calibrates once per
-distinct assignment, one row of tie-merged atoms each, and queries
-every grid point against its assignment's row through the engine
-behind ``WeightedScores.thresholds`` (see ``_weighted_bounds``). What
-still runs per grid point in Python is building its assignment and one
-dict lookup; each distinct assignment evaluates its density once, and
-the band keeps its bounds as arrays.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .assignment import WeightConfig, likelihood_ratio
 from .data import Dataset, SplitIndices
 
 __all__ = [
-    "WeightedScores",
+    "Calibration",
     "Interval",
     "PredictionBand",
     "ConformalConfig",
@@ -140,43 +141,6 @@ def _lift(values, suffix, total, scale, w_new, owner, alpha: float) -> np.ndarra
             step //= 2
     fails = fails - base
     return np.where(finite & (fails < n), values[np.minimum(fails, n - 1)], math.inf)
-
-
-@dataclass(frozen=True)
-class WeightedScores:
-    """Calibration non-conformity scores with their positive weights."""
-
-    scores: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        scores = np.array(self.scores, dtype=float)
-        weights = np.array(self.weights, dtype=float)
-        if scores.ndim != 1 or weights.ndim != 1 or len(scores) != len(weights):
-            raise ValueError("scores and weights must be equal-length vectors")
-        values, inverse = _tie_index(scores)
-        scores.flags.writeable = False
-        weights.flags.writeable = False
-        object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "weights", weights)
-        # tie-merged atoms as a one-row block: values ascending, suffix mass
-        # strictly above each value (1, n_atoms), total mass (1,), scale (1,)
-        object.__setattr__(self, "_atoms", (values, *_tail_mass(inverse, len(values), weights[None])))
-
-    def thresholds(self, w_new, alpha: float) -> np.ndarray:
-        """Conformal thresholds for an array of test-point weights.
-
-        Element i is the (1 - alpha)-quantile of the weighted scores plus
-        a +infinity atom of mass w_new[i] / (sum(W) + w_new[i]): the
-        smallest score whose strict upper-tail mass, always including the
-        infinity atom, is at most alpha times the total, or +inf when no
-        score qualifies. A test weight too large to normalize gives +inf.
-        """
-        if not 0.0 < alpha < 1.0:
-            raise ValueError("alpha must lie strictly inside (0, 1)")
-        w_new = np.asarray(w_new, dtype=float)
-        owner = np.zeros(w_new.size, dtype=np.intp)
-        return _lift(*self._atoms, w_new.ravel(), owner, alpha).reshape(w_new.shape)
 
 
 @dataclass(frozen=True)
@@ -296,71 +260,89 @@ def score_interval(model, cfg: ConformalConfig, x, t, eta) -> tuple[np.ndarray, 
 
 
 # calibration weights held per block of distinct assignments: 8192 // n_cal
-# rows, so a block holds a few hundred kB however many the grid has
+# rows, so a block holds a few hundred kB however many a query has
 _BLOCK_ELEMENTS = 8192
 
 
-def _weighted_bounds(data, sp, model, gps, h_factory, cfg, x_new, t_new, weight_cfg):
-    """Weighted conformal bounds at (x_new, t) for each t in t_new, the
-    numerator of the weights being the assignment density h_factory(t),
-    with the Kish ESS of each t's calibration weights and its test-atom
-    mass.
+class Calibration:
+    """The calibration side of weighted split conformal for one fitted
+    outcome model and GPS: built once, queried many times.
 
-    The calibration scores, their tie index and the GPS densities
-    f(T_i | X_i) do not depend on t and are computed once. The grid
-    points are then grouped by the value of their assignment (equal
-    assignments have equal densities), and everything that depends on t
-    only through the assignment is computed once per distinct
-    assignment: its calibration weights, their checks, the tie-merged
-    atoms and the ESS. Distinct assignments go through in blocks of
-    _BLOCK_ELEMENTS // n_cal rows, so peak memory grows with the block,
-    not with the grid or the number of distinct assignments. Per block,
-    each assignment's density is evaluated once, on the calibration
-    treatments followed by the grid points it owns (a density is
-    elementwise, so the values are those of separate calls), and the
-    grid points take their thresholds from one binary lifting, in which
-    each query names its atom row.
+    It holds what does not depend on a test point: the distinct
+    calibration scores with the index of each score among them, the
+    calibration treatments, and the offset GPS densities
+    f(T_i | X_i) + offset at them. ``model`` needs a ``mean`` for
+    absolute-residual scores and two quantile ``levels`` for cqr (see
+    ``_base_interval``).
     """
-    t_cal, x_cal = data.t[sp.cal], data.x[sp.cal]
-    if not (np.all(np.isfinite(t_cal)) and np.all(np.isfinite(t_new))):
-        raise ValueError("treatment values must be finite")
-    values, inverse = _tie_index(calibration_scores(model, cfg, data, sp.cal))
-    distinct: dict = {}  # assignment -> its atom row, in first-seen order
-    owner = np.empty(len(t_new), dtype=np.intp)
-    for k, t in enumerate(t_new.tolist()):
-        h = h_factory(t)
-        try:
-            owner[k] = distinct.setdefault(h, len(distinct))
-        except TypeError as exc:
-            raise TypeError(f"assignments must be hashable, got {type(h).__name__}") from exc
-    x_rows = np.tile(np.asarray(x_new, dtype=float), (len(t_new), 1))
-    den_new = gps.density(t_new, x_rows) + weight_cfg.offset
-    den_cal = gps.density(t_cal, x_cal) + weight_cfg.offset
-    n_cal = len(t_cal)
-    rows = max(1, _BLOCK_ELEMENTS // n_cal)
-    bins = (inverse + len(values) * np.arange(rows)[:, None]).ravel()
-    eta, ess, p_inf = (np.empty(len(t_new)) for _ in range(3))
-    hs = list(distinct)
-    for start in range(0, len(hs), rows):
-        block = hs[start : start + rows]
-        at = np.flatnonzero((owner >= start) & (owner < start + len(block)))
-        own = owner[at] - start
-        num_cal, num_at = np.empty((len(block), n_cal)), np.empty(len(at))
-        for i, h in enumerate(block):
-            mine = own == i
-            num = h.density(np.concatenate([t_cal, t_new[at[mine]]]))
-            num_cal[i], num_at[mine] = num[:n_cal], num[n_cal:]
-        cal = likelihood_ratio(num_cal, den_cal, t_cal)
-        suffix, total, scale = _tail_mass(bins[: cal.size], len(values), cal)
-        w = likelihood_ratio(num_at, den_new[at], t_new[at])
-        eta[at] = _lift(values, suffix, total, scale, w, own, cfg.alpha)
-        unit = cal / scale[:, None]
-        ess[at] = (total * total / np.einsum("ij,ij->i", unit, unit))[own]
-        with np.errstate(over="ignore", invalid="ignore"):  # p_inf -> 1 as w / scale overflows
-            w = w / scale[own]
-            p_inf[at] = np.where(np.isfinite(w), w / (total[own] + w), 1.0)
-    lower, upper = score_interval(model, cfg, x_rows, t_new, eta)
-    return lower, upper, ess, p_inf
+
+    def __init__(
+        self, data: Dataset, sp: SplitIndices, model, gps, cfg: ConformalConfig, weight_cfg: WeightConfig
+    ):
+        self.model, self.gps, self.cfg, self.offset = model, gps, cfg, weight_cfg.offset
+        self.values, self.inverse = _tie_index(calibration_scores(model, cfg, data, sp.cal))
+        self.t_cal = data.t[sp.cal]
+        self.den_cal = gps.density(self.t_cal, data.x[sp.cal]) + weight_cfg.offset
+
+    def bounds(self, x, t, hs, owner, test_atom: bool = True):
+        """Weighted conformal bounds at the test rows (x[i], t[i]), the
+        numerator of row i's weights being the assignment density
+        hs[owner[i]], with the Kish ESS of those calibration weights and
+        the row's test-atom mass; four arrays, one value per row.
+
+        Without ``test_atom`` the threshold is the weighted quantile of
+        the calibration scores alone: no density is evaluated at the test
+        rows, each assignment's threshold is lifted once for all the rows
+        it owns, and p_inf is 0.
+
+        Everything that depends on a row only through its assignment is
+        computed once per assignment: its calibration weights, their
+        checks, the tie-merged atoms and the ESS. The assignments go
+        through in blocks of _BLOCK_ELEMENTS // n_cal, so peak memory
+        grows with the block, not with the number of rows or assignments.
+        Per block, each assignment's density is evaluated once, on the
+        calibration treatments followed by those of the rows it owns (a
+        density is elementwise, so the values are those of separate
+        calls); the calibration weights are checked before the test
+        weights; and the rows take their thresholds from one binary
+        lifting, in which each query names its atom row.
+        """
+        t = np.asarray(t, dtype=float)
+        if not np.all(np.isfinite(t)):
+            raise ValueError("treatment values must be finite")
+        values, t_cal, n_cal, alpha = self.values, self.t_cal, len(self.t_cal), self.cfg.alpha
+        if test_atom:
+            den = self.gps.density(t, x) + self.offset
+        rows = max(1, _BLOCK_ELEMENTS // n_cal)
+        eta, ess, p_inf = np.empty(len(t)), np.empty(len(t)), np.zeros(len(t))
+        for start in range(0, len(hs), rows):
+            block = hs[start : start + rows]
+            at = np.flatnonzero((owner >= start) & (owner < start + len(block)))
+            own = owner[at] - start
+            num_cal, num_at = np.empty((len(block), n_cal)), np.empty(len(at))
+            for i, h in enumerate(block):
+                if test_atom:
+                    mine = own == i
+                    num = h.density(np.concatenate([t_cal, t[at[mine]]]))
+                    num_cal[i], num_at[mine] = num[:n_cal], num[n_cal:]
+                else:
+                    num_cal[i] = h.density(t_cal)
+            cal = likelihood_ratio(num_cal, self.den_cal, t_cal)
+            bins = (self.inverse + len(values) * np.arange(len(block))[:, None]).ravel()
+            suffix, total, scale = _tail_mass(bins, len(values), cal)
+            if test_atom:
+                w = likelihood_ratio(num_at, den[at], t[at])
+                eta[at] = _lift(values, suffix, total, scale, w, own, alpha)
+                with np.errstate(over="ignore", invalid="ignore"):  # p_inf -> 1 as w / scale overflows
+                    w = w / scale[own]
+                    p_inf[at] = np.where(np.isfinite(w), w / (total[own] + w), 1.0)
+            else:  # zero test mass: the rows of an assignment share one query, and p_inf stays 0
+                queries = np.arange(len(block))
+                eta[at] = _lift(values, suffix, total, scale, np.zeros(len(block)), queries, alpha)[own]
+            unit = cal / scale[:, None]
+            ess[at] = (total * total / np.einsum("ij,ij->i", unit, unit))[own]
+        lower, upper = score_interval(self.model, self.cfg, x, t, eta)
+        return lower, upper, ess, p_inf
 
 
 def weighted_interval(
@@ -375,14 +357,12 @@ def weighted_interval(
     weight_cfg: WeightConfig = WeightConfig(),
 ) -> Interval:
     """Weighted split-conformal interval at (x_new, t_new), with
-    likelihood-ratio weights h(t) / (gps(t | x) + offset).
-
-    ``model`` needs a ``mean`` for absolute-residual scores and two
-    quantile ``levels`` for cqr (see ``_base_interval``).
+    likelihood-ratio weights h(t) / (gps(t | x) + offset): the one-row
+    query of a ``Calibration``.
     """
-    lower, upper, _, _ = _weighted_bounds(
-        data, sp, model, gps, lambda t: h, cfg, x_new, np.array([float(t_new)]), weight_cfg
-    )
+    calib = Calibration(data, sp, model, gps, cfg, weight_cfg)
+    x = np.atleast_2d(np.asarray(x_new, dtype=float))
+    lower, upper, _, _ = calib.bounds(x, np.array([float(t_new)]), [h], np.zeros(1, dtype=np.intp))
     return Interval(float(lower[0]), float(upper[0]))
 
 
@@ -409,13 +389,14 @@ def prediction_band(
     The assignments must be hashable, and two that compare equal must
     have equal densities; every doseband assignment is, and a
     ``DecileMidpointAssignment`` compares equal across its decile. An
-    unhashable assignment raises ``TypeError``. The band calibrates
-    once per distinct assignment (see ``_weighted_bounds``): a fixed
-    shift once, the decile-midpoint weights at most 10 times, whatever
-    n_grid, with one density call per distinct assignment. Per grid
-    point only h_factory(t_k) and one dict lookup of its result run in
-    Python, and the calibration weights held at once are bounded by a
-    fixed element budget, so memory does not grow with n_grid. The band
+    unhashable assignment raises ``TypeError``. The band is one
+    ``Calibration.bounds`` query with a row per grid point, which
+    weights the calibration scores once per distinct assignment (a
+    fixed shift once, the decile-midpoint weights at most 10 times,
+    whatever n_grid), with one density call per distinct assignment.
+    Per grid point only h_factory(t_k) and one dict lookup of its result
+    run in Python, and the calibration weights held at once are bounded
+    by a fixed element budget, so they do not grow with n_grid. The band
     holds its bounds as arrays, ``lower`` and ``upper``; its
     ``intervals`` are built on first access. It also carries, per grid
     point, the Kish ESS of the calibration weights and the test-atom
@@ -426,7 +407,15 @@ def prediction_band(
     if not t_min < t_max:
         raise ValueError("need t_min < t_max")
     grid = np.linspace(t_min, t_max, n_grid)
-    lower, upper, ess, p_inf = _weighted_bounds(
-        data, sp, model, gps, h_factory, cfg, x_new, grid, weight_cfg
-    )
+    calib = Calibration(data, sp, model, gps, cfg, weight_cfg)
+    distinct: dict = {}  # assignment -> its index, in first-seen order
+    owner = np.empty(n_grid, dtype=np.intp)
+    for k, t in enumerate(grid.tolist()):
+        h = h_factory(t)
+        try:
+            owner[k] = distinct.setdefault(h, len(distinct))
+        except TypeError as exc:
+            raise TypeError(f"assignments must be hashable, got {type(h).__name__}") from exc
+    x_rows = np.tile(np.asarray(x_new, dtype=float), (n_grid, 1))
+    lower, upper, ess, p_inf = calib.bounds(x_rows, grid, list(distinct), owner)
     return PredictionBand(t_grid=grid, lower=lower, upper=upper, x=x_new, ess=ess, p_inf=p_inf)

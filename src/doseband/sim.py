@@ -37,14 +37,17 @@ by OLS (true truncated-Normal densities in the truncated scenarios);
 "estimated weights" are a BIC-selected Gaussian mixture, linear in the
 raw covariates.
 
-The study threshold is the weighted quantile of the calibration scores
+Each replication builds one ``conformal.Calibration`` and queries all
+its test points with ``Calibration.bounds``, once per numerator. The
+study threshold is the weighted quantile of the calibration scores
 alone (zero test-point mass, ``test_atom=False``), which reproduces the
 published operating characteristics of these designs: the heavy right
 tail of the weight ratio under the s1/s2 designs otherwise hands a few
 test points enough mass to blow up the interval, inflating mean length
-and coverage beyond the reported tables. The conformal interval API
-always includes the test-point mass and carries the finite-sample
-guarantee; pass ``test_atom=True`` to run the studies that way.
+and coverage beyond the reported tables. ``weighted_interval`` and
+``prediction_band`` always include the test-point mass and carry the
+finite-sample guarantee; pass ``test_atom=True`` to run the studies
+that way, through the same query.
 
 Intervals with an infinite threshold (possible only with the test atom)
 are counted as covering but excluded from mean-length aggregation; the
@@ -62,14 +65,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import (
-    NormalAssignment,
-    TruncatedNormalAssignment,
-    UniformAssignment,
-    WeightConfig,
-    stabilized_weight,
-)
-from .conformal import ConformalConfig, WeightedScores, calibration_scores, score_interval
+from .assignment import NormalAssignment, TruncatedNormalAssignment, UniformAssignment, WeightConfig
+from .conformal import Calibration, ConformalConfig, score_interval
 from .data import Dataset, split
 from .dist import (
     NormalParams,
@@ -331,16 +328,16 @@ def _replicate(scenario: Scenario, rng: Rng, test_atom: bool, numerators) -> lis
     else:
         coefs = {level: fit_linear_pinball(data, sp.train, level, d.basis) for level in levels}
         model = LinearPinballModel(basis=d.basis, coefs=coefs, levels=levels)
-    gps = None if scenario.setup == "unadjusted" else _fit_gps(scenario, data, sp, rng)
-    scores = None if gps is None else calibration_scores(model, cfg, data, sp.cal)
+    calib = None
+    if scenario.setup != "unadjusted":
+        calib = Calibration(data, sp, model, _fit_gps(scenario, data, sp, rng), cfg, d.weights)
+    owner = np.zeros(test.n, dtype=np.intp)
     rows = []
     for h in numerators:
-        eta = np.zeros(test.n)  # unadjusted: the outcome model's own interval; also no test mass
-        if gps is not None:
-            weights = stabilized_weight(h, gps, d.weights, data.t[sp.cal], data.x[sp.cal])
-            w_new = stabilized_weight(h, gps, d.weights, test.t, test.x) if test_atom else eta
-            eta = WeightedScores(scores, weights).thresholds(w_new, cfg.alpha)
-        lower, upper = score_interval(model, cfg, test.x, test.t, eta)
+        if calib is None:  # unadjusted: the outcome model's own interval
+            lower, upper = score_interval(model, cfg, test.x, test.t, 0.0)
+        else:
+            lower, upper, _, _ = calib.bounds(test.x, test.t, [h], owner, test_atom)
         lengths = upper - lower
         finite = np.isfinite(lengths)
         mean_len = float(lengths[finite].mean()) if finite.any() else math.nan

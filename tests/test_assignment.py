@@ -15,8 +15,9 @@ from doseband.assignment import (
     decile_boundaries,
     decile_index,
     likelihood_ratio,
-    stabilized_weight,
 )
+from doseband.conformal import Calibration, ConformalConfig
+from doseband.data import Dataset, SplitIndices
 from doseband.dist import (
     NormalParams,
     TruncatedNormalParams,
@@ -24,6 +25,7 @@ from doseband.dist import (
     _truncated_normal_logpdf_core,
     normal_pdf,
 )
+from doseband.outcome import OracleQuantileModel
 from doseband.propensity import CallableGps, OlsGaussianGps
 
 
@@ -69,8 +71,10 @@ class TestDensities:
 
     def test_nonfinite_point_rejected(self):
         gps = CallableGps(fn=lambda t, x: np.ones_like(t))
-        with pytest.raises(ValueError, match="finite"):
-            stabilized_weight(UniformAssignment(0, 1), gps, WeightConfig(), float("nan"), np.array([0.0]))
+        calib = _calibration(np.linspace(0.1, 0.9, 4), gps, WeightConfig())
+        for test_atom in (True, False):
+            with pytest.raises(ValueError, match="treatment values must be finite"):
+                _query(calib, UniformAssignment(0, 1), [math.nan], test_atom=test_atom)
 
     @pytest.mark.parametrize(
         "h",
@@ -239,11 +243,30 @@ class TestLikelihoodRatio:
             likelihood_ratio(np.ones(5), np.zeros(5), t)
 
 
+def _calibration(t_cal, gps, weight_cfg):
+    """A ``Calibration`` whose calibration half has the treatments t_cal."""
+    t_cal = np.asarray(t_cal, dtype=float)
+    n = len(t_cal)
+    data = Dataset(np.arange(2.0 * n), np.r_[t_cal, t_cal], np.zeros((2 * n, 1)))
+    model = OracleQuantileModel(mean_fn=lambda x, t: np.zeros(len(t)), variance=1.0)
+    sp = SplitIndices(np.arange(n, 2 * n), np.arange(n))
+    return Calibration(data, sp, model, gps, ConformalConfig(0.1, "absolute-residual"), weight_cfg)
+
+
+def _query(calib, h, t, test_atom=True):
+    """``bounds`` at the treatments t, x = 0, all weighted by h."""
+    t = np.asarray(t, dtype=float)
+    return calib.bounds(np.zeros((len(t), 1)), t, [h], np.zeros(len(t), dtype=np.intp), test_atom)
+
+
 class TestStabilizedWeight:
+    """The weight h(t) / (gps(t | x) + offset): ``likelihood_ratio`` of
+    the two densities, and the offset and checks of ``Calibration``."""
+
     def test_identical_densities_weight_one(self):
         h = NormalAssignment(NormalParams(1.0, 0.5))
         gps = OlsGaussianGps(beta=[0.0, 1.0], s2=0.5, basis=lambda x: np.full(x.shape[0], 1.0))
-        w = stabilized_weight(h, gps, WeightConfig(), 1.0, np.array([3.3]))
+        w = likelihood_ratio(h.density(1.0), gps.density(1.0, np.array([3.3])), 1.0)
         assert w == pytest.approx(1.0, rel=1e-14)
 
     def test_no_shift_all_weights_one(self):
@@ -252,7 +275,7 @@ class TestStabilizedWeight:
         gps = CallableGps(fn=lambda t, x: normal_pdf(t, NormalParams(0.0, 2.0)))
         t = np.linspace(-3, 3, 25)
         x = np.zeros((25, 1))
-        w = stabilized_weight(h, gps, WeightConfig(), t, x)
+        w = likelihood_ratio(h.density(t), gps.density(t, x), t)
         np.testing.assert_allclose(w, 1.0, rtol=1e-14)
 
     def test_truncation_scenario_weight_cross_checked(self):
@@ -278,7 +301,7 @@ class TestStabilizedWeight:
             return np.where((t >= 0.5) & (t <= 5.0), out, 0.0)
 
         gps = CallableGps(fn=den_fn)
-        got = stabilized_weight(h, gps, WeightConfig(offset=0.001), 2.0, np.array([1.0]))
+        got = likelihood_ratio(h.density(2.0), gps.density(2.0, np.array([1.0])) + 0.001, 2.0)
 
         num_mass, _ = integrate.quad(
             lambda u: np.exp(-0.5 * (u - 2.0) ** 2 / 0.8) / math.sqrt(2 * math.pi * 0.8), 1.0, 5.0
@@ -293,16 +316,21 @@ class TestStabilizedWeight:
     def test_positivity_error_and_offset_rescue(self):
         h = UniformAssignment(0.0, 10.0)
         gps = CallableGps(fn=lambda t, x: np.zeros_like(t))
-        with pytest.raises(PositivityError):
-            stabilized_weight(h, gps, WeightConfig(), 5.0, np.array([0.0]))
-        w = stabilized_weight(h, gps, WeightConfig(offset=0.001), 5.0, np.array([0.0]))
-        assert w == pytest.approx(0.1 / 0.001)
+        t_cal = np.array([1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(PositivityError, match=re.escape("t=[1.0, 2.0, 3.0];")):
+            _query(_calibration(t_cal, gps, WeightConfig()), h, [5.0])
+        # with the offset every weight, the test weight included, is 0.1 / 0.001
+        _, _, ess, p_inf = _query(_calibration(t_cal, gps, WeightConfig(offset=0.001)), h, [5.0])
+        assert ess[0] == pytest.approx(4.0, rel=1e-14)
+        assert p_inf[0] == pytest.approx(1.0 / 5.0, rel=1e-14)
 
     def test_zero_numerator_zero_weight(self):
         h = UniformAssignment(0.0, 1.0)
-        gps = CallableGps(fn=lambda t, x: np.zeros_like(t))
+        gps = CallableGps(fn=lambda t, x: np.where(t > 2.0, 0.0, 1.0))
+        calib = _calibration(np.linspace(0.1, 0.9, 4), gps, WeightConfig())
         # no assignment mass at t=5, so no positivity complaint either
-        assert stabilized_weight(h, gps, WeightConfig(), 5.0, np.array([0.0])) == 0.0
+        _, _, _, p_inf = _query(calib, h, [5.0])
+        assert p_inf[0] == 0.0
 
     def test_nonnegative_always(self):
         gen = np.random.default_rng(0)
@@ -310,7 +338,7 @@ class TestStabilizedWeight:
         gps = OlsGaussianGps(beta=[0.0, 1.0], s2=2.0, basis=lambda x: x[:, 0])
         t = gen.normal(size=50)
         x = gen.normal(size=(50, 1))
-        w = stabilized_weight(h, gps, WeightConfig(), t, x)
+        w = likelihood_ratio(h.density(t), gps.density(t, x), t)
         assert np.all(w >= 0.0)
 
 

@@ -6,13 +6,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from doseband.assignment import NormalAssignment, UniformAssignment, WeightConfig
+from doseband import sim
+from doseband.assignment import NormalAssignment, UniformAssignment, WeightConfig, likelihood_ratio
 from doseband.conformal import (
     SCORE_KINDS,
+    Calibration,
     ConformalConfig,
     Interval,
     PredictionBand,
-    WeightedScores,
+    _lift,
+    _tail_mass,
+    _tie_index,
     calibration_scores,
     prediction_band,
     score_interval,
@@ -48,10 +52,21 @@ def oracle_weighted_quantile(scores, weights, w_new, alpha):
     return best
 
 
-def scalar_scan(ws, w_new, alpha):
+def thresholds(scores, weights, w_new, alpha):
+    """The engine's thresholds for one row of calibration weights and an
+    array (or scalar) of test weights: tie index, tail mass, lift."""
+    values, inverse = _tie_index(np.asarray(scores, dtype=float))
+    atoms = _tail_mass(inverse, len(values), np.asarray(weights, dtype=float)[None])
+    w_new = np.asarray(w_new, dtype=float)
+    owner = np.zeros(w_new.size, dtype=np.intp)
+    return _lift(values, *atoms, w_new.ravel(), owner, alpha).reshape(w_new.shape)
+
+
+def scalar_scan(scores, weights, w_new, alpha):
     """One test weight at a time: the first tie-merged atom whose strict
     upper tail plus the infinity atom is at most alpha of the total."""
-    values, suffix, total, scale = ws._atoms
+    values, inverse = _tie_index(np.asarray(scores, dtype=float))
+    suffix, total, scale = _tail_mass(inverse, len(values), np.asarray(weights, dtype=float)[None])
     suffix, total, scale = suffix[0], float(total[0]), float(scale[0])  # the one-row block
     w = w_new / scale
     if not math.isfinite(w):
@@ -70,12 +85,10 @@ def _flat_gps():
 
 class TestWeightedQuantile:
     def test_uniform_weights_example(self):
-        ws = WeightedScores([1.0, 2.0, 3.0, 4.0], [1.0] * 4)
-        assert ws.thresholds(1.0, 0.2) == 4.0
+        assert thresholds([1.0, 2.0, 3.0, 4.0], [1.0] * 4, 1.0, 0.2) == 4.0
 
     def test_infinity_mass_dominance(self):
-        ws = WeightedScores([1.0], [1.0])
-        assert ws.thresholds(9.0, 0.1) == math.inf
+        assert thresholds([1.0], [1.0], 9.0, 0.1) == math.inf
 
     def test_small_random_instances_match_oracle(self):
         gen = Rng(17).gen
@@ -85,8 +98,7 @@ class TestWeightedQuantile:
             weights = gen.gamma(1.0, 2.0, size=n) + 1e-3
             w_new = float(gen.gamma(1.0, 2.0))
             alpha = float(gen.uniform(0.02, 0.5))
-            ws = WeightedScores(scores, weights)
-            got = ws.thresholds(w_new, alpha)
+            got = thresholds(scores, weights, w_new, alpha)
             want = oracle_weighted_quantile(scores, weights, w_new, alpha)
             assert got == want
 
@@ -104,19 +116,14 @@ class TestWeightedQuantile:
             weights = (gen.gamma(1.0, 2.0, size=n) + 1e-3) * tiny
             w_new = np.r_[0.0, gen.gamma(1.0, 2.0, size=6) * tiny, 1e308]
             alpha = float(gen.uniform(0.02, 0.5))
-            ws = WeightedScores(scores, weights)
-            got = ws.thresholds(w_new, alpha).tolist()
-            assert got == [scalar_scan(ws, float(w), alpha) for w in w_new]
+            got = thresholds(scores, weights, w_new, alpha).tolist()
+            assert got == [scalar_scan(scores, weights, float(w), alpha) for w in w_new]
             assert got == [oracle_weighted_quantile(scores, weights, float(w), alpha) for w in w_new]
             assert got[-1] == math.inf
-            one = ws.thresholds(float(w_new[1]), alpha)
-            assert one.shape == () and one == got[1]
 
     def test_owner_indexed_lift_matches_rows_queried_separately(self):
         # several rows of atoms in one lift, each query naming its row; ties,
         # zero calibration weights, zero and overflowing test weights
-        from doseband.conformal import _lift, _tail_mass
-
         gen = Rng(23).gen
         tiny = 2.0**-30
         for _ in range(200):
@@ -135,40 +142,37 @@ class TestWeightedQuantile:
             alpha = float(gen.uniform(0.02, 0.5))
             got = _lift(values, *_tail_mass(bins, len(values), weights), w_new, owner, alpha)
             for r in range(rows):
-                ws = WeightedScores(scores, weights[r])
-                mine = w_new[owner == r]
-                assert got[owner == r].tolist() == ws.thresholds(mine, alpha).tolist()
-                assert got[owner == r].tolist() == [scalar_scan(ws, float(w), alpha) for w in mine]
+                mine, got_r = w_new[owner == r], got[owner == r].tolist()
+                assert got_r == thresholds(scores, weights[r], mine, alpha).tolist()
+                assert got_r == [scalar_scan(scores, weights[r], float(w), alpha) for w in mine]
 
     def test_invalid_test_weights_rejected(self):
-        ws = WeightedScores([1.0, 2.0], [1.0, 1.0])
         for bad in ([1.0, -1.0], [math.inf], [math.nan]):
             with pytest.raises(ValueError, match="w_new"):
-                ws.thresholds(bad, 0.1)
+                thresholds([1.0, 2.0], [1.0, 1.0], bad, 0.1)
 
     def test_tied_scores_merge(self):
         scores = [1.0, 1.0, 2.0, 2.0, 3.0]
         weights = [0.3, 0.3, 0.2, 0.1, 0.1]
-        ws = WeightedScores(scores, weights)
         for alpha in (0.05, 0.21, 0.4, 0.61):
-            got = ws.thresholds(0.25, alpha)
+            got = thresholds(scores, weights, 0.25, alpha)
             assert got == oracle_weighted_quantile(scores, weights, 0.25, alpha)
 
     def test_monotone_in_w_new(self):
         gen = Rng(3).gen
-        ws = WeightedScores(gen.normal(size=40), gen.random(40) + 0.1)
+        scores, weights = gen.normal(size=40), gen.random(40) + 0.1
         prev = -math.inf
         for w_new in np.linspace(0.0, 20.0, 50):
-            eta = ws.thresholds(float(w_new), 0.1)
+            eta = thresholds(scores, weights, float(w_new), 0.1)
             assert eta >= prev
             prev = eta
 
     def test_monotone_in_alpha(self):
         gen = Rng(4).gen
-        ws = WeightedScores(gen.normal(size=40), gen.random(40) + 0.1)
+        scores, weights = gen.normal(size=40), gen.random(40) + 0.1
         prev = math.inf
         for alpha in np.linspace(0.02, 0.9, 40):
-            eta = ws.thresholds(0.7, float(alpha))
+            eta = thresholds(scores, weights, 0.7, float(alpha))
             assert eta <= prev
             prev = eta
 
@@ -177,19 +181,18 @@ class TestWeightedQuantile:
         gen = Rng(5).gen
         scores = gen.normal(size=30)
         weights = gen.random(30) + 0.05
-        base = WeightedScores(scores, weights).thresholds(0.8, 0.13)
+        base = thresholds(scores, weights, 0.8, 0.13)
         for k in (-40, -7, 3, 25):
             c = 2.0**k
-            scaled = WeightedScores(scores, weights * c).thresholds(0.8 * c, 0.13)
+            scaled = thresholds(scores, weights * c, 0.8 * c, 0.13)
             assert scaled == base
 
     def test_zero_weights_rejected(self):
         with pytest.raises(ValueError, match="not all be zero"):
-            WeightedScores([1.0, 2.0], [0.0, 0.0])
+            thresholds([1.0, 2.0], [0.0, 0.0], 1.0, 0.1)
 
     def test_zero_w_new_always_finite(self):
-        ws = WeightedScores([5.0], [1.0])
-        assert ws.thresholds(0.0, 0.05) == 5.0
+        assert thresholds([5.0], [1.0], 0.0, 0.05) == 5.0
 
 
 class TestSplitConformal:
@@ -218,12 +221,11 @@ class TestSplitConformal:
     def test_rank_on_1_to_99(self):
         # scores 1..99 at alpha=0.1: the threshold is the 90th order statistic
         scores = Rng(2).gen.permutation(np.arange(1.0, 100.0))
-        assert WeightedScores(scores, np.ones(99)).thresholds(1.0, 0.1) == 90.0
+        assert thresholds(scores, np.ones(99), 1.0, 0.1) == 90.0
 
     def test_too_small_calibration_gives_infinite(self):
         # ceil(0.95 * 6) = 6 exceeds the 5 calibration scores
-        ws = WeightedScores(np.arange(1.0, 6.0), np.ones(5))
-        assert ws.thresholds(1.0, 0.05) == math.inf
+        assert thresholds(np.arange(1.0, 6.0), np.ones(5), 1.0, 0.05) == math.inf
 
     def test_equal_weights_reduction_exact(self):
         # equal weights give the ceil((1 - alpha)(n + 1))-th order statistic
@@ -258,12 +260,11 @@ class TestWeightedIntervals:
         cfg = ConformalConfig(0.1, "cqr")
         h = NormalAssignment(NormalParams(0.0, 1.0))
         gps = _flat_gps()
-        from doseband.assignment import stabilized_weight
-
+        t_cal = d.t[sp.cal]
         V = calibration_scores(model, cfg, d, sp.cal)
-        W = stabilized_weight(h, gps, WeightConfig(), d.t[sp.cal], d.x[sp.cal])
-        w_new = stabilized_weight(h, gps, WeightConfig(), 0.4, np.array([0.2]))
-        eta = float(WeightedScores(V, W).thresholds(w_new, cfg.alpha))
+        W = likelihood_ratio(h.density(t_cal), gps.density(t_cal, d.x[sp.cal]), t_cal)
+        w_new = likelihood_ratio(h.density(0.4), gps.density(0.4, np.array([0.2])), 0.4)
+        eta = float(thresholds(V, W, w_new, cfg.alpha))
         iv = weighted_interval(d, sp, model, gps, h, cfg, np.array([0.2]), 0.4)
         lo = model.quantile(np.array([0.2]), 0.4, 0.05)
         hi = model.quantile(np.array([0.2]), 0.4, 0.95)
@@ -449,6 +450,19 @@ class TestPredictionBand:
             )
 
 
+@dataclass(frozen=True)
+class _Counted:
+    """An assignment or GPS that records the size of each density call;
+    it compares and hashes as the one it wraps."""
+
+    inner: object
+    seen: list = field(compare=False)
+
+    def density(self, t, *x):
+        self.seen.append(np.size(t))
+        return self.inner.density(t, *x)
+
+
 class TestBlockedBand:
     """The band against a direct per-point computation with the exact
     oracle quantile, and its edge cases through ``prediction_band``."""
@@ -521,16 +535,6 @@ class TestBlockedBand:
         d, sp, model, gps = self._tied(n=400)
         n_cal = len(sp.cal)
         lengths: list[int] = []
-
-        @dataclass(frozen=True)
-        class Counted:
-            inner: object
-            seen: list = field(compare=False)
-
-            def density(self, t):
-                self.seen.append(np.size(t))
-                return self.inner.density(t)
-
         grid = np.linspace(-2.0, 2.0, 60)
 
         def density_calls(h_factory):
@@ -546,11 +550,11 @@ class TestBlockedBand:
         # one density call per distinct assignment, on the calibration
         # treatments and the grid points the assignment owns
         shift = NormalAssignment(NormalParams(0.5, 1.0))
-        assert density_calls(lambda t: Counted(shift, lengths)) == ([n_cal + 60], [n_cal + 60])
+        assert density_calls(lambda t: _Counted(shift, lengths)) == ([n_cal + 60], [n_cal + 60])
         b = decile_boundaries(d.t[sp.train])
         reached = len(set(decile_index(b, grid).tolist()))
         sizes, expected = density_calls(
-            lambda t: Counted(DecileMidpointAssignment(b, s2=1.0, t_star=t, k=0.5), lengths)
+            lambda t: _Counted(DecileMidpointAssignment(b, s2=1.0, t_star=t, k=0.5), lengths)
         )
         assert sizes == expected
         assert 1 < len(sizes) == reached <= 10
@@ -627,6 +631,73 @@ class TestBlockedBand:
         assert band.intervals[-1] == Interval(-math.inf, math.inf)
         assert band.p_inf[-1] == 1.0
         assert all(math.isfinite(iv.length) for iv in band.intervals[:-1])
+
+
+class TestCalibration:
+    """One ``Calibration`` queried with ``bounds``: the study's use, many
+    test rows per assignment, with or without the test atom."""
+
+    def test_atom_free_query_evaluates_no_density_at_test_rows(self):
+        gen = Rng(29).gen
+        x = gen.normal(size=(300, 1))
+        t = x[:, 0] + gen.normal(size=300)
+        d = Dataset(x[:, 0] + t + gen.normal(size=300), t, x)
+        sp = split(d, 0.5, Rng(30))
+        model = OracleQuantileModel(mean_fn=lambda xx, tt: xx[:, 0] + tt, variance=1.0, levels=(0.05, 0.95))
+        cfg, wcfg = ConformalConfig(0.1), WeightConfig(offset=0.01)
+        gps_sizes, h_sizes = [], []
+        gps = _Counted(OlsGaussianGps(beta=[0.0, 1.0], s2=1.0, basis=lambda xx: xx[:, 0]), gps_sizes)
+        calib = Calibration(d, sp, model, gps, cfg, wcfg)
+        n_cal = len(sp.cal)
+        assert gps_sizes == [n_cal]
+        hs = [_Counted(NormalAssignment(NormalParams(m, 1.0)), h_sizes) for m in (-1.0, 0.0, 1.0)]
+        x_test, t_test = gen.normal(size=(40, 1)), gen.normal(size=40)
+        owner = np.arange(40) % 3
+        lower, upper, ess, p_inf = calib.bounds(x_test, t_test, hs, owner, test_atom=False)
+        # one calibration-length density call per assignment, none at the test rows
+        assert gps_sizes == [n_cal] and h_sizes == [n_cal] * 3
+        assert np.all(p_inf == 0.0)
+        scores = calibration_scores(model, cfg, d, sp.cal)
+        t_cal, x_cal = d.t[sp.cal], d.x[sp.cal]
+        den_cal = gps.inner.density(t_cal, x_cal) + wcfg.offset
+        for k in range(40):
+            W = hs[owner[k]].inner.density(t_cal) / den_cal
+            eta = oracle_weighted_quantile(scores, W, 0.0, cfg.alpha)
+            lo, hi = (model.quantile(x_test[k], float(t_test[k]), lv) for lv in (0.05, 0.95))
+            assert (lower[k], upper[k]) == (lo - eta, hi + eta)
+            assert ess[k] == pytest.approx(W.sum() ** 2 / np.sum(W**2), rel=1e-12)
+
+    @pytest.mark.parametrize("test_atom", [False, True])
+    def test_compare_uniform_numerators_share_one_calibration(self, test_atom):
+        # the replication of compare_uniform: both numerators query one
+        # calibration, which gives what a fresh one gives, and with the atom
+        # ESS and p_inf per row as computed directly
+        scenario = sim.make_scenario("unif-compare")
+        design = sim._DESIGNS[scenario.id]
+        rng = Rng(5).spawn(1)[0]
+        data, test = sim.generate(scenario, rng)
+        sp = split(data, 0.5, rng)
+        gps = sim._fit_gps(scenario, data, sp, rng)
+        levels = (scenario.alpha / 2.0, 1.0 - scenario.alpha / 2.0)
+        model = OracleQuantileModel(mean_fn=design.response_mean, variance=sim.RESPONSE_SD**2, levels=levels)
+        cfg, wcfg = ConformalConfig(scenario.alpha, design.score), design.weights
+        calib = Calibration(data, sp, model, gps, cfg, wcfg)
+        h = design.shift
+        h_unif = UniformAssignment(h.params.mean - 6.0 * h.params.sd, h.params.mean + 6.0 * h.params.sd)
+        owner = np.zeros(test.n, dtype=np.intp)
+        t_cal = data.t[sp.cal]
+        den_cal = gps.density(t_cal, data.x[sp.cal]) + wcfg.offset
+        den_test = gps.density(test.t, test.x) + wcfg.offset
+        for numerator in (h, h_unif):
+            got = calib.bounds(test.x, test.t, [numerator], owner, test_atom)
+            fresh = Calibration(data, sp, model, gps, cfg, wcfg)
+            fresh = fresh.bounds(test.x, test.t, [numerator], owner, test_atom)
+            assert all(np.array_equal(a, b) for a, b in zip(got, fresh))
+            _, _, ess, p_inf = got
+            W = numerator.density(t_cal) / den_cal
+            np.testing.assert_allclose(ess, W.sum() ** 2 / np.sum(W**2), rtol=1e-12)
+            w = numerator.density(test.t) / den_test if test_atom else np.zeros(test.n)
+            np.testing.assert_allclose(p_inf, w / (W.sum() + w), rtol=1e-12, atol=0.0)
 
 
 class TestIntervalType:

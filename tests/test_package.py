@@ -3,10 +3,20 @@ import importlib
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import doseband
 from doseband import conformal, sim
+from doseband.assignment import (
+    DecileMidpointAssignment,
+    NormalAssignment,
+    TruncatedNormalAssignment,
+    UniformAssignment,
+)
+from doseband.dist import NormalParams, TruncatedNormalParams
+from doseband.outcome import LinearPinballModel, OracleQuantileModel
+from doseband.propensity import CallableGps, MixtureGps, OlsGaussianGps
 
 tomllib = pytest.importorskip("tomllib")
 
@@ -84,3 +94,78 @@ def test_no_module_calls_np_vectorize():
                 if name == "vectorize":
                     calls.append(f"{path.name}:{node.lineno}")
     assert not calls, f"np.vectorize called at {calls}"
+
+
+BENCH_READERS = ("workloads.py", "make_reference.py", "setup_child.py")
+
+
+def _bench_names(path):
+    """(module, name) for every doseband name a file reads: the names of
+    ``from doseband.X import ...``, and the attributes read off a module
+    bound by ``from doseband import X``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names, aliases = set(), {}
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ImportFrom) and node.level == 0):
+            continue
+        if node.module == "doseband":
+            aliases.update({a.asname or a.name: a.name for a in node.names})
+        elif node.module.startswith("doseband."):
+            names.update((node.module, a.name) for a in node.names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+            names.add((f"doseband.{aliases[node.value.id]}", node.attr))
+    return names
+
+
+def test_every_name_the_benchmark_reads_resolves():
+    # a deletion that would break the benchmark fails here first
+    names = set().union(*(_bench_names(ROOT / "bench" / f) for f in BENCH_READERS))
+    assert {m for m, _ in names} >= {"doseband.conformal", "doseband.sim", "doseband.propensity"}
+    missing = sorted(f"{m}.{n}" for m, n in names if not hasattr(importlib.import_module(m), n))
+    assert not missing, f"bench/ reads names doseband no longer has: {missing}"
+
+
+def _affine_basis(x, t):
+    return np.column_stack([np.ones(len(t)), x, t])
+
+
+def _single_point_queries():
+    """(label, query) for every assignment, GPS and quantile model class,
+    each query one point the way ``bench/workloads.py::reference_band``
+    asks for it."""
+    x = np.array([0.3, -0.2])
+    coefs = {0.05: np.arange(4.0), 0.95: -np.arange(4.0)}
+    pinball = LinearPinballModel(basis=_affine_basis, coefs=coefs, levels=(0.05, 0.95))
+    oracle = OracleQuantileModel(mean_fn=lambda xx, tt: xx[:, 0] + tt, variance=1.0, levels=(0.05, 0.95))
+    return [
+        ("NormalAssignment", lambda: NormalAssignment(NormalParams(1.0, 0.5)).density(0.7)),
+        (
+            "TruncatedNormalAssignment",
+            lambda: TruncatedNormalAssignment(TruncatedNormalParams(2.0, 0.8, 1.0, 5.0)).density(2.7),
+        ),
+        ("UniformAssignment", lambda: UniformAssignment(0.0, 3.0).density(0.7)),
+        (
+            "DecileMidpointAssignment",
+            lambda: DecileMidpointAssignment(np.arange(11.0), 1.0, 4.5, 0.5).density(0.7),
+        ),
+        ("OlsGaussianGps", lambda: OlsGaussianGps(beta=np.array([0.1, 1.0, -1.0]), s2=2.0).density(0.7, x)),
+        (
+            "MixtureGps",
+            lambda: MixtureGps(
+                mix_weights=np.array([0.4, 0.6]),
+                betas=np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]]),
+                variances=np.array([1.0, 2.0]),
+            ).density(0.7, x),
+        ),
+        ("CallableGps", lambda: CallableGps(fn=lambda tt, xx: np.exp(-tt * tt)).density(0.7, x)),
+        ("OracleQuantileModel", lambda: oracle.quantile(x, 0.7, 0.95)),
+        ("LinearPinballModel", lambda: pinball.quantile(x, 0.7, 0.05)),
+    ]
+
+
+@pytest.mark.parametrize("label, query", _single_point_queries(), ids=[q[0] for q in _single_point_queries()])
+def test_single_point_query_returns_a_python_float(label, query):
+    # reference_band assigns these to one row of an array; a length-1
+    # array there raises "setting an array element with a sequence"
+    assert type(query()) is float, label
