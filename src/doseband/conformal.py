@@ -289,6 +289,8 @@ class Calibration:
         numerator of row i's weights being the assignment density
         hs[owner[i]], with the Kish ESS of those calibration weights and
         the row's test-atom mass; four arrays, one value per row.
+        ``owner`` must have t's shape and entries in [0, len(hs)), or
+        ``ValueError`` is raised.
 
         Without ``test_atom`` the threshold is the weighted quantile of
         the calibration scores alone: no density is evaluated at the test
@@ -310,6 +312,11 @@ class Calibration:
         t = np.asarray(t, dtype=float)
         if not np.all(np.isfinite(t)):
             raise ValueError("treatment values must be finite")
+        owner = np.asarray(owner)
+        if owner.shape != t.shape:
+            raise ValueError(f"owner has shape {owner.shape}, t has shape {t.shape}")
+        if np.any((owner < 0) | (owner >= len(hs))):
+            raise ValueError(f"owner entries must lie in [0, {len(hs)})")
         values, t_cal, n_cal, alpha = self.values, self.t_cal, len(self.t_cal), self.cfg.alpha
         if test_atom:
             den = self.gps.density(t, x) + self.offset

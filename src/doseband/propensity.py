@@ -2,11 +2,14 @@
 treatment given covariates, used as the denominator of stabilized weights.
 
 A model is anything with a ``density(t, x)`` method returning the
-conditional density of treatment ``t`` at covariates ``x``. Two fitted
-variants live here, Gaussian via OLS and Gaussian mixture via EM, plus a
-thin wrapper for arbitrary user densities such as truncated-normal
-oracles. A Gaussian oracle with known mean function m and variance s2
-is ``OlsGaussianGps(beta=[0, 1], s2=s2, basis=m)``.
+conditional density of treatment ``t`` at covariates ``x``. The one
+Gaussian model is ``MixtureGps``, a mixture of Gaussian linear
+regressions: ``fit_gaussian_mixture`` fits it by EM and
+``fit_ols_gaussian`` fits its one-component case by OLS. ``CallableGps``
+wraps an arbitrary user density such as a truncated-normal oracle. A
+Gaussian oracle with known mean function m and variance s2 is the
+one-component ``MixtureGps(mix_weights=[1.0], betas=[[0.0, 1.0]],
+variances=[s2], basis=m)``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .data import Dataset, query_rows
 from .dist import Rng, _normal_density
 
 __all__ = [
-    "OlsGaussianGps",
     "MixtureGps",
     "CallableGps",
     "FitReport",
@@ -40,28 +42,6 @@ def _design(x: np.ndarray, basis: Callable | None) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class OlsGaussianGps:
-    """Gaussian conditional density with an OLS-fitted affine mean.
-
-    ``basis`` maps the covariate matrix to regression columns; the design
-    gets an intercept prepended. ``s2`` is the residual variance.
-    """
-
-    beta: np.ndarray
-    s2: float
-    basis: Callable | None = None
-
-    def mean(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return _design(x, self.basis) @ self.beta
-
-    def density(self, t, x):
-        t, x2, scalar = query_rows(t, x)
-        out = _normal_density(t, self.mean(x2), math.sqrt(self.s2))
-        return float(out[0]) if scalar else out
-
-
-@dataclass(frozen=True)
 class MixtureGps:
     """Gaussian-mixture conditional density with affine component means."""
 
@@ -74,7 +54,7 @@ class MixtureGps:
         t, x2, scalar = query_rows(t, x)
         Z = _design(x2, self.basis)
         out = np.zeros_like(t)
-        for pi_k, beta_k, var_k in zip(self.mix_weights, self.betas, self.variances):
+        for pi_k, beta_k, var_k in zip(self.mix_weights, self.betas, self.variances, strict=True):
             out += pi_k * _normal_density(t, Z @ beta_k, math.sqrt(var_k))
         return float(out[0]) if scalar else out
 
@@ -109,8 +89,10 @@ class FitReport:
     collapsed_starts: int = 0
 
 
-def fit_ols_gaussian(data: Dataset, train, basis: Callable | None = None) -> OlsGaussianGps:
-    """Fit T ~ Normal([1, basis(X)] @ beta, s2) by ordinary least squares.
+def fit_ols_gaussian(data: Dataset, train, basis: Callable | None = None) -> MixtureGps:
+    """Fit T ~ Normal([1, basis(X)] @ beta, s2) by ordinary least squares,
+    returned as a one-component ``MixtureGps`` (weight 1, ``betas`` the
+    row beta, ``variances`` the entry s2).
 
     s2 is RSS / (n - q) with q the number of design columns; a floor of
     ``VARIANCE_FLOOR`` keeps the density finite on noiseless data.
@@ -126,7 +108,7 @@ def fit_ols_gaussian(data: Dataset, train, basis: Callable | None = None) -> Ols
         raise ValueError("GPS design matrix is rank deficient")
     resid = t - Z @ beta
     s2 = max(float(resid @ resid) / (n - q), VARIANCE_FLOOR)
-    return OlsGaussianGps(beta=beta, s2=s2, basis=basis)
+    return MixtureGps(mix_weights=np.ones(1), betas=beta[None, :], variances=np.array([s2]), basis=basis)
 
 
 # a mixing weight below this starves its component and collapses the start

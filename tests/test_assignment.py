@@ -26,7 +26,7 @@ from doseband.dist import (
     normal_pdf,
 )
 from doseband.outcome import OracleQuantileModel
-from doseband.propensity import CallableGps, OlsGaussianGps
+from doseband.propensity import CallableGps, MixtureGps
 
 
 def _boundaries_1_to_100():
@@ -265,7 +265,7 @@ class TestStabilizedWeight:
 
     def test_identical_densities_weight_one(self):
         h = NormalAssignment(NormalParams(1.0, 0.5))
-        gps = OlsGaussianGps(beta=[0.0, 1.0], s2=0.5, basis=lambda x: np.full(x.shape[0], 1.0))
+        gps = MixtureGps(mix_weights=[1.0], betas=[[0.0, 1.0]], variances=[0.5], basis=lambda x: np.full(x.shape[0], 1.0))
         w = likelihood_ratio(h.density(1.0), gps.density(1.0, np.array([3.3])), 1.0)
         assert w == pytest.approx(1.0, rel=1e-14)
 
@@ -335,7 +335,7 @@ class TestStabilizedWeight:
     def test_nonnegative_always(self):
         gen = np.random.default_rng(0)
         h = NormalAssignment(NormalParams(0.0, 1.0))
-        gps = OlsGaussianGps(beta=[0.0, 1.0], s2=2.0, basis=lambda x: x[:, 0])
+        gps = MixtureGps(mix_weights=[1.0], betas=[[0.0, 1.0]], variances=[2.0], basis=lambda x: x[:, 0])
         t = gen.normal(size=50)
         x = gen.normal(size=(50, 1))
         w = likelihood_ratio(h.density(t), gps.density(t, x), t)

@@ -25,7 +25,7 @@ from doseband.conformal import (
 from doseband.data import Dataset, SplitIndices, split
 from doseband.dist import NormalParams, Rng
 from doseband.outcome import LinearPinballModel, OracleQuantileModel
-from doseband.propensity import CallableGps, OlsGaussianGps
+from doseband.propensity import CallableGps, MixtureGps
 
 
 def oracle_weighted_quantile(scores, weights, w_new, alpha):
@@ -479,7 +479,7 @@ class TestBlockedBand:
         model = OracleQuantileModel(
             mean_fn=lambda xx, tt: np.round(xx[:, 0] + tt), variance=1.0, levels=(0.05, 0.95)
         )
-        gps = OlsGaussianGps(beta=[0.0, 1.0], s2=1.0, basis=lambda xx: xx[:, 0])
+        gps = MixtureGps(mix_weights=[1.0], betas=[[0.0, 1.0]], variances=[1.0], basis=lambda xx: xx[:, 0])
         return d, sp, model, gps
 
     def _assert_matches_oracle(self, h_factory, n_grid):
@@ -646,7 +646,7 @@ class TestCalibration:
         model = OracleQuantileModel(mean_fn=lambda xx, tt: xx[:, 0] + tt, variance=1.0, levels=(0.05, 0.95))
         cfg, wcfg = ConformalConfig(0.1), WeightConfig(offset=0.01)
         gps_sizes, h_sizes = [], []
-        gps = _Counted(OlsGaussianGps(beta=[0.0, 1.0], s2=1.0, basis=lambda xx: xx[:, 0]), gps_sizes)
+        gps = _Counted(MixtureGps(mix_weights=[1.0], betas=[[0.0, 1.0]], variances=[1.0], basis=lambda xx: xx[:, 0]), gps_sizes)
         calib = Calibration(d, sp, model, gps, cfg, wcfg)
         n_cal = len(sp.cal)
         assert gps_sizes == [n_cal]
@@ -698,6 +698,26 @@ class TestCalibration:
             np.testing.assert_allclose(ess, W.sum() ** 2 / np.sum(W**2), rtol=1e-12)
             w = numerator.density(test.t) / den_test if test_atom else np.zeros(test.n)
             np.testing.assert_allclose(p_inf, w / (W.sum() + w), rtol=1e-12, atol=0.0)
+
+    def test_owner_must_name_one_assignment_per_row(self):
+        # every row must name one assignment, or rows of the returned
+        # arrays would go unset
+        scenario = sim.make_scenario("s1")
+        design = sim._DESIGNS[scenario.id]
+        rng = Rng(3).spawn(1)[0]
+        data, test = sim.generate(scenario, rng)
+        sp = split(data, 0.5, rng)
+        levels = (scenario.alpha / 2.0, 1.0 - scenario.alpha / 2.0)
+        model = OracleQuantileModel(mean_fn=design.response_mean, variance=sim.RESPONSE_SD**2, levels=levels)
+        cfg = ConformalConfig(scenario.alpha, design.score)
+        calib = Calibration(data, sp, model, sim._fit_gps(scenario, data, sp, rng), cfg, design.weights)
+        x, t = test.x[:10], test.t[:10]
+        for owner in ([1] * 10, [-1] * 10):
+            with pytest.raises(ValueError, match=r"owner entries must lie in \[0, 1\)"):
+                calib.bounds(x, t, [design.shift], np.array(owner))
+        with pytest.raises(ValueError, match=r"owner has shape \(3,\), t has shape \(10,\)"):
+            calib.bounds(x, t, [design.shift], np.zeros(3, dtype=np.intp))
+        assert all(len(a) == 10 for a in calib.bounds(x, t, [design.shift], np.zeros(10, dtype=np.intp)))
 
 
 class TestIntervalType:

@@ -3,7 +3,7 @@ import pytest
 
 from doseband.data import Dataset, SplitIndices, query_rows, read_csv, split, write_csv
 from doseband.dist import Rng
-from doseband.propensity import OlsGaussianGps
+from doseband.propensity import MixtureGps
 
 
 def _toy(n=20, p=3, seed=0):
@@ -39,7 +39,7 @@ class TestQueryRows:
                 query_rows(np.zeros(3), x)
 
     def test_model_rejects_column_t_instead_of_broadcasting(self):
-        gps = OlsGaussianGps(beta=np.array([0.0, 1.0, 1.0]), s2=1.0)
+        gps = MixtureGps(mix_weights=[1.0], betas=[[0.0, 1.0, 1.0]], variances=[1.0])
         with pytest.raises(ValueError, match="1-d t"):
             gps.density(np.zeros((3, 1)), np.ones((3, 2)))
         assert gps.density(np.zeros(3), np.ones((3, 2))).shape == (3,)

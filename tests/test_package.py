@@ -16,7 +16,7 @@ from doseband.assignment import (
 )
 from doseband.dist import NormalParams, TruncatedNormalParams
 from doseband.outcome import LinearPinballModel, OracleQuantileModel
-from doseband.propensity import CallableGps, MixtureGps, OlsGaussianGps
+from doseband.propensity import CallableGps, MixtureGps
 
 tomllib = pytest.importorskip("tomllib")
 
@@ -149,7 +149,6 @@ def _single_point_queries():
             "DecileMidpointAssignment",
             lambda: DecileMidpointAssignment(np.arange(11.0), 1.0, 4.5, 0.5).density(0.7),
         ),
-        ("OlsGaussianGps", lambda: OlsGaussianGps(beta=np.array([0.1, 1.0, -1.0]), s2=2.0).density(0.7, x)),
         (
             "MixtureGps",
             lambda: MixtureGps(

@@ -6,11 +6,11 @@ from scipy import integrate
 
 from doseband import propensity, sim
 from doseband.data import Dataset, split
-from doseband.dist import Rng
+from doseband.dist import Rng, _normal_density
 from doseband.propensity import (
+    VARIANCE_FLOOR,
     CallableGps,
     MixtureGps,
-    OlsGaussianGps,
     fit_gaussian_mixture,
     fit_ols_gaussian,
 )
@@ -53,8 +53,8 @@ class TestOlsGaussian:
         t = 1.0 + 2.0 * x[:, 0] - 3.0 * x[:, 1]
         d = Dataset(gen.normal(size=50), t, x)
         m = fit_ols_gaussian(d, np.arange(50))
-        np.testing.assert_allclose(m.beta, [1.0, 2.0, -3.0], atol=1e-8)
-        assert m.s2 == 1e-8  # zero residual variance hits the floor
+        np.testing.assert_allclose(m.betas[0], [1.0, 2.0, -3.0], atol=1e-8)
+        assert m.variances[0] == 1e-8  # zero residual variance hits the floor
 
     def test_scenario1_coefficients_within_3se(self):
         # T | X ~ N(X1 - X2^2 + 0.5*X3, 20) with the correctly specified basis
@@ -66,10 +66,10 @@ class TestOlsGaussian:
         d = Dataset(np.zeros(n), t, x)
         m = fit_ols_gaussian(d, np.arange(n), basis=_s1_gps_basis)
         Z = _design(_s1_gps_basis(x), None)
-        cov = m.s2 * np.linalg.inv(Z.T @ Z)
+        cov = m.variances[0] * np.linalg.inv(Z.T @ Z)
         se = np.sqrt(np.diag(cov))
         truth = np.array([0.0, 1.0, -1.0, 0.5])
-        assert np.all(np.abs(m.beta - truth) <= 3.0 * se)
+        assert np.all(np.abs(m.betas[0] - truth) <= 3.0 * se)
 
     def test_density_peak(self):
         gen = Rng(1).gen
@@ -78,10 +78,26 @@ class TestOlsGaussian:
         d = Dataset(np.zeros(200), t, x)
         m = fit_ols_gaussian(d, np.arange(200))
         x0 = np.array([0.7])
-        t0 = float(m.mean(x0)[0])
+        t0 = float((_design(x0[None], None) @ m.betas[0])[0])
         assert m.density(t0, x0) == pytest.approx(
-            1.0 / math.sqrt(2.0 * math.pi * m.s2), rel=1e-12
+            1.0 / math.sqrt(2.0 * math.pi * m.variances[0]), rel=1e-12
         )
+
+    def test_density_bit_identical_to_the_ols_normal(self):
+        # the one-component mixture gives the Normal density of the OLS fit
+        # bit for bit, on rows and at a single point
+        data, _ = sim.generate(sim.make_scenario("s1"), Rng(3))
+        basis, train = sim._s12_gps_basis, np.arange(250)
+        m = fit_ols_gaussian(data, train, basis=basis)
+        Z, t_train = _design(data.x[train], basis), data.t[train]
+        beta, *_ = np.linalg.lstsq(Z, t_train, rcond=None)
+        resid = t_train - Z @ beta
+        sd = math.sqrt(max(float(resid @ resid) / (Z.shape[0] - Z.shape[1]), VARIANCE_FLOOR))
+        x, t = data.x[250:], data.t[250:]
+        assert np.array_equal(m.density(t, x), _normal_density(t, _design(x, basis) @ beta, sd))
+        one = m.density(float(t[0]), x[0])
+        assert type(one) is float
+        assert one == _normal_density(t[:1], _design(x[:1], basis) @ beta, sd)[0]
 
     def test_rank_deficiency(self):
         gen = Rng(2).gen
@@ -103,7 +119,7 @@ class TestMixtureEm:
         model, report = fit_gaussian_mixture(d, np.arange(d.n), max_components=2, rng=Rng(1))
         assert report.n_components == 1
         ols = fit_ols_gaussian(d, np.arange(d.n))
-        np.testing.assert_allclose(model.betas[0], ols.beta, atol=1e-6)
+        np.testing.assert_allclose(model.betas[0], ols.betas[0], atol=1e-6)
 
     def test_one_component_density_matches_ols_exactly(self):
         d = self._single_gaussian_data()
@@ -295,10 +311,19 @@ def test_capped_s1_em_runs_every_start_to_the_cap(seed, monkeypatch):
 
 class TestDensities:
     def test_oracle_gaussian(self):
-        m = OlsGaussianGps(beta=[0.0, 1.0], s2=2.0, basis=lambda x: x[:, 0] ** 2)
+        m = MixtureGps(mix_weights=[1.0], betas=[[0.0, 1.0]], variances=[2.0], basis=lambda x: x[:, 0] ** 2)
         x = np.array([1.5])
         expect = 1.0 / math.sqrt(4.0 * math.pi) * math.exp(-((3.0 - 2.25) ** 2) / 4.0)
         assert m.density(3.0, x) == pytest.approx(expect, rel=1e-12)
+
+    def test_mixture_rejects_mismatched_components(self):
+        # two mixing weights and one component: a zip that stops at the
+        # shortest array would give a density integrating to 0.5
+        m = MixtureGps(
+            mix_weights=np.array([0.5, 0.5]), betas=np.array([[0.0, 1.0]]), variances=np.array([1.0, 1.0])
+        )
+        with pytest.raises(ValueError, match="zip"):
+            m.density(0.0, np.array([0.0]))
 
     def test_callable_gps(self):
         m = CallableGps(fn=lambda t, x: np.exp(-np.abs(t)) / 2.0)
@@ -315,14 +340,14 @@ class TestDensities:
             betas=np.array([[0.0, 1.0, 0.0], [1.0, 0.5, -0.5]]),
             variances=np.array([0.5, 2.0]),
         )
-        oracle = OlsGaussianGps(beta=[0.0, 1.0], s2=1.5, basis=lambda z: z[:, 0])
+        oracle = MixtureGps(mix_weights=[1.0], betas=[[0.0, 1.0]], variances=[1.5], basis=lambda z: z[:, 0])
         xq = np.array([0.4, -0.9])
         for model in (ols, mix, oracle):
             val, _ = integrate.quad(lambda u: model.density(u, xq), -30, 30, limit=200)
             assert val == pytest.approx(1.0, abs=1e-4)
 
     def test_vectorized_rows(self):
-        m = OlsGaussianGps(beta=[0.0, 1.0], s2=1.0, basis=lambda x: x[:, 0])
+        m = MixtureGps(mix_weights=[1.0], betas=[[0.0, 1.0]], variances=[1.0], basis=lambda x: x[:, 0])
         x = np.array([[0.0], [1.0], [2.0]])
         t = np.array([0.0, 1.0, 2.0])
         out = m.density(t, x)
