@@ -1,4 +1,5 @@
-"""Intervention (treatment-assignment) distributions and stabilized weights.
+"""Intervention (treatment-assignment) distributions and likelihood-ratio
+weights.
 
 The weight attached to a calibration point is the likelihood ratio
 
@@ -6,9 +7,14 @@ The weight attached to a calibration point is the likelihood ratio
 
 where h is a covariate-free assignment density (the counterfactual
 allocation of interest) and f_hat the fitted generalized propensity
-score. The default offset is zero and a vanishing denominator raises
-``PositivityError``: a zero conditional density at an observed point is
-a positivity violation and should surface, not be smoothed over.
+score. A numerator is anything with a ``density(t)`` method: the Normal
+and truncated-Normal ones are ``dist.NormalParams`` and
+``dist.TruncatedNormalParams`` themselves, and this module adds the
+uniform and the decile-midpoint numerators. The offset is a field of
+``conformal.ConformalConfig``. It defaults to zero, and a vanishing
+denominator then raises ``PositivityError``: a zero conditional density
+at an observed point is a positivity violation and should surface, not
+be smoothed over.
 
 The decile-midpoint variant reproduces a discretized allocation: the
 numerator is a Normal centered at the midpoint of the decile containing
@@ -28,21 +34,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .dist import (
-    NormalParams,
-    TruncatedNormalParams,
-    _checked_points,
-    _truncated_normal_log_mass,
-    _truncated_normal_logpdf_core,
-    normal_pdf,
-)
+from .dist import NormalParams, _checked_points
 
 __all__ = [
-    "NormalAssignment",
-    "TruncatedNormalAssignment",
     "UniformAssignment",
     "DecileMidpointAssignment",
-    "WeightConfig",
     "PositivityError",
     "decile_boundaries",
     "decile_index",
@@ -53,31 +49,6 @@ __all__ = [
 class PositivityError(ValueError):
     """Zero GPS density (with zero offset) at a point that carries
     assignment mass."""
-
-
-@dataclass(frozen=True)
-class NormalAssignment:
-    params: NormalParams
-
-    def density(self, t):
-        return normal_pdf(t, self.params)
-
-
-@dataclass(frozen=True)
-class TruncatedNormalAssignment:
-    params: TruncatedNormalParams
-
-    @cached_property
-    def _log_mass(self) -> np.ndarray:
-        """The normalising log mass, computed on first use."""
-        p = self.params
-        return _truncated_normal_log_mass(p.mean, p.sd, p.lower, p.upper)
-
-    def density(self, t):
-        p = self.params
-        t = _checked_points(t)
-        out = np.exp(_truncated_normal_logpdf_core(t, p.mean, p.sd, p.lower, p.upper, self._log_mass))
-        return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -94,8 +65,7 @@ class UniformAssignment:
     def density(self, t):
         t = _checked_points(t)
         inside = (t >= self.lower) & (t <= self.upper)
-        out = np.where(inside, 1.0 / (self.upper - self.lower), 0.0)
-        return float(out) if out.ndim == 0 else out
+        return np.where(inside, 1.0 / (self.upper - self.lower), 0.0)
 
 
 class DecileMidpointAssignment:
@@ -173,21 +143,9 @@ class DecileMidpointAssignment:
 
     def density(self, t):
         t = np.asarray(t, dtype=float)
-        base = normal_pdf(t, self._numerator)
+        base = self._numerator.density(t)
         same = decile_index(self.boundaries, t) == self._key[3]
-        out = np.where(same, base, self.k * base)
-        return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class WeightConfig:
-    """Offset added to the GPS denominator (0 = hard positivity check)."""
-
-    offset: float = 0.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.offset) and self.offset >= 0.0):
-            raise ValueError("offset must be finite and >= 0")
+        return np.where(same, base, self.k * base)
 
 
 def decile_boundaries(treatments) -> np.ndarray:
@@ -221,12 +179,9 @@ def likelihood_ratio(num, den, t):
     Weights are zero exactly where the numerator is; a denominator at or
     below zero under a positive numerator raises ``PositivityError``,
     naming up to three distinct offending treatments in array order.
-    Inputs may be blocks of any shape, t broadcasting against them;
-    scalar inputs give a float.
+    Inputs may be blocks of any shape, t broadcasting against them.
     """
     num, den = np.asarray(num, dtype=float), np.asarray(den, dtype=float)
-    scalar = num.ndim == 0 and den.ndim == 0
-    num, den = np.atleast_1d(num), np.atleast_1d(den)
     bad = (den <= 0.0) & (num > 0.0)
     if np.any(bad):
         t = np.broadcast_to(np.asarray(t, dtype=float), bad.shape)
@@ -235,6 +190,5 @@ def likelihood_ratio(num, den, t):
             f"zero propensity density with positive assignment mass at t={t_bad}; "
             "the shift requests treatments the observed data cannot support"
         )
-    out = np.where(num > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
-    return float(out[0]) if scalar else out
+    return np.where(num > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
 

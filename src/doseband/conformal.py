@@ -1,5 +1,12 @@
 """Weighted split-conformal intervals and dose-response prediction bands.
 
+Each calibration point (T_i, X_i) is weighted by the likelihood ratio
+of weighted conformal prediction under covariate shift (Tibshirani,
+Barber, Candes & Ramdas 2019), W_i = h(T_i) / (f_hat(T_i | X_i) +
+offset), and a test point (t, x) by w = h(t) / (f_hat(t | x) + offset):
+h is the assignment density, f_hat the fitted GPS and the offset a
+field of ``ConformalConfig``, zero by default.
+
 Both score kinds follow one rule: a score is the distance of y outside
 the outcome model's base interval [lo, hi], max(lo - y, y - hi), and a
 threshold eta widens that interval to [lo - eta, hi + eta]. The base
@@ -54,7 +61,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .assignment import WeightConfig, likelihood_ratio
+from .assignment import likelihood_ratio
 from .data import Dataset, SplitIndices
 
 __all__ = [
@@ -212,14 +219,20 @@ class PredictionBand:
 
 @dataclass(frozen=True)
 class ConformalConfig:
+    """Miscoverage level, score kind, and the offset added to the GPS
+    denominator of every weight (0 = hard positivity check)."""
+
     alpha: float
     score_kind: str = "cqr"
+    offset: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly inside (0, 1)")
         if self.score_kind not in SCORE_KINDS:
             raise ValueError(f"score_kind must be one of {SCORE_KINDS}")
+        if not (math.isfinite(self.offset) and self.offset >= 0.0):
+            raise ValueError("offset must be finite and >= 0")
 
 
 def _base_interval(model, kind: str, x, t):
@@ -276,13 +289,11 @@ class Calibration:
     ``_base_interval``).
     """
 
-    def __init__(
-        self, data: Dataset, sp: SplitIndices, model, gps, cfg: ConformalConfig, weight_cfg: WeightConfig
-    ):
-        self.model, self.gps, self.cfg, self.offset = model, gps, cfg, weight_cfg.offset
+    def __init__(self, data: Dataset, sp: SplitIndices, model, gps, cfg: ConformalConfig):
+        self.model, self.gps, self.cfg = model, gps, cfg
         self.values, self.inverse = _tie_index(calibration_scores(model, cfg, data, sp.cal))
         self.t_cal = data.t[sp.cal]
-        self.den_cal = gps.density(self.t_cal, data.x[sp.cal]) + weight_cfg.offset
+        self.den_cal = gps.density(self.t_cal, data.x[sp.cal]) + cfg.offset
 
     def bounds(self, x, t, hs, owner, test_atom: bool = True):
         """Weighted conformal bounds at the test rows (x[i], t[i]), the
@@ -319,7 +330,7 @@ class Calibration:
             raise ValueError(f"owner entries must lie in [0, {len(hs)})")
         values, t_cal, n_cal, alpha = self.values, self.t_cal, len(self.t_cal), self.cfg.alpha
         if test_atom:
-            den = self.gps.density(t, x) + self.offset
+            den = self.gps.density(t, x) + self.cfg.offset
         rows = max(1, _BLOCK_ELEMENTS // n_cal)
         eta, ess, p_inf = np.empty(len(t)), np.empty(len(t)), np.zeros(len(t))
         for start in range(0, len(hs), rows):
@@ -361,13 +372,12 @@ def weighted_interval(
     cfg: ConformalConfig,
     x_new,
     t_new,
-    weight_cfg: WeightConfig = WeightConfig(),
 ) -> Interval:
     """Weighted split-conformal interval at (x_new, t_new), with
-    likelihood-ratio weights h(t) / (gps(t | x) + offset): the one-row
-    query of a ``Calibration``.
+    likelihood-ratio weights h(t) / (gps(t | x) + cfg.offset): the
+    one-row query of a ``Calibration``.
     """
-    calib = Calibration(data, sp, model, gps, cfg, weight_cfg)
+    calib = Calibration(data, sp, model, gps, cfg)
     x = np.atleast_2d(np.asarray(x_new, dtype=float))
     lower, upper, _, _ = calib.bounds(x, np.array([float(t_new)]), [h], np.zeros(1, dtype=np.intp))
     return Interval(float(lower[0]), float(upper[0]))
@@ -384,7 +394,6 @@ def prediction_band(
     t_min: float,
     t_max: float,
     n_grid: int,
-    weight_cfg: WeightConfig = WeightConfig(),
 ) -> PredictionBand:
     """Pointwise band over an inclusive, evenly spaced treatment grid.
 
@@ -414,7 +423,7 @@ def prediction_band(
     if not t_min < t_max:
         raise ValueError("need t_min < t_max")
     grid = np.linspace(t_min, t_max, n_grid)
-    calib = Calibration(data, sp, model, gps, cfg, weight_cfg)
+    calib = Calibration(data, sp, model, gps, cfg)
     distinct: dict = {}  # assignment -> its index, in first-seen order
     owner = np.empty(n_grid, dtype=np.intp)
     for k, t in enumerate(grid.tolist()):

@@ -4,7 +4,9 @@ Every Normal-family distribution here is parameterized by mean and
 VARIANCE, not standard deviation. Only what the rest of the package
 needs is implemented: the Normal density and quantile, and the
 truncated-Normal log density and inverse-CDF transform that the
-simulation scenarios use.
+simulation scenarios use. ``NormalParams`` and ``TruncatedNormalParams``
+carry their own ``density(t)``, so either serves directly as the
+numerator h of the weights (see ``assignment``).
 
 Every Normal tail probability goes through ``_erfc``, numpy array code
 for Cody's rational Chebyshev approximations (W. J. Cody, Math. Comp.
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +41,6 @@ __all__ = [
     "NormalParams",
     "TruncatedNormalParams",
     "Rng",
-    "normal_pdf",
     "normal_quantile",
 ]
 
@@ -112,6 +114,10 @@ class NormalParams:
     def sd(self) -> float:
         return math.sqrt(self.variance)
 
+    def density(self, t):
+        """Density at t: (2*pi*var)^(-1/2) exp(-(t-mean)^2 / (2*var))."""
+        return _normal_density(_checked_points(t), self.mean, self.sd)
+
 
 @dataclass(frozen=True)
 class TruncatedNormalParams:
@@ -133,6 +139,15 @@ class TruncatedNormalParams:
     @property
     def sd(self) -> float:
         return math.sqrt(self.variance)
+
+    @cached_property
+    def _log_mass(self) -> np.ndarray:
+        """The normalising log mass, computed on first use."""
+        return _truncated_normal_log_mass(self.mean, self.sd, self.lower, self.upper)
+
+    def density(self, t):
+        t = _checked_points(t)
+        return np.exp(_truncated_normal_logpdf_core(t, self.mean, self.sd, self.lower, self.upper, self._log_mass))
 
 
 class Rng:
@@ -162,10 +177,6 @@ class Rng:
         return f"Rng(seed={self.seed})"
 
 
-def _maybe_scalar(x: np.ndarray):
-    return float(x) if x.ndim == 0 else x
-
-
 def _checked_points(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
@@ -177,11 +188,6 @@ def _normal_density(x, mean, sd):
     """Normal density at x, unchecked, for arrays of x and mean."""
     z = (x - mean) / sd
     return _INV_SQRT_2PI / sd * np.exp(-0.5 * z * z)
-
-
-def normal_pdf(x, p: NormalParams):
-    """Normal density at x: (2*pi*var)^(-1/2) exp(-(x-mean)^2 / (2*var))."""
-    return _maybe_scalar(_normal_density(_checked_points(x), p.mean, p.sd))
 
 
 def _at_least_two(a: np.ndarray) -> np.ndarray:
@@ -319,7 +325,7 @@ def normal_quantile(prob, p: NormalParams):
     prob = np.asarray(prob, dtype=float)
     if not np.all((prob > 0.0) & (prob < 1.0)):
         raise ValueError("prob must lie strictly inside (0, 1)")
-    return _maybe_scalar(p.mean + p.sd * _std_normal_quantile(prob))
+    return p.mean + p.sd * _std_normal_quantile(prob)
 
 
 def _log_std_lower_tail(z) -> np.ndarray:

@@ -55,7 +55,7 @@ def _check_levels(levels) -> tuple[float, ...]:
 @functools.lru_cache(maxsize=256)
 def _normal_shift(level: float, variance: float) -> float:
     """Level quantile of Normal(0, variance), resolved once per pair."""
-    return normal_quantile(level, NormalParams(0.0, variance))
+    return float(normal_quantile(level, NormalParams(0.0, variance)))
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 VARIANCE_FLOOR = 1e-8
+# how far mixing weights may sum from 1; EM's sum to 1 within about n * eps
+MIX_WEIGHT_SUM_TOL = 1e-9
 
 
 def _design(x: np.ndarray, basis: Callable | None) -> np.ndarray:
@@ -43,12 +45,33 @@ def _design(x: np.ndarray, basis: Callable | None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MixtureGps:
-    """Gaussian-mixture conditional density with affine component means."""
+    """Gaussian-mixture conditional density with affine component means.
+
+    Construction checks the fields without copying them: ``mix_weights``
+    is a vector of finite weights >= 0 summing to 1 within
+    ``MIX_WEIGHT_SUM_TOL``, ``betas`` has one row per weight, and
+    ``variances`` one finite, positive entry per weight.
+    """
 
     mix_weights: np.ndarray
     betas: np.ndarray  # (k, q) coefficients incl. intercept
     variances: np.ndarray  # (k,)
     basis: Callable | None = None
+
+    def __post_init__(self):
+        # checked as Python floats: k is small, and a numpy call per check
+        # would cost several times the checks themselves
+        w, var = np.asarray(self.mix_weights, dtype=float), np.asarray(self.variances, dtype=float)
+        betas = np.asarray(self.betas, dtype=float)
+        if w.ndim != 1 or not all(0.0 <= v < math.inf for v in w.tolist()):
+            raise ValueError("mix_weights must be a vector of finite weights >= 0")
+        total = math.fsum(w.tolist())
+        if abs(total - 1.0) > MIX_WEIGHT_SUM_TOL:
+            raise ValueError(f"mix_weights must sum to 1, got {total!r}")
+        if betas.ndim != 2 or len(betas) != len(w):
+            raise ValueError(f"betas must be 2-d with one row per mixing weight, got shape {betas.shape}")
+        if var.shape != w.shape or not all(0.0 < v < math.inf for v in var.tolist()):
+            raise ValueError("variances must hold one finite, positive entry per mixing weight")
 
     def density(self, t, x):
         t, x2, scalar = query_rows(t, x)
@@ -240,10 +263,10 @@ def fit_gaussian_mixture(
     data: Dataset,
     train,
     max_components: int = 2,
-    basis: Callable | None = None,
     rng: Rng | None = None,
 ) -> tuple[MixtureGps, FitReport]:
     """Fit a Gaussian mixture of linear regressions, selected by BIC.
+    Each component mean is affine in the raw covariates.
 
     For each k in 1..max_components the log-likelihood is maximized and
     the k minimizing BIC is returned.
@@ -274,7 +297,7 @@ def fit_gaussian_mixture(
     if not isinstance(max_components, (int, np.integer)) or max_components < 1:
         raise ValueError("max_components must be a positive integer")
     train = np.asarray(train)
-    Z = _design(data.x[train], basis)
+    Z = _design(data.x[train], None)
     t = data.t[train]
     n, q = Z.shape
     if n <= 10 * (data.p + 2) * max_components:
@@ -317,7 +340,7 @@ def fit_gaussian_mixture(
     e = t - betas @ Z.T
     dof = np.maximum(resp.sum(axis=1) - q, 1.0)
     corrected = np.maximum((resp * e * e).sum(axis=1) / dof, VARIANCE_FLOOR)
-    model = MixtureGps(mix_weights=pis, betas=betas, variances=corrected, basis=basis)
+    model = MixtureGps(mix_weights=pis, betas=betas, variances=corrected)
     report = FitReport(
         log_likelihood=loglik,
         n_params=n_params,

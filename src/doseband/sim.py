@@ -65,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import NormalAssignment, TruncatedNormalAssignment, UniformAssignment, WeightConfig
+from .assignment import UniformAssignment
 from .conformal import Calibration, ConformalConfig, score_interval
 from .data import Dataset, split
 from .dist import (
@@ -129,10 +129,11 @@ def trunc_response_mean(x: np.ndarray, t: np.ndarray) -> np.ndarray:
 class _Design:
     """Everything a scenario id fixes.
 
-    ``shift`` is the numerator h of the weights, and its ``params`` are
-    the law the test treatments are drawn from. ``trunc_sd`` maps X to
-    the sd of the truncated-Normal T | X; None selects the Gaussian
-    family of s1/s2. ``basis`` is the learned setups' pinball basis.
+    ``shift`` is both the numerator h of the weights and the law the
+    test treatments are drawn from. ``trunc_sd`` maps X to the sd of
+    the truncated-Normal T | X; None selects the Gaussian family of
+    s1/s2. ``basis`` is the learned setups' pinball basis, and
+    ``offset`` the weight offset added to the GPS denominator.
     """
 
     n: int
@@ -141,11 +142,11 @@ class _Design:
     setup: str
     setups: tuple[str, ...]
     response_mean: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    shift: NormalAssignment | TruncatedNormalAssignment
+    shift: NormalParams | TruncatedNormalParams
     score: str = "cqr"
     basis: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     trunc_sd: Callable[[np.ndarray], np.ndarray] | None = None
-    weights: WeightConfig = WeightConfig()
+    offset: float = 0.0
 
 
 # the learned bases are curvature-free, standing in for a flexible learner
@@ -153,14 +154,14 @@ class _Design:
 # correctly specified one
 _S12 = dict(
     n=1000, n_test=10, alpha=0.1, setup="oracle-oracle", setups=SETUPS,
-    shift=NormalAssignment(NormalParams(1.0, 0.5)),
+    shift=NormalParams(1.0, 0.5),
 )
 _TRUNC = dict(
     n=10000, n_test=10, alpha=0.05, setup="learned-outcome-oracle-weights",
     setups=("learned-outcome-oracle-weights",), response_mean=trunc_response_mean,
-    shift=TruncatedNormalAssignment(TruncatedNormalParams(2.0, 0.8, 1.0, 5.0)),
+    shift=TruncatedNormalParams(2.0, 0.8, 1.0, 5.0),
     basis=lambda x, t: np.column_stack([np.ones(len(t)), x[:, 0], t, x[:, 0] * t]),
-    weights=WeightConfig(offset=0.001),
+    offset=0.001,
 )
 _DESIGNS = {
     "s1": _Design(
@@ -176,7 +177,7 @@ _DESIGNS = {
     "unif-compare": _Design(
         n=1000, n_test=200, alpha=0.1, setup="oracle-outcome-estimated-weights",
         setups=("oracle-oracle", "oracle-outcome-estimated-weights"), response_mean=s2_response_mean,
-        shift=NormalAssignment(NormalParams(1.0, 4.0)), score="absolute-residual",
+        shift=NormalParams(1.0, 4.0), score="absolute-residual",
     ),
 }
 SCENARIO_IDS = tuple(_DESIGNS)
@@ -264,7 +265,7 @@ def generate(scenario: Scenario, rng: Rng) -> tuple[Dataset, TestPoints]:
     d = _DESIGNS[scenario.id]
     gen = rng.gen
     n, m = scenario.n, scenario.n_test
-    shift = d.shift.params
+    shift = d.shift
 
     if d.trunc_sd is None:
         def covariates(k):
@@ -321,7 +322,7 @@ def _replicate(scenario: Scenario, rng: Rng, test_atom: bool, numerators) -> lis
     d = _DESIGNS[scenario.id]
     data, test = generate(scenario, rng)
     sp = split(data, 0.5, rng)
-    cfg = ConformalConfig(scenario.alpha, d.score)
+    cfg = ConformalConfig(scenario.alpha, d.score, d.offset)
     levels = (scenario.alpha / 2.0, 1.0 - scenario.alpha / 2.0)
     if scenario.setup in ("oracle-oracle", "oracle-outcome-estimated-weights"):
         model = OracleQuantileModel(mean_fn=d.response_mean, variance=RESPONSE_SD**2, levels=levels)
@@ -330,7 +331,7 @@ def _replicate(scenario: Scenario, rng: Rng, test_atom: bool, numerators) -> lis
         model = LinearPinballModel(basis=d.basis, coefs=coefs, levels=levels)
     calib = None
     if scenario.setup != "unadjusted":
-        calib = Calibration(data, sp, model, _fit_gps(scenario, data, sp, rng), cfg, d.weights)
+        calib = Calibration(data, sp, model, _fit_gps(scenario, data, sp, rng), cfg)
     owner = np.zeros(test.n, dtype=np.intp)
     rows = []
     for h in numerators:
@@ -423,7 +424,7 @@ def compare_uniform(
     # flat over the shift's mean +- 6 sd (all but ~2e-9 of its mass, so
     # every test treatment in practice, but not every observed one); it
     # stops damping the 1/gps tails, which is the variability compared
-    h_unif = UniformAssignment(h.params.mean - 6.0 * h.params.sd, h.params.mean + 6.0 * h.params.sd)
+    h_unif = UniformAssignment(h.mean - 6.0 * h.sd, h.mean + 6.0 * h.sd)
     ipb, unif = _study(scenario, replications, rng, test_atom, [h, h_unif])
     return UniformComparison(
         ipb=_aggregate(ipb, replications),

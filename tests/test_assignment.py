@@ -7,11 +7,8 @@ from scipy import integrate, stats
 
 from doseband.assignment import (
     DecileMidpointAssignment,
-    NormalAssignment,
     PositivityError,
-    TruncatedNormalAssignment,
     UniformAssignment,
-    WeightConfig,
     decile_boundaries,
     decile_index,
     likelihood_ratio,
@@ -21,9 +18,9 @@ from doseband.data import Dataset, SplitIndices
 from doseband.dist import (
     NormalParams,
     TruncatedNormalParams,
+    _normal_density,
     _truncated_normal_log_mass,
     _truncated_normal_logpdf_core,
-    normal_pdf,
 )
 from doseband.outcome import OracleQuantileModel
 from doseband.propensity import CallableGps, MixtureGps
@@ -57,21 +54,21 @@ class TestDensities:
             UniformAssignment(1.0, 1.0)
 
     def test_normal_matches_dist(self):
-        h = NormalAssignment(NormalParams(1.0, 0.5))
-        assert h.density(0.3) == pytest.approx(
-            normal_pdf(0.3, NormalParams(1.0, 0.5)), rel=1e-14
-        )
+        # the numerator evaluates the kernel the Gaussian GPS evaluates
+        h = NormalParams(1.0, 0.5)
+        t = np.linspace(-3.0, 5.0, 81)
+        assert np.array_equal(h.density(t), _normal_density(t, 1.0, math.sqrt(0.5)))
+        assert h.density(0.3) == pytest.approx(stats.norm.pdf(0.3, 1.0, math.sqrt(0.5)), rel=1e-14)
 
     def test_truncated_normal_matches_scipy(self):
         p = TruncatedNormalParams(2.0, 0.8, 1.0, 5.0)
-        h = TruncatedNormalAssignment(p)
         a, b = (1.0 - 2.0) / p.sd, (5.0 - 2.0) / p.sd
         want = stats.truncnorm.pdf(2.7, a, b, loc=2.0, scale=p.sd)
-        assert h.density(2.7) == pytest.approx(want, rel=1e-9)
+        assert p.density(2.7) == pytest.approx(want, rel=1e-9)
 
     def test_nonfinite_point_rejected(self):
         gps = CallableGps(fn=lambda t, x: np.ones_like(t))
-        calib = _calibration(np.linspace(0.1, 0.9, 4), gps, WeightConfig())
+        calib = _calibration(np.linspace(0.1, 0.9, 4), gps)
         for test_atom in (True, False):
             with pytest.raises(ValueError, match="treatment values must be finite"):
                 _query(calib, UniformAssignment(0, 1), [math.nan], test_atom=test_atom)
@@ -79,8 +76,8 @@ class TestDensities:
     @pytest.mark.parametrize(
         "h",
         [
-            NormalAssignment(NormalParams(1.0, 0.5)),
-            TruncatedNormalAssignment(TruncatedNormalParams(2.0, 0.8, 1.0, 5.0)),
+            NormalParams(1.0, 0.5),
+            TruncatedNormalParams(2.0, 0.8, 1.0, 5.0),
             UniformAssignment(0.0, 3.0),
             DecileMidpointAssignment(np.arange(11.0), 1.0, 4.5),
         ],
@@ -96,17 +93,16 @@ class TestDensities:
         p = TruncatedNormalParams(2.0, 0.8, 1.0, 5.0)
         calls = []
         monkeypatch.setattr(
-            "doseband.assignment._truncated_normal_log_mass",
+            "doseband.dist._truncated_normal_log_mass",
             lambda *a: calls.append(a) or _truncated_normal_log_mass(*a),
         )
-        h = TruncatedNormalAssignment(p)
         t = np.linspace(0.0, 6.0, 601)
-        first, second = h.density(t), h.density(t[::-1])
+        first, second = p.density(t), p.density(t[::-1])
         assert len(calls) == 1
         # bit-identical to the log density that computes its own mass
         want = np.exp(_truncated_normal_logpdf_core(t, p.mean, p.sd, p.lower, p.upper))
         assert np.array_equal(first, want) and np.array_equal(second, want[::-1])
-        assert [h.density(v) for v in t[:5]] == want[:5].tolist()
+        assert [p.density(v) for v in t[:5]] == want[:5].tolist()
 
 
 class TestDeciles:
@@ -181,7 +177,7 @@ class TestDeciles:
         mid = _midpoint(b, 33.0)
         for t in (5.0, 33.0, 97.0):
             assert h.density(t) == pytest.approx(
-                normal_pdf(t, NormalParams(mid, 4.0)), rel=1e-14
+                NormalParams(mid, 4.0).density(t), rel=1e-14
             )
 
     def test_k_half_scales_other_deciles(self):
@@ -201,7 +197,7 @@ class TestDeciles:
         mid = _midpoint(b, 15.0)
         for t in (11.5, 15.0, 19.0):
             assert h.density(t) == pytest.approx(
-                normal_pdf(t, NormalParams(mid, 1.0)), rel=1e-14
+                NormalParams(mid, 1.0).density(t), rel=1e-14
             )
 
     def test_density_bit_identical_to_per_call_decile_lookup(self):
@@ -212,16 +208,18 @@ class TestDeciles:
         )
         for t_star in (b[0] - 3.0, b[0], b[3], 0.5 * (b[3] + b[4]), b[9], b[10], b[10] + 3.0):
             h = DecileMidpointAssignment(boundaries=b, s2=4.0, t_star=t_star, k=0.5)
-            base = normal_pdf(grid, NormalParams(_midpoint(b, t_star), 4.0))
+            base = NormalParams(_midpoint(b, t_star), 4.0).density(grid)
             old = np.where(decile_index(b, grid) == decile_index(b, t_star), base, 0.5 * base)
             assert np.array_equal(h.density(grid), old)
             assert [h.density(t) for t in grid[:11]] == old[:11].tolist()
 
 
 class TestLikelihoodRatio:
-    def test_scalar_inputs_give_float(self):
+    def test_scalar_inputs_give_a_0d_array(self):
         w = likelihood_ratio(0.5, 0.25, 1.0)
-        assert type(w) is float and w == 2.0
+        assert isinstance(w, np.ndarray) and w.shape == () and w == 2.0
+        with pytest.raises(PositivityError, match=re.escape("t=[1.5];")):
+            likelihood_ratio(0.5, 0.0, 1.5)
 
     def test_block_broadcasts_t(self):
         num = np.array([[1.0, 2.0, 0.0], [3.0, 0.0, 6.0]])
@@ -243,14 +241,14 @@ class TestLikelihoodRatio:
             likelihood_ratio(np.ones(5), np.zeros(5), t)
 
 
-def _calibration(t_cal, gps, weight_cfg):
+def _calibration(t_cal, gps, offset=0.0):
     """A ``Calibration`` whose calibration half has the treatments t_cal."""
     t_cal = np.asarray(t_cal, dtype=float)
     n = len(t_cal)
     data = Dataset(np.arange(2.0 * n), np.r_[t_cal, t_cal], np.zeros((2 * n, 1)))
     model = OracleQuantileModel(mean_fn=lambda x, t: np.zeros(len(t)), variance=1.0)
     sp = SplitIndices(np.arange(n, 2 * n), np.arange(n))
-    return Calibration(data, sp, model, gps, ConformalConfig(0.1, "absolute-residual"), weight_cfg)
+    return Calibration(data, sp, model, gps, ConformalConfig(0.1, "absolute-residual", offset))
 
 
 def _query(calib, h, t, test_atom=True):
@@ -264,15 +262,15 @@ class TestStabilizedWeight:
     the two densities, and the offset and checks of ``Calibration``."""
 
     def test_identical_densities_weight_one(self):
-        h = NormalAssignment(NormalParams(1.0, 0.5))
+        h = NormalParams(1.0, 0.5)
         gps = MixtureGps(mix_weights=[1.0], betas=[[0.0, 1.0]], variances=[0.5], basis=lambda x: np.full(x.shape[0], 1.0))
         w = likelihood_ratio(h.density(1.0), gps.density(1.0, np.array([3.3])), 1.0)
         assert w == pytest.approx(1.0, rel=1e-14)
 
     def test_no_shift_all_weights_one(self):
         # h equal to the (covariate-free) conditional density: every weight is 1
-        h = NormalAssignment(NormalParams(0.0, 2.0))
-        gps = CallableGps(fn=lambda t, x: normal_pdf(t, NormalParams(0.0, 2.0)))
+        h = NormalParams(0.0, 2.0)
+        gps = CallableGps(fn=lambda t, x: NormalParams(0.0, 2.0).density(t))
         t = np.linspace(-3, 3, 25)
         x = np.zeros((25, 1))
         w = likelihood_ratio(h.density(t), gps.density(t, x), t)
@@ -282,8 +280,7 @@ class TestStabilizedWeight:
         # numerator TN(2, 0.8, [1,5]) at t=2; denominator TN(x^2+1, 1, [0.5,5])
         # at (t=2, x=1) plus the 0.001 offset; oracle built by quadrature
         # normalization of the raw normal density
-        num_p = TruncatedNormalParams(2.0, 0.8, 1.0, 5.0)
-        h = TruncatedNormalAssignment(num_p)
+        h = TruncatedNormalParams(2.0, 0.8, 1.0, 5.0)
 
         def den_fn(t, x):
             mean = x[:, 0] ** 2 + 1.0
@@ -318,23 +315,23 @@ class TestStabilizedWeight:
         gps = CallableGps(fn=lambda t, x: np.zeros_like(t))
         t_cal = np.array([1.0, 2.0, 3.0, 4.0])
         with pytest.raises(PositivityError, match=re.escape("t=[1.0, 2.0, 3.0];")):
-            _query(_calibration(t_cal, gps, WeightConfig()), h, [5.0])
+            _query(_calibration(t_cal, gps), h, [5.0])
         # with the offset every weight, the test weight included, is 0.1 / 0.001
-        _, _, ess, p_inf = _query(_calibration(t_cal, gps, WeightConfig(offset=0.001)), h, [5.0])
+        _, _, ess, p_inf = _query(_calibration(t_cal, gps, offset=0.001), h, [5.0])
         assert ess[0] == pytest.approx(4.0, rel=1e-14)
         assert p_inf[0] == pytest.approx(1.0 / 5.0, rel=1e-14)
 
     def test_zero_numerator_zero_weight(self):
         h = UniformAssignment(0.0, 1.0)
         gps = CallableGps(fn=lambda t, x: np.where(t > 2.0, 0.0, 1.0))
-        calib = _calibration(np.linspace(0.1, 0.9, 4), gps, WeightConfig())
+        calib = _calibration(np.linspace(0.1, 0.9, 4), gps)
         # no assignment mass at t=5, so no positivity complaint either
         _, _, _, p_inf = _query(calib, h, [5.0])
         assert p_inf[0] == 0.0
 
     def test_nonnegative_always(self):
         gen = np.random.default_rng(0)
-        h = NormalAssignment(NormalParams(0.0, 1.0))
+        h = NormalParams(0.0, 1.0)
         gps = MixtureGps(mix_weights=[1.0], betas=[[0.0, 1.0]], variances=[2.0], basis=lambda x: x[:, 0])
         t = gen.normal(size=50)
         x = gen.normal(size=(50, 1))
@@ -353,12 +350,12 @@ class TestValueSemantics:
         nudged[5] = np.nextafter(nudged[5], np.inf)
         mid3 = 0.5 * (b[3] + b[4])
         return [
-            ("normal", NormalAssignment(NormalParams(1.0, 0.5))),
-            ("normal", NormalAssignment(NormalParams(1.0, 0.5))),
-            ("normal mean", NormalAssignment(NormalParams(1.5, 0.5))),
-            ("trunc", TruncatedNormalAssignment(TruncatedNormalParams(2.0, 0.8, 1.0, 5.0))),
-            ("trunc", TruncatedNormalAssignment(TruncatedNormalParams(2.0, 0.8, 1.0, 5.0))),
-            ("trunc upper", TruncatedNormalAssignment(TruncatedNormalParams(2.0, 0.8, 1.0, 6.0))),
+            ("normal", NormalParams(1.0, 0.5)),
+            ("normal", NormalParams(1.0, 0.5)),
+            ("normal mean", NormalParams(1.5, 0.5)),
+            ("trunc", TruncatedNormalParams(2.0, 0.8, 1.0, 5.0)),
+            ("trunc", TruncatedNormalParams(2.0, 0.8, 1.0, 5.0)),
+            ("trunc upper", TruncatedNormalParams(2.0, 0.8, 1.0, 6.0)),
             ("uniform", UniformAssignment(0.0, 1.0)),
             ("uniform", UniformAssignment(0.0, 1.0)),
             ("uniform upper", UniformAssignment(0.0, 2.0)),

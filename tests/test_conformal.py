@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from doseband import sim
-from doseband.assignment import NormalAssignment, UniformAssignment, WeightConfig, likelihood_ratio
+from doseband.assignment import UniformAssignment, likelihood_ratio
 from doseband.conformal import (
     SCORE_KINDS,
     Calibration,
@@ -258,7 +259,7 @@ class TestWeightedIntervals:
             mean_fn=lambda x, t: x[:, 0] + t, variance=1.0, levels=(0.05, 0.95)
         )
         cfg = ConformalConfig(0.1, "cqr")
-        h = NormalAssignment(NormalParams(0.0, 1.0))
+        h = NormalParams(0.0, 1.0)
         gps = _flat_gps()
         t_cal = d.t[sp.cal]
         V = calibration_scores(model, cfg, d, sp.cal)
@@ -285,7 +286,7 @@ class TestWeightedIntervals:
             mean_fn=lambda x, t: np.zeros(len(t)), variance=1.0, levels=(0.05, 0.95)
         )
         cfg = ConformalConfig(0.1, "cqr")
-        h = NormalAssignment(NormalParams(0.0, 1.0))
+        h = NormalParams(0.0, 1.0)
         # gps tiny at the test point -> enormous test weight -> p_inf > alpha
         gps = CallableGps(fn=lambda t, x: np.where(np.abs(t) < 1e-9, 1e-12, 1.0))
         iv = weighted_interval(d, sp, model, gps, h, cfg, np.array([0.0]), 0.0)
@@ -381,7 +382,7 @@ class TestPredictionBand:
     def test_two_point_band_matches_direct_calls(self):
         d, sp, model = self._pieces()
         cfg = ConformalConfig(0.1, "cqr")
-        h = NormalAssignment(NormalParams(0.0, 1.0))
+        h = NormalParams(0.0, 1.0)
         gps = _flat_gps()
         band = prediction_band(
             d, sp, model, gps, lambda t: h, cfg, np.array([0.5]), -1.0, 1.0, 2
@@ -415,7 +416,7 @@ class TestPredictionBand:
     def test_repeat_calls_bit_identical(self):
         d, sp, model = self._pieces()
         cfg = ConformalConfig(0.1, "cqr")
-        h = NormalAssignment(NormalParams(0.0, 1.0))
+        h = NormalParams(0.0, 1.0)
         b1 = prediction_band(
             d, sp, model, _flat_gps(), lambda t: h, cfg, np.array([0.5]), -2.0, 2.0, 7
         )
@@ -427,7 +428,7 @@ class TestPredictionBand:
 
     def test_band_keeps_its_own_read_only_profile(self):
         d, sp, model = self._pieces()
-        h = NormalAssignment(NormalParams(0.0, 1.0))
+        h = NormalParams(0.0, 1.0)
         x_new = np.array([0.5])
         band = prediction_band(
             d, sp, model, _flat_gps(), lambda t: h, ConformalConfig(0.1), x_new, -1.0, 1.0, 3
@@ -486,18 +487,17 @@ class TestBlockedBand:
         """Bounds exactly as the oracle quantile gives them and ESS and
         p_inf as computed directly, at every grid point."""
         d, sp, model, gps = self._tied()
-        cfg = ConformalConfig(0.1, "cqr")
-        wcfg = WeightConfig(offset=0.05)
+        cfg = ConformalConfig(0.1, "cqr", offset=0.05)
         x_new = np.array([0.3])
-        band = prediction_band(d, sp, model, gps, h_factory, cfg, x_new, -2.0, 2.0, n_grid, wcfg)
+        band = prediction_band(d, sp, model, gps, h_factory, cfg, x_new, -2.0, 2.0, n_grid)
         scores = calibration_scores(model, cfg, d, sp.cal)
         assert len(np.unique(scores)) < len(scores) // 10
         t_cal, x_cal = d.t[sp.cal], d.x[sp.cal]
-        den_cal = gps.density(t_cal, x_cal) + wcfg.offset
+        den_cal = gps.density(t_cal, x_cal) + cfg.offset
         for k, (t_k, iv) in enumerate(zip(band.t_grid, band.intervals)):
             h = h_factory(float(t_k))
             W = h.density(t_cal) / den_cal
-            w_new = h.density(float(t_k)) / (gps.density(float(t_k), x_new) + wcfg.offset)
+            w_new = h.density(float(t_k)) / (gps.density(float(t_k), x_new) + cfg.offset)
             eta = oracle_weighted_quantile(scores, W, w_new, cfg.alpha)
             lo = model.quantile(x_new, float(t_k), 0.05)
             hi = model.quantile(x_new, float(t_k), 0.95)
@@ -527,7 +527,7 @@ class TestBlockedBand:
         rows = _BLOCK_ELEMENTS // len(sp.cal)
         n_grid = 31
         assert n_grid > 2 * rows and n_grid % rows != 0
-        self._assert_matches_oracle(lambda t: NormalAssignment(NormalParams(t, 0.5)), n_grid)
+        self._assert_matches_oracle(lambda t: NormalParams(t, 0.5), n_grid)
 
     def test_one_calibration_per_distinct_assignment(self):
         from doseband.assignment import DecileMidpointAssignment, decile_boundaries, decile_index
@@ -549,7 +549,7 @@ class TestBlockedBand:
 
         # one density call per distinct assignment, on the calibration
         # treatments and the grid points the assignment owns
-        shift = NormalAssignment(NormalParams(0.5, 1.0))
+        shift = NormalParams(0.5, 1.0)
         assert density_calls(lambda t: _Counted(shift, lengths)) == ([n_cal + 60], [n_cal + 60])
         b = decile_boundaries(d.t[sp.train])
         reached = len(set(decile_index(b, grid).tolist()))
@@ -567,7 +567,7 @@ class TestBlockedBand:
             params: NormalParams
 
             def density(self, t):
-                return NormalAssignment(self.params).density(t)
+                return self.params.density(t)
 
         with pytest.raises(TypeError, match="assignments must be hashable, got Mutable"):
             prediction_band(
@@ -577,19 +577,18 @@ class TestBlockedBand:
 
     def test_diagnostics_match_direct_computation(self):
         d, sp, model, gps = self._tied(n=200)
-        cfg = ConformalConfig(0.1, "cqr")
-        wcfg = WeightConfig(offset=0.01)
+        cfg = ConformalConfig(0.1, "cqr", offset=0.01)
         x_new = np.array([-0.4])
 
         def h_factory(t):
-            return NormalAssignment(NormalParams(t, 0.5))
+            return NormalParams(t, 0.5)
 
-        band = prediction_band(d, sp, model, gps, h_factory, cfg, x_new, -1.5, 1.5, 6, wcfg)
+        band = prediction_band(d, sp, model, gps, h_factory, cfg, x_new, -1.5, 1.5, 6)
         t_cal, x_cal = d.t[sp.cal], d.x[sp.cal]
         for k, t_k in enumerate(band.t_grid):
             h = h_factory(float(t_k))
-            W = h.density(t_cal) / (gps.density(t_cal, x_cal) + wcfg.offset)
-            w = h.density(float(t_k)) / (gps.density(float(t_k), x_new) + wcfg.offset)
+            W = h.density(t_cal) / (gps.density(t_cal, x_cal) + cfg.offset)
+            w = h.density(float(t_k)) / (gps.density(float(t_k), x_new) + cfg.offset)
             assert band.ess[k] == pytest.approx(W.sum() ** 2 / np.sum(W**2), rel=1e-12)
             assert band.p_inf[k] == pytest.approx(w / (W.sum() + w), rel=1e-12)
         assert np.all((band.ess >= 1.0) & (band.ess <= len(t_cal)))
@@ -602,7 +601,7 @@ class TestBlockedBand:
         d, sp, model, _ = self._tied(n=200)
         t_bad = float(d.t[sp.cal][7])
         gps = CallableGps(fn=lambda t, x: np.where(t == t_bad, 0.0, 1.0))
-        h = NormalAssignment(NormalParams(0.0, 4.0))
+        h = NormalParams(0.0, 4.0)
         with pytest.raises(PositivityError, match=re.escape(f"t=[{t_bad!r}]")):
             prediction_band(
                 d, sp, model, gps, lambda t: h, ConformalConfig(0.1), np.array([0.0]), -1.0, 1.0, 40
@@ -624,7 +623,7 @@ class TestBlockedBand:
         # 1e299: normalized by the largest calibration weight it overflows
         d, sp, model, _ = self._tied(n=200)
         gps = CallableGps(fn=lambda t, x: np.where(t == 1.0, 1e-300, 1e10))
-        h = NormalAssignment(NormalParams(0.0, 4.0))
+        h = NormalParams(0.0, 4.0)
         band = prediction_band(
             d, sp, model, gps, lambda t: h, ConformalConfig(0.1), np.array([0.0]), -1.0, 1.0, 5
         )
@@ -644,13 +643,13 @@ class TestCalibration:
         d = Dataset(x[:, 0] + t + gen.normal(size=300), t, x)
         sp = split(d, 0.5, Rng(30))
         model = OracleQuantileModel(mean_fn=lambda xx, tt: xx[:, 0] + tt, variance=1.0, levels=(0.05, 0.95))
-        cfg, wcfg = ConformalConfig(0.1), WeightConfig(offset=0.01)
+        cfg = ConformalConfig(0.1, offset=0.01)
         gps_sizes, h_sizes = [], []
         gps = _Counted(MixtureGps(mix_weights=[1.0], betas=[[0.0, 1.0]], variances=[1.0], basis=lambda xx: xx[:, 0]), gps_sizes)
-        calib = Calibration(d, sp, model, gps, cfg, wcfg)
+        calib = Calibration(d, sp, model, gps, cfg)
         n_cal = len(sp.cal)
         assert gps_sizes == [n_cal]
-        hs = [_Counted(NormalAssignment(NormalParams(m, 1.0)), h_sizes) for m in (-1.0, 0.0, 1.0)]
+        hs = [_Counted(NormalParams(m, 1.0), h_sizes) for m in (-1.0, 0.0, 1.0)]
         x_test, t_test = gen.normal(size=(40, 1)), gen.normal(size=40)
         owner = np.arange(40) % 3
         lower, upper, ess, p_inf = calib.bounds(x_test, t_test, hs, owner, test_atom=False)
@@ -659,7 +658,7 @@ class TestCalibration:
         assert np.all(p_inf == 0.0)
         scores = calibration_scores(model, cfg, d, sp.cal)
         t_cal, x_cal = d.t[sp.cal], d.x[sp.cal]
-        den_cal = gps.inner.density(t_cal, x_cal) + wcfg.offset
+        den_cal = gps.inner.density(t_cal, x_cal) + cfg.offset
         for k in range(40):
             W = hs[owner[k]].inner.density(t_cal) / den_cal
             eta = oracle_weighted_quantile(scores, W, 0.0, cfg.alpha)
@@ -680,17 +679,17 @@ class TestCalibration:
         gps = sim._fit_gps(scenario, data, sp, rng)
         levels = (scenario.alpha / 2.0, 1.0 - scenario.alpha / 2.0)
         model = OracleQuantileModel(mean_fn=design.response_mean, variance=sim.RESPONSE_SD**2, levels=levels)
-        cfg, wcfg = ConformalConfig(scenario.alpha, design.score), design.weights
-        calib = Calibration(data, sp, model, gps, cfg, wcfg)
+        cfg = ConformalConfig(scenario.alpha, design.score, design.offset)
+        calib = Calibration(data, sp, model, gps, cfg)
         h = design.shift
-        h_unif = UniformAssignment(h.params.mean - 6.0 * h.params.sd, h.params.mean + 6.0 * h.params.sd)
+        h_unif = UniformAssignment(h.mean - 6.0 * h.sd, h.mean + 6.0 * h.sd)
         owner = np.zeros(test.n, dtype=np.intp)
         t_cal = data.t[sp.cal]
-        den_cal = gps.density(t_cal, data.x[sp.cal]) + wcfg.offset
-        den_test = gps.density(test.t, test.x) + wcfg.offset
+        den_cal = gps.density(t_cal, data.x[sp.cal]) + cfg.offset
+        den_test = gps.density(test.t, test.x) + cfg.offset
         for numerator in (h, h_unif):
             got = calib.bounds(test.x, test.t, [numerator], owner, test_atom)
-            fresh = Calibration(data, sp, model, gps, cfg, wcfg)
+            fresh = Calibration(data, sp, model, gps, cfg)
             fresh = fresh.bounds(test.x, test.t, [numerator], owner, test_atom)
             assert all(np.array_equal(a, b) for a, b in zip(got, fresh))
             _, _, ess, p_inf = got
@@ -709,8 +708,8 @@ class TestCalibration:
         sp = split(data, 0.5, rng)
         levels = (scenario.alpha / 2.0, 1.0 - scenario.alpha / 2.0)
         model = OracleQuantileModel(mean_fn=design.response_mean, variance=sim.RESPONSE_SD**2, levels=levels)
-        cfg = ConformalConfig(scenario.alpha, design.score)
-        calib = Calibration(data, sp, model, sim._fit_gps(scenario, data, sp, rng), cfg, design.weights)
+        cfg = ConformalConfig(scenario.alpha, design.score, design.offset)
+        calib = Calibration(data, sp, model, sim._fit_gps(scenario, data, sp, rng), cfg)
         x, t = test.x[:10], test.t[:10]
         for owner in ([1] * 10, [-1] * 10):
             with pytest.raises(ValueError, match=r"owner entries must lie in \[0, 1\)"):
@@ -718,6 +717,17 @@ class TestCalibration:
         with pytest.raises(ValueError, match=r"owner has shape \(3,\), t has shape \(10,\)"):
             calib.bounds(x, t, [design.shift], np.zeros(3, dtype=np.intp))
         assert all(len(a) == 10 for a in calib.bounds(x, t, [design.shift], np.zeros(10, dtype=np.intp)))
+
+
+class TestConformalConfig:
+    def test_offset_defaults_to_zero(self):
+        assert ConformalConfig(0.1).offset == 0.0
+        assert ConformalConfig(0.1, "cqr", 0.001).offset == 0.001
+
+    @pytest.mark.parametrize("offset", [-0.1, math.nan, math.inf, -math.inf])
+    def test_rejects_bad_offset(self, offset):
+        with pytest.raises(ValueError, match=re.escape("offset must be finite and >= 0")):
+            ConformalConfig(0.1, "cqr", offset)
 
 
 class TestIntervalType:
@@ -782,7 +792,7 @@ class TestArrayBackedBand:
         sp = split(d, 0.5, Rng(6))
         model = OracleQuantileModel(mean_fn=lambda xx, tt: xx[:, 0] + tt, variance=1.0, levels=(0.05, 0.95))
         band = prediction_band(
-            d, sp, model, _flat_gps(), lambda t: NormalAssignment(NormalParams(t, 0.5)),
+            d, sp, model, _flat_gps(), lambda t: NormalParams(t, 0.5),
             ConformalConfig(0.1), np.array([0.2]), -1.0, 1.0, 9,
         )
         assert len(band.intervals) == len(band.t_grid)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from doseband.assignment import TruncatedNormalAssignment
 from doseband.dist import (
     NormalParams,
     Rng,
@@ -16,7 +15,6 @@ from doseband.dist import (
     _std_normal_quantile,
     _truncated_normal_logpdf_core,
     _truncated_normal_transform,
-    normal_pdf,
     normal_quantile,
 )
 from doseband.propensity import MixtureGps
@@ -51,11 +49,11 @@ def _bisect_quantile(prob, lo=-12.0, hi=12.0, iters=200):
 
 class TestNormal:
     def test_pdf_at_zero(self):
-        assert normal_pdf(0.0, STD) == pytest.approx(0.3989422804014327, abs=1e-12)
+        assert STD.density(0.0) == pytest.approx(0.3989422804014327, abs=1e-12)
 
     def test_pdf_peak_value(self):
         for a, b in [(2.0, 3.0), (-1.5, 0.25)]:
-            assert normal_pdf(a, NormalParams(a, b)) == pytest.approx(
+            assert NormalParams(a, b).density(a) == pytest.approx(
                 1.0 / math.sqrt(2.0 * math.pi * b), rel=1e-14
             )
 
@@ -65,13 +63,13 @@ class TestNormal:
         h = 1e-6
         cdf = stats.norm(p.mean, p.sd).cdf
         oracle = (cdf(2.0 + h) - cdf(2.0 - h)) / (2.0 * h)
-        assert normal_pdf(2.0, p) == pytest.approx(oracle, rel=1e-8)
+        assert p.density(2.0) == pytest.approx(oracle, rel=1e-8)
 
     def test_pdf_rejects_nonfinite(self):
         with pytest.raises(ValueError):
-            normal_pdf(float("nan"), STD)
+            STD.density(float("nan"))
         with pytest.raises(ValueError):
-            normal_pdf(float("inf"), STD)
+            STD.density(float("inf"))
 
     def test_quantile_median_is_mean(self):
         assert normal_quantile(0.5, NormalParams(3.0, 9.0)) == pytest.approx(3.0, abs=1e-12)
@@ -116,7 +114,7 @@ class TestNormal:
 
     def test_pdf_integrates_to_one(self):
         for p in [STD, NormalParams(2.0, 0.8), NormalParams(-3.0, 16.0)]:
-            val, _ = integrate.quad(lambda u: normal_pdf(u, p), p.mean - 12 * p.sd, p.mean + 12 * p.sd)
+            val, _ = integrate.quad(p.density, p.mean - 12 * p.sd, p.mean + 12 * p.sd)
             assert val == pytest.approx(1.0, abs=1e-6)
 
     def test_invalid_params(self):
@@ -262,12 +260,12 @@ class TestTruncatedNormal:
     P = TruncatedNormalParams(2.0, 0.8, 1.0, 5.0)
 
     def test_pdf_zero_outside(self):
-        density = TruncatedNormalAssignment(self.P).density
+        density = self.P.density
         assert density(0.99) == 0.0
         assert density(5.01) == 0.0
 
     def test_pdf_integrates_to_one(self):
-        val, _ = integrate.quad(TruncatedNormalAssignment(self.P).density, 1.0, 5.0)
+        val, _ = integrate.quad(self.P.density, 1.0, 5.0)
         assert val == pytest.approx(1.0, abs=1e-8)
 
     def test_samples_in_bounds_and_mean(self):
@@ -326,19 +324,17 @@ class TestMixture:
     def test_single_component_equals_normal(self):
         x = np.linspace(-4, 6, 101)
         np.testing.assert_allclose(
-            _mixture_density([(1.0, NormalParams(1.0, 2.0))], x), normal_pdf(x, NormalParams(1.0, 2.0))
+            _mixture_density([(1.0, NormalParams(1.0, 2.0))], x), NormalParams(1.0, 2.0).density(x)
         )
 
     def test_two_identical_components(self):
         comp = NormalParams(0.5, 1.5)
         got = _mixture_density([(0.5, comp), (0.5, comp)], 0.3)[0]
-        assert got == pytest.approx(normal_pdf(0.3, comp), rel=1e-14)
+        assert got == pytest.approx(comp.density(0.3), rel=1e-14)
 
     def test_weighted_sum(self):
         comps = [(0.3, NormalParams(0.0, 1.0)), (0.7, NormalParams(2.0, 4.0))]
-        expected = 0.3 * normal_pdf(1.0, NormalParams(0.0, 1.0)) + 0.7 * normal_pdf(
-            1.0, NormalParams(2.0, 4.0)
-        )
+        expected = 0.3 * NormalParams(0.0, 1.0).density(1.0) + 0.7 * NormalParams(2.0, 4.0).density(1.0)
         assert _mixture_density(comps, 1.0)[0] == pytest.approx(expected, rel=1e-14)
 
     def test_integrates_to_one(self):

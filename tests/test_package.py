@@ -8,12 +8,7 @@ import pytest
 
 import doseband
 from doseband import conformal, sim
-from doseband.assignment import (
-    DecileMidpointAssignment,
-    NormalAssignment,
-    TruncatedNormalAssignment,
-    UniformAssignment,
-)
+from doseband.assignment import DecileMidpointAssignment, UniformAssignment, likelihood_ratio
 from doseband.dist import NormalParams, TruncatedNormalParams
 from doseband.outcome import LinearPinballModel, OracleQuantileModel
 from doseband.propensity import CallableGps, MixtureGps
@@ -131,24 +126,14 @@ def _affine_basis(x, t):
 
 
 def _single_point_queries():
-    """(label, query) for every assignment, GPS and quantile model class,
-    each query one point the way ``bench/workloads.py::reference_band``
-    asks for it."""
+    """(label, query) for every GPS and quantile model class, each query
+    one point given with an x row, the way
+    ``bench/workloads.py::reference_band`` asks for it."""
     x = np.array([0.3, -0.2])
     coefs = {0.05: np.arange(4.0), 0.95: -np.arange(4.0)}
     pinball = LinearPinballModel(basis=_affine_basis, coefs=coefs, levels=(0.05, 0.95))
     oracle = OracleQuantileModel(mean_fn=lambda xx, tt: xx[:, 0] + tt, variance=1.0, levels=(0.05, 0.95))
     return [
-        ("NormalAssignment", lambda: NormalAssignment(NormalParams(1.0, 0.5)).density(0.7)),
-        (
-            "TruncatedNormalAssignment",
-            lambda: TruncatedNormalAssignment(TruncatedNormalParams(2.0, 0.8, 1.0, 5.0)).density(2.7),
-        ),
-        ("UniformAssignment", lambda: UniformAssignment(0.0, 3.0).density(0.7)),
-        (
-            "DecileMidpointAssignment",
-            lambda: DecileMidpointAssignment(np.arange(11.0), 1.0, 4.5, 0.5).density(0.7),
-        ),
         (
             "MixtureGps",
             lambda: MixtureGps(
@@ -168,3 +153,26 @@ def test_single_point_query_returns_a_python_float(label, query):
     # reference_band assigns these to one row of an array; a length-1
     # array there raises "setting an array element with a sequence"
     assert type(query()) is float, label
+
+
+def _scalar_array_queries():
+    """(label, query) for every numerator and the likelihood ratio, each
+    at one scalar point."""
+    return [
+        ("NormalParams", lambda: NormalParams(1.0, 0.5).density(0.7)),
+        ("TruncatedNormalParams", lambda: TruncatedNormalParams(2.0, 0.8, 1.0, 5.0).density(2.7)),
+        ("UniformAssignment", lambda: UniformAssignment(0.0, 3.0).density(0.7)),
+        ("DecileMidpointAssignment", lambda: DecileMidpointAssignment(np.arange(11.0), 1.0, 4.5, 0.5).density(0.7)),
+        ("likelihood_ratio", lambda: likelihood_ratio(0.5, 0.25, 0.7)),
+    ]
+
+
+@pytest.mark.parametrize("label, query", _scalar_array_queries(), ids=[q[0] for q in _scalar_array_queries()])
+def test_scalar_query_gives_a_0d_result(label, query):
+    # numpy's own 0-d result: reference_band divides h.density(float(t))
+    # by a GPS float and writes the ratio into one row of an array
+    v = query()
+    assert np.ndim(v) == 0, label
+    out = np.zeros((3, 2))
+    out[1] = v, v
+    assert out[1].tolist() == [float(v)] * 2 and float(v) > 0.0, label

@@ -319,11 +319,38 @@ class TestDensities:
     def test_mixture_rejects_mismatched_components(self):
         # two mixing weights and one component: a zip that stops at the
         # shortest array would give a density integrating to 0.5
-        m = MixtureGps(
-            mix_weights=np.array([0.5, 0.5]), betas=np.array([[0.0, 1.0]]), variances=np.array([1.0, 1.0])
-        )
-        with pytest.raises(ValueError, match="zip"):
-            m.density(0.0, np.array([0.0]))
+        with pytest.raises(ValueError, match="one row per mixing weight"):
+            MixtureGps(
+                mix_weights=np.array([0.5, 0.5]), betas=np.array([[0.0, 1.0]]), variances=np.array([1.0, 1.0])
+            )
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            # a lone weight of 0.5: the density would integrate to 0.5
+            (([0.5], [[0.0, 1.0]], [1.0]), "must sum to 1"),
+            # a zero variance: NaN densities and a RuntimeWarning
+            (([1.0], [[0.0, 1.0]], [0.0]), "finite, positive"),
+            # a negative variance: a math domain error at the first density
+            (([1.0], [[0.0, 1.0]], [-1.0]), "finite, positive"),
+            (([1.2, -0.2], [[0.0, 1.0], [1.0, 0.0]], [1.0, 1.0]), "weights >= 0"),
+            (([[1.0]], [[0.0, 1.0]], [1.0]), "a vector"),
+            (([1.0], [0.0, 1.0], [1.0]), "2-d"),
+            (([1.0], [[0.0, 1.0]], [math.inf]), "finite, positive"),
+            (([0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]], [1.0]), "one finite, positive entry per mixing weight"),
+        ],
+    )
+    def test_mixture_rejects_invalid_fields(self, fields, message):
+        w, betas, variances = fields
+        with pytest.raises(ValueError, match=message):
+            MixtureGps(mix_weights=np.array(w), betas=np.array(betas), variances=np.array(variances))
+
+    def test_mixture_keeps_its_fields_uncopied(self):
+        w, betas, variances = np.array([0.25, 0.75]), np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, 2.0])
+        m = MixtureGps(mix_weights=w, betas=betas, variances=variances)
+        assert m.mix_weights is w and m.betas is betas and m.variances is variances
+        # weights summing to 1 within rounding pass
+        MixtureGps(mix_weights=np.full(3, 1.0 / 3.0), betas=np.zeros((3, 2)), variances=np.ones(3))
 
     def test_callable_gps(self):
         m = CallableGps(fn=lambda t, x: np.exp(-np.abs(t)) / 2.0)
