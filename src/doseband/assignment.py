@@ -21,24 +21,29 @@ numerator is a Normal centered at the midpoint of the decile containing
 the treatment of interest, scaled by k for calibration treatments that
 fall in a different decile (k = 1 means no scaling). With k < 1 the
 numerator is deliberately not a normalized density; it is a weight
-recipe.
+recipe. The ten numerators of one boundary set, s2 and k form a
+``DecileMidpointFamily``, validated once and interned, and each
+``DecileMidpointAssignment`` is a member of one: a band builds a member
+per grid point at the cost of a cache lookup, and weighs the members of
+a family with one pass over the calibration treatments.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import operator
 from dataclasses import FrozenInstanceError, dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .dist import NormalParams, _checked_points
+from .dist import _checked_points, _normal_density
 
 __all__ = [
     "UniformAssignment",
     "DecileMidpointAssignment",
+    "DecileMidpointFamily",
     "PositivityError",
     "decile_boundaries",
     "decile_index",
@@ -68,48 +73,24 @@ class UniformAssignment:
         return np.where(inside, 1.0 / (self.upper - self.lower), 0.0)
 
 
-class DecileMidpointAssignment:
-    """Normal numerator centered at the midpoint of t_star's decile.
+# families held interned at once; a band asks for one, a study for none
+_INTERNED_FAMILIES = 64
 
-    Treatments outside t_star's decile get k times the same density.
-    Two instances compare and hash equal exactly when their densities
-    are the same: same boundaries, s2, k and decile of t_star, whatever
-    t_star is within that decile. A prediction band relies on this to
-    calibrate once per decile rather than once per grid point.
 
-    A band builds one instance per grid point and keeps one per decile,
-    so construction is lean: it validates the inputs and resolves
-    t_star's decile from one list of the boundaries, with no array copy,
-    and hashes the key once. The owned read-only ``boundaries`` array
-    and the Normal numerator are built on first use. Instances are
-    immutable. Unlike the other assignments this is a plain class: a
-    dataclass field cannot be built lazily, and a frozen dataclass's
-    per-field ``object.__setattr__`` made each construction about 1 µs
-    slower.
-    """
+def _checked_boundaries(bl: list) -> None:
+    """Raise ``ValueError`` unless the 11 decile boundaries in the list
+    are finite and strictly increasing."""
+    # strictly increasing between finite ends: every boundary is then finite
+    if not (math.isfinite(bl[0]) and math.isfinite(bl[10]) and all(map(operator.lt, bl, bl[1:]))):
+        if not all(map(math.isfinite, bl)):
+            raise ValueError("boundaries must be finite")
+        raise ValueError("boundaries must be 11 strictly increasing values")
 
-    def __init__(self, boundaries, s2: float, t_star: float, k: float = 1.0):
-        b = np.asarray(boundaries, dtype=float)
-        if b.shape != (11,):
-            raise ValueError("boundaries must be 11 strictly increasing values")
-        bl = b.tolist()
-        # strictly increasing between finite ends: every boundary is then finite
-        if not (math.isfinite(bl[0]) and math.isfinite(bl[10]) and all(map(operator.lt, bl, bl[1:]))):
-            if not all(map(math.isfinite, bl)):
-                raise ValueError("boundaries must be finite")
-            raise ValueError("boundaries must be 11 strictly increasing values")
-        if not 0.0 < k <= 1.0:
-            raise ValueError("k must lie in (0, 1]")
-        if not math.isfinite(s2):
-            raise ValueError("s2 must be finite")
-        if s2 <= 0.0:
-            raise ValueError("s2 must be positive")
-        if not math.isfinite(t_star):
-            raise ValueError("t_star must be finite")
-        # decile_index of t_star: the count of inner boundaries at or below it
-        j = bisect.bisect_right(bl, t_star, 1, 10) - 1
-        key = (tuple(bl), s2, k, j)
-        self.__dict__.update(s2=s2, t_star=t_star, k=k, _key=key, _hash=hash(key))
+
+class _Keyed:
+    """An immutable value whose ``__init__`` fills ``__dict__`` once, with
+    ``_key``, by which instances of one class compare, and its hash
+    ``_hash``."""
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -123,29 +104,121 @@ class DecileMidpointAssignment:
     def __hash__(self):
         return self._hash
 
+
+class DecileMidpointFamily(_Keyed):
+    """The decile-midpoint numerators of one boundary set, s2 and k: a
+    Normal with variance s2 centered at the midpoint of decile j, scaled
+    by k outside decile j, for j = 0..9.
+
+    The inputs are validated once, here. A family holds its boundaries
+    as a tuple and as a read-only array, the 9 inner boundaries and the
+    10 midpoints, and compares and hashes by those values, so that two
+    families built apart are interchangeable. A boundary of -0.0 equals
+    one of 0.0: the two give the same deciles and midpoints. Instances
+    are immutable.
+    """
+
+    def __init__(self, boundaries, s2: float, k: float = 1.0):
+        b = np.array(boundaries, dtype=float)
+        if b.shape != (11,):
+            raise ValueError("boundaries must be 11 strictly increasing values")
+        bl = b.tolist()
+        _checked_boundaries(bl)
+        if not 0.0 < k <= 1.0:
+            raise ValueError("k must lie in (0, 1]")
+        if not math.isfinite(s2):
+            raise ValueError("s2 must be finite")
+        if s2 <= 0.0:
+            raise ValueError("s2 must be positive")
+        b.flags.writeable = False  # and shown as a view, whose flag cannot be set back
+        midpoints = np.array([0.5 * (lo + hi) for lo, hi in zip(bl, bl[1:])])
+        key = (tuple(bl), float(s2), float(k))
+        self.__dict__.update(
+            s2=key[1], k=key[2], boundaries=b.view(), _key=key, _hash=hash(key),
+            _sd=math.sqrt(s2), _inner=b[1:-1], _midpoints=midpoints,
+        )
+
+    def __repr__(self):
+        return f"DecileMidpointFamily(boundaries={list(self._key[0])}, s2={self.s2!r}, k={self.k!r})"
+
+    def density(self, t, deciles):
+        """Densities of the members of the given deciles at the points t,
+        ``deciles`` broadcasting against t: an integer gives the member's
+        density at every point, and a column of m deciles against n
+        points an (m, n) block, from one decile lookup of the points and
+        one broadcast Normal density over the midpoints. Each element is
+        bit-identical to the member's own density at that point."""
+        deciles = np.asarray(deciles)
+        if deciles.dtype.kind not in "iu" or np.any((deciles < 0) | (deciles > 9)):
+            raise ValueError("deciles must be integers in 0..9")
+        return self._density(_checked_points(t), deciles)
+
+    def _density(self, t: np.ndarray, deciles):
+        """``density`` at finite points and deciles in 0..9."""
+        base = _normal_density(t, self._midpoints[deciles], self._sd)
+        same = np.searchsorted(self._inner, t, side="right") == deciles
+        return np.where(same, base, self.k * base)
+
+
+@functools.lru_cache(maxsize=_INTERNED_FAMILIES)
+def _interned_family(boundaries: tuple, s2: float, k: float) -> DecileMidpointFamily:
+    """The one family of these values while it stays cached."""
+    return DecileMidpointFamily(boundaries, s2, k)
+
+
+@functools.lru_cache(maxsize=_INTERNED_FAMILIES)
+def _family_of_bytes(raw: bytes, s2: float, k: float) -> DecileMidpointFamily:
+    """``_interned_family`` of the float64 boundaries with these bytes,
+    which hash and compare faster than a tuple of 11 floats; bytes that
+    differ only in the sign of a zero reach the same family."""
+    return _interned_family(tuple(np.frombuffer(raw).tolist()), s2, k)
+
+
+class DecileMidpointAssignment(_Keyed):
+    """Normal numerator centered at the midpoint of t_star's decile.
+
+    Treatments outside t_star's decile get k times the same density.
+    An instance is a member of a ``DecileMidpointFamily``, its
+    ``family``, and names its decile, ``decile``. Two instances compare
+    and hash equal exactly when their densities are the same: same
+    boundaries, s2, k and decile of t_star, whatever t_star is within
+    that decile. A prediction band relies on this to calibrate once per
+    decile rather than once per grid point, and evaluates the members
+    of one family together (``Calibration.bounds``).
+
+    A band builds one instance per grid point, so construction is lean:
+    families are interned by value in a bounded cache, and a boundary
+    set seen before is not validated again; construction checks the
+    shape of the boundaries, looks their family up, and resolves
+    t_star's decile by bisection. ``boundaries`` is the family's
+    read-only array. Instances are immutable. Unlike the other
+    assignments this is a plain class: a frozen dataclass's per-field
+    ``object.__setattr__`` made each construction about 1 µs slower.
+    """
+
+    def __init__(self, boundaries, s2: float, t_star: float, k: float = 1.0):
+        b = np.asarray(boundaries, dtype=float)
+        if b.shape != (11,):
+            raise ValueError("boundaries must be 11 strictly increasing values")
+        family = _family_of_bytes(b.tobytes(), s2, k)
+        if not math.isfinite(t_star):
+            raise ValueError("t_star must be finite")
+        # decile_index of t_star: the count of inner boundaries at or below it
+        j = bisect.bisect_right(family._key[0], t_star, 1, 10) - 1
+        key = (family, j)
+        self.__dict__.update(
+            family=family, decile=j, t_star=t_star, boundaries=family.boundaries, s2=family.s2, k=family.k,
+            _key=key, _hash=hash(key),
+        )
+
     def __repr__(self):
         return (
-            f"DecileMidpointAssignment(boundaries={list(self._key[0])}, s2={self.s2!r}, "
+            f"DecileMidpointAssignment(boundaries={list(self.family._key[0])}, s2={self.s2!r}, "
             f"t_star={self.t_star!r}, k={self.k!r})"
         )
 
-    @cached_property
-    def boundaries(self) -> np.ndarray:
-        """The 11 increasing boundaries, an owned read-only array."""
-        b = np.array(self._key[0])
-        b.flags.writeable = False
-        return b
-
-    @cached_property
-    def _numerator(self) -> NormalParams:
-        bl, s2, _, j = self._key
-        return NormalParams(0.5 * (bl[j] + bl[j + 1]), s2)
-
     def density(self, t):
-        t = np.asarray(t, dtype=float)
-        base = self._numerator.density(t)
-        same = decile_index(self.boundaries, t) == self._key[3]
-        return np.where(same, base, self.k * base)
+        return self.family._density(_checked_points(t), self.decile)
 
 
 def decile_boundaries(treatments) -> np.ndarray:
@@ -153,14 +226,18 @@ def decile_boundaries(treatments) -> np.ndarray:
 
     Uses linearly interpolated order statistics (numpy's default,
     Hyndman-Fan type 7); the midpoint of decile j is then
-    (b_j + b_{j+1}) / 2.
+    (b_j + b_{j+1}) / 2. Treatments whose deciles tie, such as one value
+    held by most of them, raise ``ValueError``, as the boundaries would
+    in a ``DecileMidpointFamily``.
     """
     t = np.asarray(treatments, dtype=float)
     if not np.isfinite(t).all():
         raise ValueError("treatment values must be finite")
     if np.unique(t).size < 10:
         raise ValueError("need at least 10 distinct treatment values for deciles")
-    return np.percentile(t, np.linspace(0.0, 100.0, 11))
+    b = np.percentile(t, np.linspace(0.0, 100.0, 11))
+    _checked_boundaries(b.tolist())
+    return b
 
 
 def decile_index(boundaries, t):

@@ -39,7 +39,9 @@ rows can share one: a fixed shift is one for every test point, and the
 decile-midpoint allocation of a band has 10. So a query weights the
 scores once per distinct assignment, one row of tie-merged atoms each,
 and takes every test row's threshold against its assignment's row in
-one vectorized pass.
+one vectorized pass. The decile-midpoint assignments of one
+``DecileMidpointFamily`` are evaluated together, as one block of
+members by calibration treatments.
 
 The plain split threshold comes from the same engine: unit
 calibration weights and a unit test weight give the
@@ -61,7 +63,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .assignment import likelihood_ratio
+from .assignment import DecileMidpointAssignment, likelihood_ratio
 from .data import Dataset, SplitIndices
 
 __all__ = [
@@ -311,13 +313,17 @@ class Calibration:
         Everything that depends on a row only through its assignment is
         computed once per assignment: its calibration weights, their
         checks, the tie-merged atoms and the ESS. The assignments go
-        through in blocks of _BLOCK_ELEMENTS // n_cal, so peak memory
-        grows with the block, not with the number of rows or assignments.
-        Per block, each assignment's density is evaluated once, on the
-        calibration treatments followed by those of the rows it owns (a
-        density is elementwise, so the values are those of separate
-        calls); the calibration weights are checked before the test
-        weights; and the rows take their thresholds from one binary
+        through in blocks of _BLOCK_ELEMENTS // n_cal, so the weights held
+        at once grow with the block, not with the number of rows or
+        assignments. Per block, the ``DecileMidpointAssignment`` members
+        of one family are evaluated in one ``DecileMidpointFamily.density``
+        pass over the calibration treatments, a (members, n_cal) block
+        from one decile lookup, and one more over the rows they own, each
+        row at its own member; any other assignment's density is evaluated
+        once, on the calibration treatments followed by those of the rows
+        it owns. Every density is elementwise, so the values are those of
+        separate calls. The calibration weights are checked before the
+        test weights, and the rows take their thresholds from one binary
         lifting, in which each query names its atom row.
         """
         t = np.asarray(t, dtype=float)
@@ -338,13 +344,24 @@ class Calibration:
             at = np.flatnonzero((owner >= start) & (owner < start + len(block)))
             own = owner[at] - start
             num_cal, num_at = np.empty((len(block), n_cal)), np.empty(len(at))
+            families: dict = {}  # family -> the positions of its members in the block
             for i, h in enumerate(block):
-                if test_atom:
+                if isinstance(h, DecileMidpointAssignment):
+                    families.setdefault(h.family, []).append(i)
+                elif test_atom:
                     mine = own == i
                     num = h.density(np.concatenate([t_cal, t[at[mine]]]))
                     num_cal[i], num_at[mine] = num[:n_cal], num[n_cal:]
                 else:
                     num_cal[i] = h.density(t_cal)
+            for family, members in families.items():
+                deciles = np.array([block[i].decile for i in members])
+                num_cal[members] = family.density(t_cal, deciles[:, None])
+                if test_atom:
+                    decile_of = np.full(len(block), -1)  # -1 off this family
+                    decile_of[members] = deciles
+                    mine = decile_of[own] >= 0
+                    num_at[mine] = family.density(t[at[mine]], decile_of[own[mine]])
             cal = likelihood_ratio(num_cal, self.den_cal, t_cal)
             bins = (self.inverse + len(values) * np.arange(len(block))[:, None]).ravel()
             suffix, total, scale = _tail_mass(bins, len(values), cal)
@@ -409,10 +426,15 @@ def prediction_band(
     ``Calibration.bounds`` query with a row per grid point, which
     weights the calibration scores once per distinct assignment (a
     fixed shift once, the decile-midpoint weights at most 10 times,
-    whatever n_grid), with one density call per distinct assignment.
-    Per grid point only h_factory(t_k) and one dict lookup of its result
-    run in Python, and the calibration weights held at once are bounded
-    by a fixed element budget, so they do not grow with n_grid. The band
+    whatever n_grid). A fixed shift takes one density call; the
+    decile-midpoint members of one family take one pass of their family
+    over the calibration treatments per block of assignments, one pass
+    in all when n_cal <= 819. Per grid point only h_factory(t_k) and
+    one dict lookup of its result run in Python; a
+    ``DecileMidpointAssignment`` built there validates nothing but the
+    shape of its boundaries, because its family is validated once and
+    interned. The calibration weights held at once are bounded by a
+    fixed element budget, so they do not grow with n_grid. The band
     holds its bounds as arrays, ``lower`` and ``upper``; its
     ``intervals`` are built on first access. It also carries, per grid
     point, the Kish ESS of the calibration weights and the test-atom

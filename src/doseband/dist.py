@@ -312,7 +312,12 @@ def _std_normal_quantile(prob) -> np.ndarray:
     # One Newton step; x <= 0 here so the erfc form of the CDF is accurate.
     step = _std_lower_tail(x)
     step -= q
-    pdf = _normal_density(x, 0.0, 1.0)
+    # the standard density in place: _normal_density(x, 0.0, 1.0) to the
+    # bit, since x - 0.0 and x / 1.0 are exact
+    pdf = np.multiply(x, -0.5)
+    pdf *= x
+    np.exp(pdf, out=pdf)
+    pdf *= _INV_SQRT_2PI
     ok = pdf > 0.0
     np.divide(step, pdf, out=step, where=ok)
     np.subtract(x, step, out=x, where=ok)

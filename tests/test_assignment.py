@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from doseband import assignment
 from doseband.assignment import (
     DecileMidpointAssignment,
+    DecileMidpointFamily,
     PositivityError,
     UniformAssignment,
     decile_boundaries,
@@ -133,6 +135,13 @@ class TestDeciles:
     def test_too_few_distinct(self):
         with pytest.raises(ValueError):
             decile_boundaries(np.array([1.0, 2.0] * 20))
+
+    def test_tied_deciles_rejected(self):
+        # 10 distinct values, but 91 zeros tie the first nine deciles: the
+        # boundaries [0, 0, ..., 0, 9] would fail every assignment
+        t = np.r_[np.zeros(91), np.arange(1.0, 10.0)]
+        with pytest.raises(ValueError, match="11 strictly increasing"):
+            decile_boundaries(t)
 
     def test_nonfinite_treatments_rejected(self):
         b = np.linspace(0.0, 10.0, 11)
@@ -418,3 +427,133 @@ class TestValueSemantics:
             for lc, c in v:
                 if la == lc:
                     assert np.array_equal(a.density(grid), c.density(grid))
+
+
+def _old_decile_density(b, s2, t_star, k, t):
+    """The decile-midpoint density as one member evaluated it alone: its
+    own Normal and decile lookup."""
+    base = NormalParams(_midpoint(b, t_star), s2).density(t)
+    return np.where(decile_index(b, t) == decile_index(b, t_star), base, k * base)
+
+
+class TestDecileFamily:
+    """One validated family per boundary set, s2 and k; its members are
+    the assignments, and its block pass gives each member's density."""
+
+    def _points(self, b):
+        # every boundary, either side of each, and beyond the outer ones
+        return np.concatenate(
+            [b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf), np.linspace(b[0] - 30.0, b[10] + 30.0, 301)]
+        )
+
+    @pytest.mark.parametrize("k", [0.5, 1.0])
+    def test_block_pass_bit_identical_to_each_member(self, k):
+        b = _boundaries_1_to_100()
+        t = self._points(b)
+        members = [DecileMidpointAssignment(b, 4.0, _midpoint(b, m), k) for m in 0.5 * (b[:-1] + b[1:])]
+        family = members[0].family
+        assert all(h.family is family for h in members) and [h.decile for h in members] == list(range(10))
+        block = family.density(t, np.arange(10)[:, None])
+        assert block.shape == (10, t.size)
+        for j, h in enumerate(members):
+            assert np.array_equal(block[j], h.density(t))
+            assert np.array_equal(block[j], _old_decile_density(b, 4.0, h.t_star, k, t))
+        # one member per point: each element from its own member's row
+        deciles = np.arange(t.size) % 10
+        assert np.array_equal(family.density(t, deciles), block[deciles, np.arange(t.size)])
+
+    def test_block_pass_rejects_bad_deciles_and_points(self):
+        family = DecileMidpointAssignment(_boundaries_1_to_100(), 4.0, 33.0, 0.5).family
+        for bad in (-1, 10, np.array([[0], [10]]), 2.0, np.array([True, False])):
+            with pytest.raises(ValueError, match="deciles must be integers in 0..9"):
+                family.density(np.array([1.0, 2.0]), bad)
+        with pytest.raises(ValueError, match="evaluation points must be finite"):
+            family.density(np.array([1.0, math.nan]), np.arange(10)[:, None])
+
+    def test_family_validates_once(self, monkeypatch):
+        b = _boundaries_1_to_100()
+        assignment._family_of_bytes.cache_clear()
+        assignment._interned_family.cache_clear()
+        calls = []
+        checked = assignment._checked_boundaries
+        monkeypatch.setattr(assignment, "_checked_boundaries", lambda bl: calls.append(1) or checked(bl))
+        members = [DecileMidpointAssignment(b, 4.0, t, 0.5) for t in np.linspace(0.0, 101.0, 200)]
+        assert len(calls) == 1 and len({id(h.family) for h in members}) == 1
+
+    def test_family_rejects_what_an_assignment_rejects(self):
+        b = _boundaries_1_to_100()
+        for bad, match in (
+            ((b[:10], 4.0, 0.5), "11 strictly increasing"),
+            ((b[::-1], 4.0, 0.5), "11 strictly increasing"),
+            ((np.r_[b[:10], math.inf], 4.0, 0.5), "boundaries must be finite"),
+            ((b, 0.0, 0.5), "s2 must be positive"),
+            ((b, math.nan, 0.5), "s2 must be finite"),
+            ((b, 4.0, 0.0), "k must lie in"),
+            ((b, 4.0, 1.5), "k must lie in"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                DecileMidpointFamily(*bad)
+            with pytest.raises(ValueError, match=match):
+                DecileMidpointAssignment(bad[0], bad[1], 33.0, bad[2])
+
+    def test_family_is_immutable_and_owns_read_only_boundaries(self):
+        b = _boundaries_1_to_100()
+        mine = b.copy()
+        family = DecileMidpointFamily(mine, 4.0, 0.5)
+        mine[4] = 99.5
+        assert np.array_equal(family.boundaries, b)
+        with pytest.raises(ValueError):
+            family.boundaries.flags.writeable = True
+        for name in ("k", "s2", "boundaries"):
+            with pytest.raises(AttributeError):
+                setattr(family, name, 1.0)
+            with pytest.raises(AttributeError):
+                delattr(family, name)
+
+
+class TestInterning:
+    """Families are interned by value in a bounded cache, and compare and
+    hash by value, so an evicted family equals a fresh one."""
+
+    def test_value_equal_boundaries_share_one_family(self):
+        b = np.linspace(-5.0, 5.0, 11)  # b[5] is 0.0
+        negzero = b.copy()
+        negzero[5] = -0.0
+        assert np.signbit(negzero[5]) and not np.signbit(b[5])
+        spellings = [
+            DecileMidpointAssignment(b, 4.0, 0.3, 0.5),
+            DecileMidpointAssignment(list(b), 4.0, 0.3, 0.5),
+            DecileMidpointAssignment(b.copy(), 4.0, 0.3, 0.5),
+            DecileMidpointAssignment(negzero, 4.0, 0.3, 0.5),
+            DecileMidpointAssignment(b, 4, 0.3, 0.5),
+            DecileMidpointAssignment(tuple(b), 4.0, 0.7, 0.5),
+        ]
+        first = spellings[0]
+        t = np.linspace(-6.0, 6.0, 121)
+        for h in spellings:
+            assert h == first and hash(h) == hash(first)
+            assert h.family is first.family
+            assert np.array_equal(h.density(t), first.density(t))
+        assert DecileMidpointFamily(negzero, 4, 0.5) == first.family
+        assert hash(DecileMidpointFamily(negzero, 4, 0.5)) == hash(first.family)
+
+    def test_cache_stays_bounded(self):
+        base = _boundaries_1_to_100()
+        for i in range(3 * assignment._INTERNED_FAMILIES):
+            DecileMidpointAssignment(base + i, 4.0, 33.0, 0.5)
+        for cached in (assignment._family_of_bytes, assignment._interned_family):
+            info = cached.cache_info()
+            assert info.maxsize == assignment._INTERNED_FAMILIES
+            assert info.currsize <= assignment._INTERNED_FAMILIES
+
+    def test_member_of_an_evicted_family_equals_a_fresh_one(self):
+        b = _boundaries_1_to_100()
+        old = DecileMidpointAssignment(b, 4.0, 33.0, 0.5)
+        for i in range(1, 2 * assignment._INTERNED_FAMILIES):
+            DecileMidpointAssignment(b + i, 4.0, 33.0, 0.5)
+        fresh = DecileMidpointAssignment(b, 4.0, 35.0, 0.5)
+        assert fresh.family is not old.family
+        assert fresh == old and hash(fresh) == hash(old) and len({old, fresh}) == 1
+        assert fresh != DecileMidpointAssignment(b, 4.0, 45.0, 0.5)
+        t = np.linspace(-20.0, 120.0, 141)
+        assert np.array_equal(fresh.density(t), old.density(t))

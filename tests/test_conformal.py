@@ -559,6 +559,58 @@ class TestBlockedBand:
         assert sizes == expected
         assert 1 < len(sizes) == reached <= 10
 
+    def _mixed_factory(self):
+        """Members of two decile families, and a fixed Normal shift below
+        t = -1.2: the block holds all three kinds of numerator."""
+        from doseband.assignment import DecileMidpointAssignment, decile_boundaries
+
+        d, sp, _, _ = self._tied()
+        b = decile_boundaries(d.t[sp.train])
+        shift = NormalParams(-1.5, 0.5)
+
+        def h_factory(t):
+            if t < -1.2:
+                return shift
+            return DecileMidpointAssignment(b, s2=1.0 if t < 0.4 else 2.0, t_star=t, k=0.5 if t < 0.4 else 1.0)
+
+        return h_factory
+
+    def test_band_mixing_two_families_and_a_normal(self):
+        h_factory = self._mixed_factory()
+        kinds = {getattr(h_factory(t), "family", None) for t in np.linspace(-2.0, 2.0, 31).tolist()}
+        assert len(kinds) == 3 and None in kinds  # two families and the shift
+        self._assert_matches_oracle(h_factory, 31)
+
+    def test_family_spread_over_several_blocks(self, monkeypatch):
+        # two assignments per block: each family's members split across
+        # blocks, and a block may hold members of both families
+        _, sp, _, _ = self._tied()
+        monkeypatch.setattr("doseband.conformal._BLOCK_ELEMENTS", 2 * len(sp.cal))
+        self._assert_matches_oracle(self._mixed_factory(), 31)
+
+    def test_one_family_pass_per_block(self, monkeypatch):
+        # the members of a family are weighed by their family: one pass over
+        # the calibration treatments and one over the grid points they own,
+        # and no member's own density
+        from doseband.assignment import DecileMidpointAssignment, DecileMidpointFamily
+
+        d, sp, model, gps = self._tied(n=400)
+        h_factory = self._mixed_factory()
+        passes, own = [], []
+        family_density, member_density = DecileMidpointFamily.density, DecileMidpointAssignment.density
+        monkeypatch.setattr(
+            DecileMidpointFamily, "density", lambda f, t, j: passes.append(np.shape(j)) or family_density(f, t, j)
+        )
+        monkeypatch.setattr(DecileMidpointAssignment, "density", lambda h, t: own.append(1) or member_density(h, t))
+        prediction_band(d, sp, model, gps, h_factory, ConformalConfig(0.1), np.array([0.3]), -2.0, 2.0, 60)
+        grid = np.linspace(-2.0, 2.0, 60).tolist()
+        members = [h for t in grid if isinstance(h := h_factory(t), DecileMidpointAssignment)]
+        distinct = Counter(h.family for h in set(members))  # members per family
+        rows = Counter(h.family for h in members)  # grid points per family
+        assert len(distinct) == 2 and sum(rows.values()) < 60
+        assert sorted(passes) == sorted([(m, 1) for m in distinct.values()] + [(r,) for r in rows.values()])
+        assert own == []
+
     def test_unhashable_assignment_rejected(self):
         d, sp, model, gps = self._tied(n=200)
 

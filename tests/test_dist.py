@@ -6,11 +6,20 @@ import pytest
 from scipy import integrate, stats
 
 from doseband.dist import (
+    _ACKLAM_A,
+    _ACKLAM_B,
+    _ACKLAM_C,
+    _ACKLAM_D,
+    _ACKLAM_PLOW,
     NormalParams,
     Rng,
     TruncatedNormalParams,
+    _at_least_two,
     _erfc,
+    _horner,
     _log_std_lower_tail,
+    _normal_density,
+    _rational,
     _std_lower_tail,
     _std_normal_quantile,
     _truncated_normal_logpdf_core,
@@ -47,7 +56,47 @@ def _bisect_quantile(prob, lo=-12.0, hi=12.0, iters=200):
     return 0.5 * (lo + hi)
 
 
+def _quantile_with_generic_density(prob, p):
+    """``normal_quantile`` with the Newton step's density taken from the
+    generic ``_normal_density(x, 0.0, 1.0)``, as it was computed before
+    the step built the standard density in place."""
+    q = _at_least_two(np.asarray(prob, dtype=float).flatten())
+    flip = (q > 0.5).nonzero()[0]
+    q[flip] = 1.0 - q[flip]
+    u = q - 0.5
+    r = np.multiply(u, u)
+    x = _horner(r, _ACKLAM_A)
+    x *= u
+    x /= _horner(r, _ACKLAM_B)
+    lo = _at_least_two((q < _ACKLAM_PLOW).nonzero()[0])
+    if lo.size:
+        x[lo] = _rational(np.sqrt(-2.0 * np.log(q[lo])), _ACKLAM_C, _ACKLAM_D)
+    step = _std_lower_tail(x)
+    step -= q
+    pdf = _normal_density(x, 0.0, 1.0)
+    ok = pdf > 0.0
+    np.divide(step, pdf, out=step, where=ok)
+    np.subtract(x, step, out=x, where=ok)
+    x[flip] = -x[flip]
+    return p.mean + p.sd * x[: np.size(prob)].reshape(np.shape(prob))
+
+
 class TestNormal:
+    def test_quantile_bit_identical_to_the_generic_density_step(self):
+        g = Rng(21).gen
+        probs = np.concatenate(
+            [
+                10.0 ** g.uniform(-320.0, -1.62, 2500),  # lower tail, subnormals included
+                g.uniform(0.02425, 0.5, 2500),
+                g.uniform(0.5, 0.97575, 2500),
+                1.0 - 10.0 ** g.uniform(-16.0, -1.62, 2500),  # upper tail
+            ]
+        )
+        probs[:4] = 1e-320, 0.5, 1.0 - 1e-16, 0.97575
+        for p in (STD, NormalParams(-3.0, 16.0)):
+            assert np.array_equal(normal_quantile(probs, p), _quantile_with_generic_density(probs, p))
+            assert normal_quantile(0.9, p) == _quantile_with_generic_density(0.9, p)
+
     def test_pdf_at_zero(self):
         assert STD.density(0.0) == pytest.approx(0.3989422804014327, abs=1e-12)
 
