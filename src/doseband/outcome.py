@@ -42,6 +42,11 @@ class PinballFitError(RuntimeError):
         super().__init__(message)
         self.best_objective = best_objective
 
+    def __reduce__(self):
+        # the default rebuilds from ``args`` alone, which lacks best_objective,
+        # so an error raised in a worker process could not be returned
+        return type(self), (self.args[0], self.best_objective)
+
 
 def _check_levels(levels) -> tuple[float, ...]:
     levels = tuple(float(v) for v in levels)

@@ -55,11 +55,24 @@ count is reported in ``SimResult.infinite_intervals``. Lengths are
 means over test points, then averaged across replications, with the
 Monte-Carlo SE the standard deviation of per-replication means over
 sqrt(replications).
+
+Where replications run: a study runs its first two replications in the
+calling process and times them. When the faster of the two, times the
+replications left, exceeds 50 ms, the rest go in contiguous chunks to a
+pool of worker processes, one chunk per usable CPU, and their rows come
+back in order; otherwise they run in the calling process too. The pool
+is forked on first use and kept for every later study of the process.
+Each replication draws its own spawned stream, so the rows are the same
+bits either way. Module state patched after the pool starts (a
+monkeypatched function, say) is not seen by its workers.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
+import time
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -106,6 +119,13 @@ SETUPS = (
 RESPONSE_SD = 3.0
 S12_TREATMENT_VAR = 20.0
 TRUNC_BOUNDS = (0.5, 5.0)
+
+# a study sends its replications after the first two to the worker pool
+# when their serial estimate exceeds this many seconds: starting the pool
+# and its first tasks costs about 20 ms, and every study pays for sending
+# its tasks and returning the rows
+_POOL_MIN_S = 0.05
+_pool = None  # (pid, executor, workers) of the process that created the pool
 
 
 def s12_treatment_mean(x: np.ndarray) -> np.ndarray:
@@ -347,12 +367,97 @@ def _replicate(scenario: Scenario, rng: Rng, test_atom: bool, numerators) -> lis
     return rows
 
 
+def _replicate_all(scenario: Scenario, rngs: list[Rng], test_atom: bool, numerators) -> list[list[tuple]]:
+    """The rows of consecutive replications, one list per replication."""
+    return [_replicate(scenario, r, test_atom, numerators) for r in rngs]
+
+
+def _executor():
+    """This process's worker pool and its size, the pool created on first
+    use; None where a study must run serially: fewer than two usable
+    CPUs; not Linux; Python 3.12 or later, where ``os.fork`` warns in a
+    process with threads and numpy's BLAS starts one at import; another
+    thread running when the pool would be created; a daemonic process,
+    which may not have children; a process other than the one that
+    created the pool, such as a forked child.
+
+    Workers are forked: ready in about 20 ms, where ``spawn`` and
+    ``forkserver`` take over 0.5 s, which would land in a one-off
+    study's time. They exit with the interpreter, through the executor's
+    own exit handler.
+    """
+    global _pool
+    if _pool is not None:
+        pid, pool, workers = _pool
+        return (pool, workers) if pid == os.getpid() else None
+    if not sys.platform.startswith("linux") or sys.version_info >= (3, 12):
+        return None
+    workers = len(os.sched_getaffinity(0))
+    if workers < 2:
+        return None
+    # imported here: at module level they would add to every import of sim
+    import multiprocessing
+    import threading
+    from concurrent.futures import ProcessPoolExecutor
+
+    if threading.active_count() > 1 or multiprocessing.current_process().daemon:
+        return None
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    _pool = (os.getpid(), pool, workers)
+    return pool, workers
+
+
+def _pooled(pool, workers: int, scenario: Scenario, rngs: list[Rng], test_atom: bool, numerators) -> list:
+    """The rows of ``rngs``' replications, run in contiguous chunks, one
+    per worker, and returned in order.
+
+    Every chunk is awaited before an error is raised, and the error
+    raised is the earliest failing replication's, as in a serial run. A
+    broken pool (a worker killed, say) is shut down and dropped, so the
+    next study starts a new one.
+    """
+    from concurrent.futures.process import BrokenProcessPool
+
+    global _pool
+    step = -(-len(rngs) // workers)
+    futures, errors = [], []
+    try:
+        for i in range(0, len(rngs), step):
+            futures.append(pool.submit(_replicate_all, scenario, rngs[i : i + step], test_atom, numerators))
+    except BrokenProcessPool as exc:
+        errors.append(exc)
+    errors = [f.exception() for f in futures] + errors
+    if any(isinstance(e, BrokenProcessPool) for e in errors):
+        _pool = None
+        pool.shutdown()
+    for e in errors:
+        if e is not None:
+            raise e
+    return [rows for f in futures for rows in f.result()]
+
+
 def _study(scenario: Scenario, replications: int, rng: Rng, test_atom: bool, numerators) -> list[tuple]:
     """Per numerator, its rows of every replication; the numerators share
-    each replication's data and fits."""
+    each replication's data and fits.
+
+    The first two replications run here, timed, and the faster stands
+    for the rest (a process's first replication pays one-time costs):
+    the rest go to the worker pool when they would take longer than
+    ``_POOL_MIN_S`` here."""
     if replications < 10:
         raise ValueError("need at least 10 replications")
-    return list(zip(*[_replicate(scenario, r, test_atom, numerators) for r in rng.spawn(replications)]))
+    rngs = rng.spawn(replications)
+    rows, seconds = [], []
+    for r in rngs[:2]:
+        start = time.perf_counter()
+        rows.append(_replicate(scenario, r, test_atom, numerators))
+        seconds.append(time.perf_counter() - start)
+    pool = _executor() if min(seconds) * (replications - 2) > _POOL_MIN_S else None
+    if pool is None:
+        rows += _replicate_all(scenario, rngs[2:], test_atom, numerators)
+    else:
+        rows += _pooled(*pool, scenario, rngs[2:], test_atom, numerators)
+    return list(zip(*rows))
 
 
 def _length_sd(lens: np.ndarray) -> float:
@@ -394,9 +499,18 @@ def run_study(
     ``test_atom`` selects the threshold construction; see the module
     docstring. The default reproduces the published study tables.
 
+    Replications after the first two run on the worker pool when they
+    would take more than 50 ms here, with the same rows; see the module
+    docstring.
+
     A learned setup whose pinball fit cannot be certified optimal raises
     ``outcome.PinballFitError``, which carries the best objective the fit
-    reached; the study stops there rather than skip the replication."""
+    reached; the study stops there rather than skip the replication. With
+    the pool, every replication sent is awaited first, and the error
+    raised is the earliest failing replication's, as in a serial run. A
+    pool broken by a worker that died raises
+    ``concurrent.futures.process.BrokenProcessPool``, and the next study
+    starts a new pool."""
     (rows,) = _study(scenario, replications, rng, test_atom, [_DESIGNS[scenario.id].shift])
     return _aggregate(rows, replications)
 
@@ -417,6 +531,8 @@ def compare_uniform(
     (``generate`` at ``Rng(0)``-``Rng(4)``: minimum -22.4, maximum 19.1),
     and those calibration points get weight 0, where 1/gps would weigh
     them.
+
+    Replications run where ``run_study``'s do, with the same rows.
     """
     if scenario.id != "unif-compare":
         raise ValueError("compare_uniform runs the 'unif-compare' scenario")

@@ -136,6 +136,17 @@ class TestDeciles:
         with pytest.raises(ValueError):
             decile_boundaries(np.array([1.0, 2.0] * 20))
 
+    def test_nine_distinct_values_with_increasing_deciles(self):
+        # fewer than 10 distinct values are fine when no two deciles tie
+        t = np.arange(1.0, 10.0)
+        b = decile_boundaries(t)
+        np.testing.assert_array_equal(b, np.percentile(t, np.linspace(0.0, 100.0, 11)))
+        assert DecileMidpointFamily(b, 1.0, 1.0).boundaries.tolist() == b.tolist()
+
+    def test_no_treatments_rejected(self):
+        with pytest.raises(ValueError, match="need treatment values"):
+            decile_boundaries(np.array([]))
+
     def test_tied_deciles_rejected(self):
         # 10 distinct values, but 91 zeros tie the first nine deciles: the
         # boundaries [0, 0, ..., 0, 9] would fail every assignment

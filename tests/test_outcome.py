@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -338,6 +339,12 @@ class TestUncertifiedFit:
             assert info.value.best_objective == min(start, reached)
             assert (reached < start) == (shift == 0.0)
         assert isinstance(info.value, RuntimeError)
+
+    def test_error_survives_pickling(self):
+        # a study's worker process returns its error to the caller pickled
+        err = pickle.loads(pickle.dumps(PinballFitError("not certified", best_objective=1.5)))
+        assert type(err) is PinballFitError
+        assert (str(err), err.args, err.best_objective) == ("not certified", ("not certified",), 1.5)
 
 
 class TestMeanModels:

@@ -1,5 +1,11 @@
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import time
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -104,6 +110,7 @@ def shared_fits():
         return cache[key]
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_POOL_MIN_S", math.inf)  # pool workers would not see the caches
         mp.setattr(sim, "fit_gaussian_mixture", cached_em)
         mp.setattr(sim, "fit_linear_pinball", cached_pinball)
         yield
@@ -164,6 +171,7 @@ def test_true_weights_with_test_atom_reach_nominal_coverage(monkeypatch):
         )
 
     monkeypatch.setattr(sim, "_fit_gps", true_gps)
+    monkeypatch.setattr(sim, "_POOL_MIN_S", math.inf)  # pool workers would not see the patch
     scenario = sim.make_scenario("s1", n=200, n_test=20)
     res = sim.run_study(scenario, 100, Rng(3), test_atom=True)
     assert res.coverage_mean >= 1.0 - scenario.alpha - 3.0 * res.coverage_se
@@ -203,6 +211,7 @@ def test_aggregate_all_or_all_but_one_lengths_infinite():
 
 def test_uncertified_pinball_fit_fails_the_study(monkeypatch):
     monkeypatch.setattr(outcome, "_vertex_polish", lambda Z, y, level, beta: (beta, False))
+    monkeypatch.setattr(sim, "_POOL_MIN_S", math.inf)  # pool workers would not see the patch
     with pytest.raises(PinballFitError) as info:
         sim.run_study(sim.make_scenario("trunc-homo", n=1000), REPLICATIONS, Rng(SEED))
     assert info.value.best_objective > 0.0
@@ -253,3 +262,172 @@ class TestScenario:
     def test_too_few_replications(self):
         with pytest.raises(ValueError, match="replications"):
             sim.run_study(sim.make_scenario("s1", n=50), 9, Rng(0))
+
+
+def _in_process_replications(monkeypatch) -> list:
+    """The stream of each replication that runs in this process, in order."""
+    seen, replicate = [], sim._replicate
+
+    def counted(scenario, rng, test_atom, numerators):
+        seen.append(rng)
+        return replicate(scenario, rng, test_atom, numerators)
+
+    monkeypatch.setattr(sim, "_replicate", counted)
+    return seen
+
+
+def _study_in_child(conn, forget_parent_pool):
+    """Run a study that would use a pool and report whether this process
+    had one; ``forget_parent_pool`` leaves it only the daemon check."""
+    if forget_parent_pool:
+        sim._pool = None
+    res = sim.run_study(sim.make_scenario("s1", n=N, n_test=N_TEST), REPLICATIONS, Rng(SEED))
+    conn.send((res, sim._executor() is None, len(multiprocessing.active_children())))
+    conn.close()
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    """Studies send every replication after their first two to this
+    process's worker pool; skipped where there is none."""
+    monkeypatch.setattr(sim, "_POOL_MIN_S", 0.0)
+    if sim._executor() is None:
+        pytest.skip("no worker pool: it needs Linux, Python < 3.12 and two usable CPUs")
+    return sim._pool[1]
+
+
+@pytest.fixture
+def fresh_pool(pool):
+    """The pool is shut down, so the next pooled study forks a new one,
+    whose workers see the test's own patches; that one is shut down after
+    the test, and a later study starts another."""
+    pool.shutdown()
+    sim._pool = None
+    yield
+    if sim._pool is not None:
+        sim._pool[1].shutdown()
+        sim._pool = None
+
+
+class TestPool:
+    @pytest.mark.parametrize("key", sorted(FINGERPRINTS), ids=lambda k: "-".join(map(str, k)))
+    def test_study_rows_equal_the_serial_rows(self, key, shared_fits, pool, monkeypatch):
+        scenario_id, setup, test_atom = key
+        scenario = sim.make_scenario(scenario_id, setup=setup, n=N, n_test=N_TEST)
+        local = _in_process_replications(monkeypatch)
+        pooled = sim.run_study(scenario, REPLICATIONS, Rng(SEED), test_atom=test_atom)
+        assert len(local) == 2
+        monkeypatch.setattr(sim, "_POOL_MIN_S", math.inf)
+        assert sim.run_study(scenario, REPLICATIONS, Rng(SEED), test_atom=test_atom) == pooled
+        assert len(local) == 2 + REPLICATIONS
+
+    @pytest.mark.parametrize("key", sorted(COMPARE_FINGERPRINTS), ids=lambda k: "-".join(map(str, k)))
+    def test_compare_uniform_equals_the_serial_one(self, key, shared_fits, pool, monkeypatch):
+        setup, test_atom = key
+        scenario = sim.make_scenario("unif-compare", setup=setup, n=N, n_test=N_TEST)
+        local = _in_process_replications(monkeypatch)
+        pooled = sim.compare_uniform(scenario, REPLICATIONS, Rng(SEED), test_atom=test_atom)
+        assert len(local) == 2
+        monkeypatch.setattr(sim, "_POOL_MIN_S", math.inf)
+        assert sim.compare_uniform(scenario, REPLICATIONS, Rng(SEED), test_atom=test_atom) == pooled
+        assert len(local) == 2 + REPLICATIONS
+
+    def test_rows_come_back_in_replication_order(self, pool, monkeypatch):
+        # an aggregate can hide reordered rows; the rows themselves cannot
+        scenario = sim.make_scenario("trunc-homo", n=1000)
+        study = lambda: sim._study(scenario, REPLICATIONS, Rng(SEED), False, [sim._DESIGNS["trunc-homo"].shift])
+        pooled = study()
+        monkeypatch.setattr(sim, "_POOL_MIN_S", math.inf)
+        assert study() == pooled
+
+    def test_worker_errors_arrive_as_in_a_serial_run(self, fresh_pool, monkeypatch, tmp_path):
+        # at SEED replications 5 and 7 fail, and 7 may fail first: on 2
+        # workers it is the second of its chunk, 5 the fourth of the other;
+        # at SEED + 1 replication 2 fails at once, before the other chunk ends
+        fails = {SEED: (5, 7), SEED + 1: (2,)}
+        replicate = sim._replicate
+
+        def failing(scenario, rng, test_atom, numerators):
+            j = rng._seq.spawn_key[-1]
+            if j in fails.get(rng.seed, ()):
+                raise PinballFitError(f"replication {j} in process {os.getpid()}", best_objective=float(j))
+            rows = replicate(scenario, rng, test_atom, numerators)
+            (tmp_path / f"{rng.seed}-{j}").touch()
+            return rows
+
+        monkeypatch.setattr(sim, "_replicate", failing)
+        scenario = sim.make_scenario("s1", n=N, n_test=N_TEST)
+        with pytest.raises(PinballFitError, match="replication 5 in process") as info:
+            sim.run_study(scenario, REPLICATIONS, Rng(SEED))
+        assert info.value.best_objective == 5.0
+        assert str(os.getpid()) not in str(info.value)
+        with pytest.raises(PinballFitError, match="replication 2 in process"):
+            sim.run_study(scenario, REPLICATIONS, Rng(SEED + 1))
+        assert (tmp_path / f"{SEED + 1}-{REPLICATIONS - 1}").exists()  # every chunk was awaited
+        # an error leaves the pool working
+        holder = sim._pool
+        assert sim.run_study(scenario, REPLICATIONS, Rng(SEED + 2)).replications == REPLICATIONS
+        assert sim._pool is holder
+
+    @pytest.mark.parametrize("daemon", [False, True], ids=["forked-child", "daemonic"])
+    def test_forked_and_daemonic_processes_run_serially(self, pool, daemon):
+        expected = sim.run_study(sim.make_scenario("s1", n=N, n_test=N_TEST), REPLICATIONS, Rng(SEED))
+        ctx = multiprocessing.get_context("fork")
+        reader, writer = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_study_in_child, args=(writer, daemon), daemon=daemon)
+        try:
+            with reader, writer:
+                child.start()
+                assert reader.poll(120)
+                got = reader.recv()
+            child.join(120)
+            assert not child.is_alive() and child.exitcode == 0
+        finally:
+            if child.is_alive():  # a child stuck on a pool it cannot use
+                child.kill()
+                child.join()
+            child.close()
+        assert got == (expected, True, 0)
+
+    def test_pool_is_reused_and_a_broken_one_replaced(self, fresh_pool):
+        scenario = sim.make_scenario("s1", n=N, n_test=N_TEST)
+        first = sim.run_study(scenario, REPLICATIONS, Rng(SEED))
+        holder = sim._pool
+        assert sim.run_study(scenario, REPLICATIONS, Rng(SEED)) == first
+        assert sim._pool is holder
+        # a worker that dies breaks the pool: the next study raises and drops it
+        assert isinstance(holder[1].submit(os._exit, 1).exception(timeout=120), BrokenProcessPool)
+        with pytest.raises(BrokenProcessPool):
+            sim.run_study(scenario, REPLICATIONS, Rng(SEED))
+        assert sim._pool is None
+        assert sim.run_study(scenario, REPLICATIONS, Rng(SEED)) == first
+        assert sim._pool[1] is not holder[1]
+
+    def test_no_worker_outlives_its_process(self, pool):
+        code = (
+            "import multiprocessing\n"
+            "from doseband import sim\n"
+            "from doseband.dist import Rng\n"
+            "sim._POOL_MIN_S = 0.0\n"
+            f"sim.run_study(sim.make_scenario('s1', n={N}, n_test={N_TEST}), {REPLICATIONS}, Rng({SEED}))\n"
+            "print(*[p.pid for p in multiprocessing.active_children()])\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sim.__file__))}
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        pids = [int(pid) for pid in proc.stdout.split()]
+        assert len(pids) == sim._pool[2]
+        deadline = time.monotonic() + 30.0
+        while any(map(_alive, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_alive, pids))
