@@ -22,10 +22,12 @@ the treatment of interest, scaled by k for calibration treatments that
 fall in a different decile (k = 1 means no scaling). With k < 1 the
 numerator is deliberately not a normalized density; it is a weight
 recipe. The ten numerators of one boundary set, s2 and k form a
-``DecileMidpointFamily``, validated once and interned, and each
-``DecileMidpointAssignment`` is a member of one: a band builds a member
-per grid point at the cost of a cache lookup, and weighs the members of
-a family with one pass over the calibration treatments.
+``DecileMidpointFamily``, validated once and interned by the bytes of
+its boundaries, which builds its ten members once: constructing a
+``DecileMidpointAssignment`` returns the shared member of t_star's
+decile, and members compare by identity. A band asks for a member per
+grid point at the cost of a cache lookup, and weighs the members of a
+family with one pass over the calibration treatments.
 """
 
 from __future__ import annotations
@@ -87,10 +89,13 @@ def _checked_boundaries(bl: list) -> None:
         raise ValueError("boundaries must be 11 strictly increasing values")
 
 
-class _Keyed:
-    """An immutable value whose ``__init__`` fills ``__dict__`` once, with
-    ``_key``, by which instances of one class compare, and its hash
-    ``_hash``."""
+class _Frozen:
+    """An object whose ``__dict__`` is filled once, when it is built, and
+    never changed, shown as the constructor call that ``__reduce__``
+    gives."""
+
+    def __repr__(self):
+        return f"{type(self).__name__}{self.__reduce__()[1]}"
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -98,24 +103,17 @@ class _Keyed:
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    def __eq__(self, other):
-        return self._key == other._key if other.__class__ is self.__class__ else NotImplemented
 
-    def __hash__(self):
-        return self._hash
-
-
-class DecileMidpointFamily(_Keyed):
+class DecileMidpointFamily(_Frozen):
     """The decile-midpoint numerators of one boundary set, s2 and k: a
     Normal with variance s2 centered at the midpoint of decile j, scaled
     by k outside decile j, for j = 0..9.
 
-    The inputs are validated once, here. A family holds its boundaries
-    as a tuple and as a read-only array, the 9 inner boundaries and the
-    10 midpoints, and compares and hashes by those values, so that two
-    families built apart are interchangeable. A boundary of -0.0 equals
-    one of 0.0: the two give the same deciles and midpoints. Instances
-    are immutable.
+    The inputs are validated once, here, where the family also builds
+    its ten members, one ``DecileMidpointAssignment`` per decile. It
+    holds its boundaries as a read-only array, the 9 inner boundaries
+    and the 10 midpoints. Families and members compare by identity.
+    Instances are immutable.
     """
 
     def __init__(self, boundaries, s2: float, k: float = 1.0):
@@ -131,15 +129,17 @@ class DecileMidpointFamily(_Keyed):
         if s2 <= 0.0:
             raise ValueError("s2 must be positive")
         b.flags.writeable = False  # and shown as a view, whose flag cannot be set back
-        midpoints = np.array([0.5 * (lo + hi) for lo, hi in zip(bl, bl[1:])])
-        key = (tuple(bl), float(s2), float(k))
+        fields = dict(boundaries=b.view(), s2=float(s2), k=float(k))
+        members = tuple(object.__new__(DecileMidpointAssignment) for _ in range(10))
+        for j, h in enumerate(members):
+            h.__dict__.update(fields, family=self, decile=j)
         self.__dict__.update(
-            s2=key[1], k=key[2], boundaries=b.view(), _key=key, _hash=hash(key),
-            _sd=math.sqrt(s2), _inner=b[1:-1], _midpoints=midpoints,
+            fields, _bl=tuple(bl), _sd=math.sqrt(s2), _inner=b[1:-1], _midpoints=0.5 * (b[:-1] + b[1:]),
+            _members=members,
         )
 
-    def __repr__(self):
-        return f"DecileMidpointFamily(boundaries={list(self._key[0])}, s2={self.s2!r}, k={self.k!r})"
+    def __reduce__(self):
+        return DecileMidpointFamily, (list(self._bl), self.s2, self.k)
 
     def density(self, t, deciles):
         """Densities of the members of the given deciles at the points t,
@@ -161,42 +161,35 @@ class DecileMidpointFamily(_Keyed):
 
 
 @functools.lru_cache(maxsize=_INTERNED_FAMILIES)
-def _interned_family(boundaries: tuple, s2: float, k: float) -> DecileMidpointFamily:
-    """The one family of these values while it stays cached."""
-    return DecileMidpointFamily(boundaries, s2, k)
-
-
-@functools.lru_cache(maxsize=_INTERNED_FAMILIES)
 def _family_of_bytes(raw: bytes, s2: float, k: float) -> DecileMidpointFamily:
-    """``_interned_family`` of the float64 boundaries with these bytes,
-    which hash and compare faster than a tuple of 11 floats; bytes that
-    differ only in the sign of a zero reach the same family."""
-    return _interned_family(tuple(np.frombuffer(raw).tolist()), s2, k)
+    """The one family of the float64 boundaries with these bytes, s2 and
+    k while it stays cached; bytes hash and compare faster than a tuple
+    of 11 floats."""
+    return DecileMidpointFamily(np.frombuffer(raw), s2, k)
 
 
-class DecileMidpointAssignment(_Keyed):
+class DecileMidpointAssignment(_Frozen):
     """Normal numerator centered at the midpoint of t_star's decile.
 
     Treatments outside t_star's decile get k times the same density.
-    An instance is a member of a ``DecileMidpointFamily``, its
-    ``family``, and names its decile, ``decile``. Two instances compare
-    and hash equal exactly when their densities are the same: same
-    boundaries, s2, k and decile of t_star, whatever t_star is within
-    that decile. A prediction band relies on this to calibrate once per
-    decile rather than once per grid point, and evaluates the members
-    of one family together (``Calibration.bounds``).
+    Construction returns the shared member of t_star's decile, ``decile``,
+    in a ``DecileMidpointFamily``, ``family``: one object for every
+    t_star in the decile and every spelling of the same boundary bytes,
+    s2 and k, while the family stays interned. Members compare by
+    identity, so a prediction band calibrates once per decile and
+    weighs the members of a family together (``Calibration.bounds``).
+    Boundaries that differ only in the sign of a zero, or a family
+    evicted and built again, give other objects with bit-identical
+    densities; a band weighs those apart, with the same results.
 
-    A band builds one instance per grid point, so construction is lean:
-    families are interned by value in a bounded cache, and a boundary
-    set seen before is not validated again; construction checks the
-    shape of the boundaries, looks their family up, and resolves
-    t_star's decile by bisection. ``boundaries`` is the family's
-    read-only array. Instances are immutable. Unlike the other
-    assignments this is a plain class: a frozen dataclass's per-field
-    ``object.__setattr__`` made each construction about 1 µs slower.
+    Construction is lean, since a band asks for a member per grid
+    point: it checks the shape of the boundaries, looks their family up,
+    and resolves t_star's decile by bisection. ``boundaries`` is the
+    family's read-only array. Members are immutable, and a pickled one
+    comes back as its family's member.
     """
 
-    def __init__(self, boundaries, s2: float, t_star: float, k: float = 1.0):
+    def __new__(cls, boundaries, s2: float, t_star: float, k: float = 1.0):
         b = np.asarray(boundaries, dtype=float)
         if b.shape != (11,):
             raise ValueError("boundaries must be 11 strictly increasing values")
@@ -204,18 +197,12 @@ class DecileMidpointAssignment(_Keyed):
         if not math.isfinite(t_star):
             raise ValueError("t_star must be finite")
         # decile_index of t_star: the count of inner boundaries at or below it
-        j = bisect.bisect_right(family._key[0], t_star, 1, 10) - 1
-        key = (family, j)
-        self.__dict__.update(
-            family=family, decile=j, t_star=t_star, boundaries=family.boundaries, s2=family.s2, k=family.k,
-            _key=key, _hash=hash(key),
-        )
+        return family._members[bisect.bisect_right(family._bl, t_star, 1, 10) - 1]
 
-    def __repr__(self):
-        return (
-            f"DecileMidpointAssignment(boundaries={list(self.family._key[0])}, s2={self.s2!r}, "
-            f"t_star={self.t_star!r}, k={self.k!r})"
-        )
+    def __reduce__(self):
+        # t_star is the decile's lower boundary: unlike the midpoint of two
+        # adjacent floats, it always lies in the decile
+        return DecileMidpointAssignment, (list(self.family._bl), self.s2, self.family._bl[self.decile], self.k)
 
     def density(self, t):
         return self.family._density(_checked_points(t), self.decile)
@@ -254,19 +241,22 @@ def likelihood_ratio(num, den, t):
     """Weight num / den from numerator values h(t) and offset GPS
     denominators at the treatments t.
 
-    Weights are zero exactly where the numerator is; a denominator at or
-    below zero under a positive numerator raises ``PositivityError``,
-    naming up to three distinct offending treatments in array order.
-    Inputs may be blocks of any shape, t broadcasting against them.
+    Weights are zero exactly where the numerator is; a denominator that
+    is not positive (at or below zero, or NaN) under a positive numerator
+    raises ``PositivityError``, naming up to three distinct offending
+    treatments in array order. Inputs may be blocks of any shape, t
+    broadcasting against them.
     """
     num, den = np.asarray(num, dtype=float), np.asarray(den, dtype=float)
-    bad = (den <= 0.0) & (num > 0.0)
+    positive = den > 0.0
+    bad = ~positive & (num > 0.0)
     if np.any(bad):
         t = np.broadcast_to(np.asarray(t, dtype=float), bad.shape)
         t_bad = list(dict.fromkeys(t[bad].tolist()))[:3]
+        what = "NaN" if np.isnan(np.broadcast_to(den, bad.shape)[bad]).any() else "zero"
         raise PositivityError(
-            f"zero propensity density with positive assignment mass at t={t_bad}; "
+            f"{what} propensity density with positive assignment mass at t={t_bad}; "
             "the shift requests treatments the observed data cannot support"
         )
-    return np.where(num > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
+    return np.where(num > 0.0, num / np.where(positive, den, 1.0), 0.0)
 

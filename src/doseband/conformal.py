@@ -101,7 +101,7 @@ def _tail_mass(bins, n_atoms: int, weights: np.ndarray):
     one ``bincount`` merges the ties of every row, adding each row's
     weights in the same order as a single-row call. Returns (suffix
     mass strictly above each atom, (rows, n_atoms); total mass, (rows,);
-    normalization scale, (rows,)).
+    normalization scale, (rows,); the max-normalized weights, (rows, n)).
     """
     if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
         raise ValueError("weights must be finite and nonnegative")
@@ -109,11 +109,12 @@ def _tail_mass(bins, n_atoms: int, weights: np.ndarray):
     scale = weights.max(axis=1)
     if not np.all(scale > 0.0):
         raise ValueError("weights must not all be zero")
-    grouped = np.bincount(bins, weights=(weights / scale[:, None]).ravel(), minlength=rows * n_atoms)
+    unit = weights / scale[:, None]
+    grouped = np.bincount(bins, weights=unit.ravel(), minlength=rows * n_atoms)
     rev = np.cumsum(grouped.reshape(rows, n_atoms)[:, ::-1], axis=1)
     suffix = np.zeros((rows, n_atoms))
     suffix[:, :-1] = rev[:, -2::-1]
-    return suffix, rev[:, -1], scale
+    return suffix, rev[:, -1], scale, unit
 
 
 def _lift(values, suffix, total, scale, w_new, owner, alpha: float) -> np.ndarray:
@@ -301,8 +302,9 @@ class Calibration:
         """Weighted conformal bounds at the test rows (x[i], t[i]), the
         numerator of row i's weights being the assignment density
         hs[owner[i]], with the Kish ESS of those calibration weights and
-        the row's test-atom mass; four arrays, one value per row.
-        ``owner`` must have t's shape and entries in [0, len(hs)), or
+        the row's test-atom mass; four arrays, one value per row. The
+        treatments and covariates must be finite, and ``owner`` an
+        integer array of t's shape with entries in [0, len(hs)), or
         ``ValueError`` is raised.
 
         Without ``test_atom`` the threshold is the weighted quantile of
@@ -329,7 +331,11 @@ class Calibration:
         t = np.asarray(t, dtype=float)
         if not np.all(np.isfinite(t)):
             raise ValueError("treatment values must be finite")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("covariate values must be finite")
         owner = np.asarray(owner)
+        if owner.dtype.kind not in "iu":
+            raise ValueError(f"owner entries must be integers, got dtype {owner.dtype}")
         if owner.shape != t.shape:
             raise ValueError(f"owner has shape {owner.shape}, t has shape {t.shape}")
         if np.any((owner < 0) | (owner >= len(hs))):
@@ -364,7 +370,7 @@ class Calibration:
                     num_at[mine] = family.density(t[at[mine]], decile_of[own[mine]])
             cal = likelihood_ratio(num_cal, self.den_cal, t_cal)
             bins = (self.inverse + len(values) * np.arange(len(block))[:, None]).ravel()
-            suffix, total, scale = _tail_mass(bins, len(values), cal)
+            suffix, total, scale, unit = _tail_mass(bins, len(values), cal)
             if test_atom:
                 w = likelihood_ratio(num_at, den[at], t[at])
                 eta[at] = _lift(values, suffix, total, scale, w, own, alpha)
@@ -374,7 +380,6 @@ class Calibration:
             else:  # zero test mass: the rows of an assignment share one query, and p_inf stays 0
                 queries = np.arange(len(block))
                 eta[at] = _lift(values, suffix, total, scale, np.zeros(len(block)), queries, alpha)[own]
-            unit = cal / scale[:, None]
             ess[at] = (total * total / np.einsum("ij,ij->i", unit, unit))[own]
         lower, upper = score_interval(self.model, self.cfg, x, t, eta)
         return lower, upper, ess, p_inf
@@ -420,25 +425,24 @@ def prediction_band(
     Each grid point's interval is the ``weighted_interval`` there.
 
     The assignments must be hashable, and two that compare equal must
-    have equal densities; every doseband assignment is, and a
-    ``DecileMidpointAssignment`` compares equal across its decile. An
-    unhashable assignment raises ``TypeError``. The band is one
-    ``Calibration.bounds`` query with a row per grid point, which
-    weights the calibration scores once per distinct assignment (a
-    fixed shift once, the decile-midpoint weights at most 10 times,
-    whatever n_grid). A fixed shift takes one density call; the
-    decile-midpoint members of one family take one pass of their family
-    over the calibration treatments per block of assignments, one pass
-    in all when n_cal <= 819. Per grid point only h_factory(t_k) and
-    one dict lookup of its result run in Python; a
-    ``DecileMidpointAssignment`` built there validates nothing but the
-    shape of its boundaries, because its family is validated once and
-    interned. The calibration weights held at once are bounded by a
-    fixed element budget, so they do not grow with n_grid. The band
-    holds its bounds as arrays, ``lower`` and ``upper``; its
-    ``intervals`` are built on first access. It also carries, per grid
-    point, the Kish ESS of the calibration weights and the test-atom
-    mass p_inf.
+    have equal densities; every doseband assignment is. The Normal,
+    truncated-Normal and uniform ones compare by value, and a
+    ``DecileMidpointAssignment`` is its decile's shared member, one
+    object for every grid point there. An unhashable assignment raises
+    ``TypeError``. The band is one ``Calibration.bounds`` query with a
+    row per grid point, which weights the calibration scores once per
+    distinct assignment (a fixed shift once, the decile-midpoint weights
+    at most 10 times, whatever n_grid). A fixed shift takes one density
+    call; the decile-midpoint members of one family take one pass of
+    their family over the calibration treatments per block of
+    assignments, one pass in all when n_cal <= 819. Per grid point only
+    h_factory(t_k), a cache lookup for a decile member, and one dict
+    lookup of its result run in Python. The calibration weights held at
+    once are bounded by a fixed element budget, so they do not grow with
+    n_grid. The band holds its bounds as arrays, ``lower`` and
+    ``upper``; its ``intervals`` are built on first access. It also
+    carries, per grid point, the Kish ESS of the calibration weights and
+    the test-atom mass p_inf.
     """
     if n_grid < 2:
         raise ValueError("need at least 2 grid points")

@@ -129,6 +129,9 @@ def pinball_loss(u: np.ndarray, level: float) -> float:
 # studies a walk crosses a median of 3 and 2% of walks cross more than 32
 _WALK = 32
 
+MAX_EXCHANGES = 200
+DUAL_SLACK = 1e-9
+
 
 def _level_quantile(u, level):
     """np.quantile(u, level) with the default linear method, from one
@@ -187,7 +190,7 @@ def _crossing(rate, slopes):
     return int(hit[0]) if hit.size else -1
 
 
-def _vertex_polish(Z, y, level, beta, max_exchanges=200, dual_slack=1e-9):
+def _vertex_polish(Z, y, level, beta):
     """Exact-vertex descent for the check loss with optimality certificate.
 
     The descent fits the residuals of ``beta`` plus a fixed
@@ -209,7 +212,7 @@ def _vertex_polish(Z, y, level, beta, max_exchanges=200, dual_slack=1e-9):
     the derivative does it sort every breakpoint. Once the box holds,
     psi is dual feasible for the unjittered rows as well, and the
     vertex they give is certified when its duality gap is at most
-    ``dual_slack`` times its objective. ``max_exchanges`` bounds the
+    ``DUAL_SLACK`` times its objective. ``MAX_EXCHANGES`` bounds the
     number of exchanges; the vertex the last one reaches is checked too.
     Returns the last vertex and whether its certificate held.
     """
@@ -222,7 +225,7 @@ def _vertex_polish(Z, y, level, beta, max_exchanges=200, dual_slack=1e-9):
     size = math.sqrt(np.finfo(float).eps * float(np.max(np.abs(r))) * float(np.mean(np.abs(r))) / n)
     jittered = r + size * _jitter(n)
     active = _initial_active_set(Z, jittered, level)
-    for exchanges in range(max_exchanges + 1):
+    for exchanges in range(MAX_EXCHANGES + 1):
         ZA = Z[active]
         u = jittered - Z @ np.linalg.solve(ZA, jittered[active])
         psi = np.where(u >= 0.0, level, level - 1.0)
@@ -232,13 +235,13 @@ def _vertex_polish(Z, y, level, beta, max_exchanges=200, dual_slack=1e-9):
         under = (level - 1.0) - psi[active]
         worst = np.maximum(over, under)
         j = int(np.argmax(worst))
-        if worst[j] <= dual_slack:
+        if worst[j] <= DUAL_SLACK:
             # duality gap of the unjittered rows: sum_i rho(u_i) - psi_i u_i
             step = np.linalg.solve(ZA, r[active])
             u = r - Z @ step
             loss = u * (level - (u < 0.0))
-            return beta + step, float(np.sum(loss - psi * u)) <= dual_slack * float(np.sum(loss))
-        if exchanges == max_exchanges:
+            return beta + step, float(np.sum(loss - psi * u)) <= DUAL_SLACK * float(np.sum(loss))
+        if exchanges == MAX_EXCHANGES:
             break
         # leave the j-th active row along the edge that keeps the other
         # active residuals at zero; psi above tau means the objective

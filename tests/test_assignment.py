@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import re
 
 import numpy as np
@@ -255,6 +257,14 @@ class TestLikelihoodRatio:
         w = likelihood_ratio(np.array([0.0, 1.0]), np.array([0.0, 2.0]), np.array([1.0, 2.0]))
         assert w.tolist() == [0.0, 0.5]
 
+    def test_nan_denominator_under_positive_mass_raises(self):
+        # a NaN density was once weighted by its numerator alone
+        with pytest.raises(PositivityError, match=re.escape("NaN propensity density with positive assignment mass at t=[1.0];")):
+            likelihood_ratio([0.3, 0.3], [math.nan, 0.5], [1.0, 2.0])
+        with pytest.raises(PositivityError, match=re.escape("zero propensity density with positive assignment mass at t=[2.0];")):
+            likelihood_ratio([0.3, 0.3], [0.5, 0.0], [1.0, 2.0])
+        assert likelihood_ratio([0.0, 0.3], [math.nan, 0.5], [1.0, 2.0]).tolist() == [0.0, 0.3 / 0.5]
+
     def test_positivity_error_names_three_distinct_treatments_in_order(self):
         t = np.array([5.0, 3.0, 5.0, 7.0, 9.0])
         with pytest.raises(PositivityError, match=re.escape("t=[5.0, 3.0, 7.0];")):
@@ -360,8 +370,10 @@ class TestStabilizedWeight:
 
 
 class TestValueSemantics:
-    """Assignments compare and hash by value, equal meaning equal density:
-    a prediction band calibrates once per distinct assignment."""
+    """Assignments compare equal only when their densities are: the
+    Normal, truncated-Normal and uniform ones by value, and a decile
+    assignment by identity, one shared object per decile. A prediction
+    band calibrates once per distinct assignment."""
 
     def _variants(self):
         """(label, assignment) pairs; equal labels mean equal densities."""
@@ -404,6 +416,7 @@ class TestValueSemantics:
         b = _boundaries_1_to_100()
         same = [DecileMidpointAssignment(b, s2=4.0, t_star=t, k=0.5) for t in (b[3], 35.0, 40.0)]
         assert len(set(same)) == 1
+        assert all(DecileMidpointAssignment(b.copy(), s2=4.0, t_star=t, k=0.5) is same[0] for t in (38.0, b[4] - 0.1))
         per_decile = {DecileMidpointAssignment(b, s2=4.0, t_star=t, k=0.5) for t in np.linspace(0, 101, 500)}
         assert len(per_decile) == 10
 
@@ -421,7 +434,7 @@ class TestValueSemantics:
     def test_decile_is_immutable(self):
         h = DecileMidpointAssignment(_boundaries_1_to_100(), s2=4.0, t_star=33.0, k=0.5)
         key = hash(h)
-        for name in ("k", "s2", "t_star", "boundaries"):
+        for name in ("k", "s2", "boundaries", "family", "decile"):
             with pytest.raises(AttributeError):
                 setattr(h, name, 1.0)
             with pytest.raises(AttributeError):
@@ -461,14 +474,15 @@ class TestDecileFamily:
     def test_block_pass_bit_identical_to_each_member(self, k):
         b = _boundaries_1_to_100()
         t = self._points(b)
-        members = [DecileMidpointAssignment(b, 4.0, _midpoint(b, m), k) for m in 0.5 * (b[:-1] + b[1:])]
+        t_stars = [_midpoint(b, m) for m in 0.5 * (b[:-1] + b[1:])]
+        members = [DecileMidpointAssignment(b, 4.0, t_star, k) for t_star in t_stars]
         family = members[0].family
         assert all(h.family is family for h in members) and [h.decile for h in members] == list(range(10))
         block = family.density(t, np.arange(10)[:, None])
         assert block.shape == (10, t.size)
-        for j, h in enumerate(members):
+        for j, (h, t_star) in enumerate(zip(members, t_stars)):
             assert np.array_equal(block[j], h.density(t))
-            assert np.array_equal(block[j], _old_decile_density(b, 4.0, h.t_star, k, t))
+            assert np.array_equal(block[j], _old_decile_density(b, 4.0, t_star, k, t))
         # one member per point: each element from its own member's row
         deciles = np.arange(t.size) % 10
         assert np.array_equal(family.density(t, deciles), block[deciles, np.arange(t.size)])
@@ -484,7 +498,6 @@ class TestDecileFamily:
     def test_family_validates_once(self, monkeypatch):
         b = _boundaries_1_to_100()
         assignment._family_of_bytes.cache_clear()
-        assignment._interned_family.cache_clear()
         calls = []
         checked = assignment._checked_boundaries
         monkeypatch.setattr(assignment, "_checked_boundaries", lambda bl: calls.append(1) or checked(bl))
@@ -523,48 +536,89 @@ class TestDecileFamily:
 
 
 class TestInterning:
-    """Families are interned by value in a bounded cache, and compare and
-    hash by value, so an evicted family equals a fresh one."""
+    """Families are interned by the bytes of their boundaries in one
+    bounded cache, and members compare by identity: a member of an
+    evicted family, or of boundaries holding -0.0 for 0.0, is another
+    object with bit-identical densities."""
 
     def test_value_equal_boundaries_share_one_family(self):
         b = np.linspace(-5.0, 5.0, 11)  # b[5] is 0.0
-        negzero = b.copy()
-        negzero[5] = -0.0
-        assert np.signbit(negzero[5]) and not np.signbit(b[5])
         spellings = [
             DecileMidpointAssignment(b, 4.0, 0.3, 0.5),
             DecileMidpointAssignment(list(b), 4.0, 0.3, 0.5),
             DecileMidpointAssignment(b.copy(), 4.0, 0.3, 0.5),
-            DecileMidpointAssignment(negzero, 4.0, 0.3, 0.5),
             DecileMidpointAssignment(b, 4, 0.3, 0.5),
             DecileMidpointAssignment(tuple(b), 4.0, 0.7, 0.5),
         ]
         first = spellings[0]
+        assert all(h is first for h in spellings)
+        # a negative zero gives other bytes, so another family, with the same densities
+        negzero = b.copy()
+        negzero[5] = -0.0
+        assert np.signbit(negzero[5]) and not np.signbit(b[5])
         t = np.linspace(-6.0, 6.0, 121)
-        for h in spellings:
-            assert h == first and hash(h) == hash(first)
-            assert h.family is first.family
-            assert np.array_equal(h.density(t), first.density(t))
-        assert DecileMidpointFamily(negzero, 4, 0.5) == first.family
-        assert hash(DecileMidpointFamily(negzero, 4, 0.5)) == hash(first.family)
+        twin = DecileMidpointAssignment(negzero, 4.0, 0.3, 0.5)
+        assert twin.decile == first.decile and np.array_equal(twin.density(t), first.density(t))
+        deciles = np.arange(10)[:, None]
+        for family in (twin.family, DecileMidpointFamily(negzero, 4, 0.5)):
+            assert np.array_equal(family.density(t, deciles), first.family.density(t, deciles))
 
     def test_cache_stays_bounded(self):
         base = _boundaries_1_to_100()
         for i in range(3 * assignment._INTERNED_FAMILIES):
             DecileMidpointAssignment(base + i, 4.0, 33.0, 0.5)
-        for cached in (assignment._family_of_bytes, assignment._interned_family):
-            info = cached.cache_info()
-            assert info.maxsize == assignment._INTERNED_FAMILIES
-            assert info.currsize <= assignment._INTERNED_FAMILIES
+        info = assignment._family_of_bytes.cache_info()
+        assert info.maxsize == assignment._INTERNED_FAMILIES
+        assert info.currsize <= assignment._INTERNED_FAMILIES
 
-    def test_member_of_an_evicted_family_equals_a_fresh_one(self):
+    def test_member_of_an_evicted_family_matches_a_fresh_one(self):
         b = _boundaries_1_to_100()
         old = DecileMidpointAssignment(b, 4.0, 33.0, 0.5)
         for i in range(1, 2 * assignment._INTERNED_FAMILIES):
             DecileMidpointAssignment(b + i, 4.0, 33.0, 0.5)
         fresh = DecileMidpointAssignment(b, 4.0, 35.0, 0.5)
-        assert fresh.family is not old.family
-        assert fresh == old and hash(fresh) == hash(old) and len({old, fresh}) == 1
-        assert fresh != DecileMidpointAssignment(b, 4.0, 45.0, 0.5)
+        assert fresh.family is not old.family and fresh.decile == old.decile
+        assert fresh is DecileMidpointAssignment(b, 4.0, 38.0, 0.5)
         t = np.linspace(-20.0, 120.0, 141)
         assert np.array_equal(fresh.density(t), old.density(t))
+        assert not np.array_equal(DecileMidpointAssignment(b, 4.0, 45.0, 0.5).density(t), old.density(t))
+
+
+class TestPickling:
+    """A member comes back as its family's shared member; a family comes
+    back as a family of the same values."""
+
+    def test_member_round_trips_to_itself(self):
+        h = DecileMidpointAssignment(_boundaries_1_to_100(), 4.0, 33.0, 0.5)
+        assert pickle.loads(pickle.dumps(h)) is h
+        assert copy.deepcopy(h) is h and copy.copy(h) is h
+        assert eval(repr(h)) is h
+
+    def test_every_member_of_adjacent_float_boundaries_round_trips(self):
+        # 11 consecutive floats: some decile midpoints round onto the next
+        # boundary, so a member must not come back through its midpoint
+        b = 1.0 + np.arange(11.0) * np.finfo(float).eps
+        assert not all(b[j] <= 0.5 * (b[j] + b[j + 1]) < b[j + 1] for j in range(10))
+        for j in range(10):
+            h = DecileMidpointAssignment(b, 4.0, b[j], 0.5)
+            assert h.decile == j and pickle.loads(pickle.dumps(h)) is h
+
+    def test_member_unpickled_without_its_family_cached(self):
+        b = _boundaries_1_to_100()
+        h = DecileMidpointAssignment(b, 4.0, 33.0, 0.5)
+        raw = pickle.dumps(h)
+        assignment._family_of_bytes.cache_clear()
+        back = pickle.loads(raw)
+        assert back.family is not h.family and back.decile == h.decile
+        assert back is DecileMidpointAssignment(b, 4.0, 38.0, 0.5)
+        t = np.linspace(-20.0, 120.0, 141)
+        assert np.array_equal(back.density(t), h.density(t))
+
+    def test_family_round_trips_to_its_values(self):
+        b = _boundaries_1_to_100()
+        family = DecileMidpointFamily(b, 4.0, 0.5)
+        t, deciles = np.linspace(-20.0, 120.0, 141), np.arange(10)[:, None]
+        for back in (pickle.loads(pickle.dumps(family)), copy.deepcopy(family)):
+            assert (back.s2, back.k) == (4.0, 0.5) and np.array_equal(back.boundaries, b)
+            assert not back.boundaries.flags.writeable
+            assert np.array_equal(back.density(t, deciles), family.density(t, deciles))

@@ -57,7 +57,7 @@ def thresholds(scores, weights, w_new, alpha):
     """The engine's thresholds for one row of calibration weights and an
     array (or scalar) of test weights: tie index, tail mass, lift."""
     values, inverse = _tie_index(np.asarray(scores, dtype=float))
-    atoms = _tail_mass(inverse, len(values), np.asarray(weights, dtype=float)[None])
+    atoms = _tail_mass(inverse, len(values), np.asarray(weights, dtype=float)[None])[:3]
     w_new = np.asarray(w_new, dtype=float)
     owner = np.zeros(w_new.size, dtype=np.intp)
     return _lift(values, *atoms, w_new.ravel(), owner, alpha).reshape(w_new.shape)
@@ -67,7 +67,7 @@ def scalar_scan(scores, weights, w_new, alpha):
     """One test weight at a time: the first tie-merged atom whose strict
     upper tail plus the infinity atom is at most alpha of the total."""
     values, inverse = _tie_index(np.asarray(scores, dtype=float))
-    suffix, total, scale = _tail_mass(inverse, len(values), np.asarray(weights, dtype=float)[None])
+    suffix, total, scale, _ = _tail_mass(inverse, len(values), np.asarray(weights, dtype=float)[None])
     suffix, total, scale = suffix[0], float(total[0]), float(scale[0])  # the one-row block
     w = w_new / scale
     if not math.isfinite(w):
@@ -141,7 +141,7 @@ class TestWeightedQuantile:
             w_new = gen.permutation(np.r_[0.0, gen.gamma(1.0, 2.0, size=10) * tiny, 1e308])
             owner = gen.integers(0, rows, size=len(w_new))
             alpha = float(gen.uniform(0.02, 0.5))
-            got = _lift(values, *_tail_mass(bins, len(values), weights), w_new, owner, alpha)
+            got = _lift(values, *_tail_mass(bins, len(values), weights)[:3], w_new, owner, alpha)
             for r in range(rows):
                 mine, got_r = w_new[owner == r], got[owner == r].tolist()
                 assert got_r == thresholds(scores, weights[r], mine, alpha).tolist()
@@ -611,6 +611,35 @@ class TestBlockedBand:
         assert sorted(passes) == sorted([(m, 1) for m in distinct.values()] + [(r,) for r in rows.values()])
         assert own == []
 
+    def test_twin_members_give_the_same_band(self):
+        # with the cache cleared before every grid point, each member is of
+        # a rebuilt twin family: its own object, with the same densities as
+        # the shared member, so a band of distinct assignments only, and
+        # the same band
+        from doseband import assignment
+        from doseband.assignment import DecileMidpointAssignment, decile_boundaries
+
+        d, sp, model, gps = self._tied()
+        b = decile_boundaries(d.t[sp.train])
+        cfg, x_new = ConformalConfig(0.1, "cqr", offset=0.05), np.array([0.3])
+        hs = []
+
+        def h_factory(t):
+            hs.append(DecileMidpointAssignment(b, s2=1.0, t_star=t, k=0.5))
+            return hs[-1]
+
+        def twin_factory(t):
+            assignment._family_of_bytes.cache_clear()
+            return h_factory(t)
+
+        shared = prediction_band(d, sp, model, gps, h_factory, cfg, x_new, -2.0, 2.0, 31)
+        assert len(set(hs)) < 31
+        hs.clear()
+        twins = prediction_band(d, sp, model, gps, twin_factory, cfg, x_new, -2.0, 2.0, 31)
+        assert len(set(hs)) == 31
+        for name in ("lower", "upper", "ess", "p_inf"):
+            assert np.array_equal(getattr(shared, name), getattr(twins, name)), name
+
     def test_unhashable_assignment_rejected(self):
         d, sp, model, gps = self._tied(n=200)
 
@@ -768,7 +797,20 @@ class TestCalibration:
                 calib.bounds(x, t, [design.shift], np.array(owner))
         with pytest.raises(ValueError, match=r"owner has shape \(3,\), t has shape \(10,\)"):
             calib.bounds(x, t, [design.shift], np.zeros(3, dtype=np.intp))
+        # a float owner once passed the range check and failed as an IndexError
+        with pytest.raises(ValueError, match="owner entries must be integers, got dtype float64"):
+            calib.bounds(x, t, [design.shift], np.full(10, 0.5))
         assert all(len(a) == 10 for a in calib.bounds(x, t, [design.shift], np.zeros(10, dtype=np.intp)))
+
+    def test_nonfinite_covariates_rejected(self):
+        # a NaN covariate once gave NaN bounds next to finite ess and p_inf
+        d, sp, model, gps = TestBlockedBand()._tied(n=200)
+        calib = Calibration(d, sp, model, gps, ConformalConfig(0.1))
+        x, t, owner = d.x[:3].copy(), d.t[:3], np.zeros(3, dtype=np.intp)
+        for bad in (math.nan, math.inf):
+            x[1, 0] = bad
+            with pytest.raises(ValueError, match="covariate values must be finite"):
+                calib.bounds(x, t, [NormalParams(0.0, 1.0)], owner)
 
 
 class TestConformalConfig:

@@ -251,16 +251,20 @@ def _descent_designs():
 
 
 class TestVertexDescent:
-    def test_budget_counts_exchanges(self):
+    def test_budget_counts_exchanges(self, monkeypatch):
         # this fit needs 6 exchanges; the vertex the 6th reaches is checked
         d = _pinball_design("continuous")
         Z = _affine_xt(d.x, d.t)
         ols = np.linalg.lstsq(Z, d.y, rcond=None)[0]
-        certified = [outcome._vertex_polish(Z, d.y, 0.1, ols, max_exchanges=m)[1] for m in (0, 5, 6)]
+        optimum = outcome._vertex_polish(Z, d.y, 0.1, ols)[0]
+        certified = []
+        for m in (0, 5, 6):
+            monkeypatch.setattr(outcome, "MAX_EXCHANGES", m)
+            certified.append(outcome._vertex_polish(Z, d.y, 0.1, ols)[1])
         assert certified == [False, False, True]
         # with no exchange allowed, a start already at the optimum certifies
-        optimum = outcome._vertex_polish(Z, d.y, 0.1, ols)[0]
-        beta, certified = outcome._vertex_polish(Z, d.y, 0.1, optimum, max_exchanges=0)
+        monkeypatch.setattr(outcome, "MAX_EXCHANGES", 0)
+        beta, certified = outcome._vertex_polish(Z, d.y, 0.1, optimum)
         assert certified
         np.testing.assert_allclose(beta, optimum, rtol=0.0, atol=1e-12)
 

@@ -1,6 +1,8 @@
 import ast
 import importlib
 import pkgutil
+import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +31,25 @@ def test_every_console_script_target_imports():
         except (ImportError, AttributeError) as exc:
             pytest.fail(f"console script {name!r} -> {target!r} does not resolve: {exc}")
         assert callable(entry), f"console script {name!r} -> {target!r} is not callable"
+
+
+def test_package_imports_only_the_standard_library_and_its_dependencies():
+    # the package installs with the dependencies pyproject.toml declares;
+    # scipy and pytest are for the tests alone
+    with open(PYPROJECT, "rb") as f:
+        dependencies = tomllib.load(f)["project"]["dependencies"]
+    allowed = set(sys.stdlib_module_names) | {"doseband"} | {re.match(r"[\w.-]+", d)[0] for d in dependencies}
+    outside = []
+    for path in sorted(Path(doseband.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] not in allowed]
+    assert "numpy" in allowed and not outside, f"imports outside the declared dependencies: {outside}"
 
 
 def _doseband_imports(path):
