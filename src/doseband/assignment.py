@@ -48,7 +48,6 @@ __all__ = [
     "DecileMidpointFamily",
     "PositivityError",
     "decile_boundaries",
-    "decile_index",
     "likelihood_ratio",
 ]
 
@@ -196,7 +195,7 @@ class DecileMidpointAssignment(_Frozen):
         family = _family_of_bytes(b.tobytes(), s2, k)
         if not math.isfinite(t_star):
             raise ValueError("t_star must be finite")
-        # decile_index of t_star: the count of inner boundaries at or below it
+        # t_star's decile: the count of inner boundaries at or below it
         return family._members[bisect.bisect_right(family._bl, t_star, 1, 10) - 1]
 
     def __reduce__(self):
@@ -228,35 +227,36 @@ def decile_boundaries(treatments) -> np.ndarray:
     return b
 
 
-def decile_index(boundaries, t):
-    """0-based decile of a finite t; values beyond the outer boundaries
-    clamp to 0/9, because only the 9 inner boundaries are searched."""
-    b, t = np.asarray(boundaries, dtype=float), np.asarray(t, dtype=float)
-    if not np.isfinite(t).all():
-        raise ValueError("treatment values must be finite")
-    return np.searchsorted(b[1:-1], t, side="right")
+def _first_three(t, mask) -> list:
+    """Up to three distinct treatments at the masked elements, in array
+    order, t broadcasting against the mask."""
+    t, mask = np.broadcast_arrays(np.asarray(t, dtype=float), mask)
+    return list(dict.fromkeys(t[mask].tolist()))[:3]
 
 
 def likelihood_ratio(num, den, t):
     """Weight num / den from numerator values h(t) and offset GPS
     denominators at the treatments t.
 
-    Weights are zero exactly where the numerator is; a denominator that
-    is not positive (at or below zero, or NaN) under a positive numerator
-    raises ``PositivityError``, naming up to three distinct offending
-    treatments in array order. Inputs may be blocks of any shape, t
-    broadcasting against them.
+    Weights are zero exactly where the numerator is, and +inf where the
+    ratio overflows. A numerator that is negative or NaN raises
+    ``ValueError``, and a denominator that is not positive (at or below
+    zero, or NaN) under a positive numerator ``PositivityError``; each
+    names up to three distinct offending treatments in array order.
+    Inputs may be blocks of any shape, t broadcasting against them.
     """
     num, den = np.asarray(num, dtype=float), np.asarray(den, dtype=float)
+    invalid = ~(num >= 0.0)
+    if invalid.any():
+        raise ValueError(f"assignment density negative or NaN at t={_first_three(t, invalid)}")
     positive = den > 0.0
     bad = ~positive & (num > 0.0)
-    if np.any(bad):
-        t = np.broadcast_to(np.asarray(t, dtype=float), bad.shape)
-        t_bad = list(dict.fromkeys(t[bad].tolist()))[:3]
+    if bad.any():
         what = "NaN" if np.isnan(np.broadcast_to(den, bad.shape)[bad]).any() else "zero"
         raise PositivityError(
-            f"{what} propensity density with positive assignment mass at t={t_bad}; "
+            f"{what} propensity density with positive assignment mass at t={_first_three(t, bad)}; "
             "the shift requests treatments the observed data cannot support"
         )
-    return np.where(num > 0.0, num / np.where(positive, den, 1.0), 0.0)
+    with np.errstate(over="ignore"):
+        return np.where(num > 0.0, num / np.where(positive, den, 1.0), 0.0)
 

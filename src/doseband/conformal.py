@@ -64,7 +64,7 @@ from functools import cached_property
 import numpy as np
 
 from .assignment import DecileMidpointAssignment, likelihood_ratio
-from .data import Dataset, SplitIndices
+from .data import Dataset, SplitIndices, _frozen_array
 
 __all__ = [
     "Calibration",
@@ -123,11 +123,11 @@ def _lift(values, suffix, total, scale, w_new, owner, alpha: float) -> np.ndarra
 
     Element i is the smallest value whose strict upper-tail mass,
     always including the infinity atom w_new[i], is at most alpha times
-    the total, or +inf when none qualifies. A test weight too large to
-    normalize gives +inf.
+    the total, or +inf when none qualifies. A test weight of +inf, or
+    one too large to normalize, gives +inf.
     """
-    if not np.all(np.isfinite(w_new) & (w_new >= 0.0)):
-        raise ValueError("w_new must be finite and nonnegative")
+    if not np.all(w_new >= 0.0):
+        raise ValueError("w_new must be nonnegative, not NaN")
     rows, n = suffix.shape
     # the atoms failing suffix + w <= target form a prefix of each row,
     # because suffix never increases; count them by binary lifting over
@@ -195,20 +195,17 @@ class PredictionBand:
     p_inf: np.ndarray
 
     def __post_init__(self):
-        grid = np.array(self.t_grid, dtype=float)
+        grid = _frozen_array(self.t_grid)
         if grid.ndim != 1:
             raise ValueError("t_grid must be a vector")
         if len(grid) >= 2 and not np.all(np.diff(grid) > 0):
             raise ValueError("t_grid must be strictly increasing")
-        x = np.array(self.x, dtype=float)
-        grid.flags.writeable = x.flags.writeable = False
         object.__setattr__(self, "t_grid", grid)
-        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "x", _frozen_array(self.x))
         for name in ("lower", "upper", "ess", "p_inf"):
-            arr = np.array(getattr(self, name), dtype=float)
+            arr = _frozen_array(getattr(self, name))
             if arr.shape != grid.shape:
                 raise ValueError(f"{name} must have one value per grid point")
-            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         if np.isnan(self.lower).any() or np.isnan(self.upper).any():
             raise ValueError("band bounds must not be NaN")
@@ -302,10 +299,10 @@ class Calibration:
         """Weighted conformal bounds at the test rows (x[i], t[i]), the
         numerator of row i's weights being the assignment density
         hs[owner[i]], with the Kish ESS of those calibration weights and
-        the row's test-atom mass; four arrays, one value per row. The
-        treatments and covariates must be finite, and ``owner`` an
-        integer array of t's shape with entries in [0, len(hs)), or
-        ``ValueError`` is raised.
+        the row's test-atom mass; four arrays, one value per row. ``t``
+        must be a vector and ``x`` a matrix with a row per treatment,
+        both finite, and ``owner`` an integer array of t's shape with
+        entries in [0, len(hs)), or ``ValueError`` is raised.
 
         Without ``test_atom`` the threshold is the weighted quantile of
         the calibration scores alone: no density is evaluated at the test
@@ -328,7 +325,9 @@ class Calibration:
         test weights, and the rows take their thresholds from one binary
         lifting, in which each query names its atom row.
         """
-        t = np.asarray(t, dtype=float)
+        t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
+        if t.ndim != 1 or x.ndim != 2 or len(x) != len(t):
+            raise ValueError(f"need a 1-d t and a 2-d x with a row per treatment, got shapes {t.shape} and {x.shape}")
         if not np.all(np.isfinite(t)):
             raise ValueError("treatment values must be finite")
         if not np.all(np.isfinite(x)):

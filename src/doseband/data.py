@@ -20,6 +20,10 @@ __all__ = ["Dataset", "SplitIndices", "split", "query_rows", "read_csv", "write_
 
 
 def _frozen_array(values, dtype=float, ndim=None) -> np.ndarray:
+    """An owned, read-only copy of ``values`` as an array of ``dtype``;
+    with ``ndim`` given, any other number of dimensions raises
+    ``ValueError``. Datasets, splits and prediction bands hold their
+    arrays this way."""
     arr = np.array(values, dtype=dtype)
     if ndim is not None and arr.ndim != ndim:
         raise ValueError(f"expected a {ndim}-d array, got shape {arr.shape}")
@@ -61,12 +65,11 @@ class Dataset:
     def __post_init__(self) -> None:
         y = _frozen_array(self.y, ndim=1)
         t = _frozen_array(self.t, ndim=1)
-        x = np.array(self.x, dtype=float)
+        x = _frozen_array(self.x)
         if x.ndim == 1:
-            x = x[:, None]
+            x = x[:, None]  # a view, read-only as its base
         if x.ndim != 2:
             raise ValueError(f"x must be 2-d, got shape {x.shape}")
-        x.flags.writeable = False
         if not (len(y) == len(t) == x.shape[0]):
             raise ValueError("y, t and x must have the same number of rows")
         for name, arr in (("y", y), ("t", t), ("x", x)):

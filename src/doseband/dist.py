@@ -190,13 +190,6 @@ def _normal_density(x, mean, sd):
     return _INV_SQRT_2PI / sd * np.exp(-0.5 * z * z)
 
 
-def _at_least_two(a: np.ndarray) -> np.ndarray:
-    """A 1-d array, or its one element twice: numpy runs an in-place ufunc
-    on one element about twice as slowly as on two (it takes the array
-    for a broadcast one), so the kernels never work on a single element."""
-    return a if a.size != 1 else np.repeat(a, 2)
-
-
 def _horner(v: np.ndarray, coefs: tuple) -> np.ndarray:
     """The polynomial with coefficients ``coefs`` (highest power first) at
     v, by Horner's rule: one in-place pass per step over a new array."""
@@ -248,7 +241,7 @@ def _erfc(x) -> np.ndarray:
     the shape of x.
     """
     x = np.asarray(x, dtype=float)
-    xf = _at_least_two(x.reshape(-1))
+    xf = x.reshape(-1)
     y = np.abs(xf)
     # erfc underflows to 0 well before 40; the cap keeps inf out of every formula
     np.minimum(y, 40.0, out=y)
@@ -260,13 +253,11 @@ def _erfc(x) -> np.ndarray:
     else:
         out = np.empty_like(y)
     if small.size:
-        small = _at_least_two(small)
         v = y[small]
         r = _rational(v * v, _CODY_SMALL_NUM, _CODY_SMALL_DEN)
         r *= v
         out[small] = np.subtract(1.0, r, out=r)
     if tail.size:
-        tail = _at_least_two(tail)
         v = y[tail]
         z = np.multiply(v, v)
         np.divide(1.0, z, out=z)
@@ -279,7 +270,7 @@ def _erfc(x) -> np.ndarray:
     neg = (xf < 0.0).nonzero()[0]
     if neg.size:
         out[neg] = 2.0 - out[neg]
-    return out[: x.size].reshape(x.shape)
+    return out.reshape(x.shape)
 
 
 def _std_lower_tail(z) -> np.ndarray:
@@ -297,7 +288,7 @@ def _std_normal_quantile(prob) -> np.ndarray:
     formula's denominator has no root on (0, 1/2]. Returns a new array.
     """
     prob = np.asarray(prob, dtype=float)
-    q = _at_least_two(prob.flatten())
+    q = prob.flatten()
     flip = (q > 0.5).nonzero()[0]
     q[flip] = 1.0 - q[flip]
     u = q - 0.5
@@ -305,7 +296,7 @@ def _std_normal_quantile(prob) -> np.ndarray:
     x = _horner(r, _ACKLAM_A)
     x *= u
     x /= _horner(r, _ACKLAM_B)
-    lo = _at_least_two((q < _ACKLAM_PLOW).nonzero()[0])
+    lo = (q < _ACKLAM_PLOW).nonzero()[0]
     if lo.size:
         x[lo] = _rational(np.sqrt(-2.0 * np.log(q[lo])), _ACKLAM_C, _ACKLAM_D)
 
@@ -322,7 +313,7 @@ def _std_normal_quantile(prob) -> np.ndarray:
     np.divide(step, pdf, out=step, where=ok)
     np.subtract(x, step, out=x, where=ok)
     x[flip] = -x[flip]
-    return x[: prob.size].reshape(prob.shape)
+    return x.reshape(prob.shape)
 
 
 def normal_quantile(prob, p: NormalParams):

@@ -153,7 +153,6 @@ class _EmRun(NamedTuple):
     converged: np.ndarray  # (starts,) bool
     collapsed: np.ndarray  # (starts,) bool
     iterations: np.ndarray  # (starts,) EM iterations run
-    history: np.ndarray  # (max iterations, starts) log-likelihoods; NaN once stopped
 
 
 def _run_em(Z, t, resp0, max_iter, rel_tol) -> _EmRun:
@@ -177,9 +176,10 @@ def _run_em(Z, t, resp0, max_iter, rel_tol) -> _EmRun:
     slice, so a start's iterates are those of its own one-start run.
     While every start is still running, the loop works on the full
     responsibility array; the running starts are gathered by index only
-    once one has stopped or collapsed. ``history`` has one row per
-    iteration up to the longest run, (iterations.max(), starts), and a
-    start's column is non-decreasing by the EM monotonicity property.
+    once one has stopped or collapsed. A one-iteration run from a
+    result's ``resp`` continues every start that did not collapse from
+    its last E-step: ``_run_em(Z, t, em.resp, 1, rel_tol)`` steps EM one
+    iteration on.
     """
     n_starts, k, n = resp0.shape
     q = Z.shape[1]
@@ -193,7 +193,6 @@ def _run_em(Z, t, resp0, max_iter, rel_tol) -> _EmRun:
     converged = np.zeros(n_starts, dtype=bool)
     collapsed = np.zeros(n_starts, dtype=bool)
     iterations = np.zeros(n_starts, dtype=int)
-    history = np.full((max_iter, n_starts), np.nan)
     run = np.arange(n_starts)
     it = 0
     while run.size and it < max_iter:
@@ -237,19 +236,17 @@ def _run_em(Z, t, resp0, max_iter, rel_tol) -> _EmRun:
         done = (prev > -np.inf) & (np.abs(ll - prev) <= rel_tol * (1.0 + np.abs(prev)))
         loglik[run] = ll
         converged[run[done]] = True
-        history[it, run] = ll
         it += 1
         run = run[~done]
     loglik[collapsed] = -np.inf
-    history = history[: iterations.max(initial=0)]
-    return _EmRun(loglik, pis, betas, resp, converged, collapsed, iterations, history)
+    return _EmRun(loglik, pis, betas, resp, converged, collapsed, iterations)
 
 
 def _quantile_split_init(resid, k):
     """Hard (k, n) assignment of the rows to the k quantile bins of the
     OLS residuals."""
     edges = np.percentile(resid, np.linspace(0, 100, k + 1))
-    groups = np.clip(np.searchsorted(edges[1:-1], resid, side="right"), 0, k - 1)
+    groups = np.searchsorted(edges[1:-1], resid, side="right")
     return (groups == np.arange(k)[:, None]).astype(float)
 
 

@@ -14,7 +14,6 @@ from doseband.assignment import (
     PositivityError,
     UniformAssignment,
     decile_boundaries,
-    decile_index,
     likelihood_ratio,
 )
 from doseband.conformal import Calibration, ConformalConfig
@@ -34,9 +33,15 @@ def _boundaries_1_to_100():
     return decile_boundaries(np.arange(1.0, 101.0))
 
 
+def _decile(b, t):
+    """0-based decile of t by the 9 inner boundaries; beyond the outer
+    ones it clamps to 0 or 9."""
+    return np.searchsorted(b[1:-1], t, side="right")
+
+
 def _midpoint(b, t):
     """Midpoint of t's decile, the oracle for the decile-midpoint numerator."""
-    j = int(decile_index(b, t))
+    j = int(_decile(b, t))
     return 0.5 * (b[j] + b[j + 1])
 
 
@@ -131,8 +136,8 @@ class TestDeciles:
 
     def test_index_clamps(self):
         b = _boundaries_1_to_100()
-        assert decile_index(b, -50.0) == 0
-        assert decile_index(b, 1e6) == 9
+        assert DecileMidpointAssignment(b, 1.0, -50.0).decile == 0
+        assert DecileMidpointAssignment(b, 1.0, 1e6).decile == 9
 
     def test_too_few_distinct(self):
         with pytest.raises(ValueError):
@@ -157,14 +162,9 @@ class TestDeciles:
             decile_boundaries(t)
 
     def test_nonfinite_treatments_rejected(self):
-        b = np.linspace(0.0, 10.0, 11)
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="finite"):
                 decile_boundaries(np.r_[np.arange(20.0), bad])
-            with pytest.raises(ValueError, match="finite"):
-                decile_index(b, bad)
-            with pytest.raises(ValueError, match="finite"):
-                decile_index(b, np.array([1.0, bad, 3.0]))
 
     def test_nonfinite_t_star_rejected(self):
         b = np.linspace(0.0, 10.0, 11)
@@ -207,10 +207,10 @@ class TestDeciles:
         full = DecileMidpointAssignment(boundaries=b, s2=4.0, t_star=33.0, k=1.0)
         half = DecileMidpointAssignment(boundaries=b, s2=4.0, t_star=33.0, k=0.5)
         t_other = 77.0  # different decile than 33
-        assert decile_index(b, t_other) != decile_index(b, 33.0)
+        assert _decile(b, t_other) != full.decile
         assert half.density(t_other) == pytest.approx(0.5 * full.density(t_other), rel=1e-14)
         t_same = 34.0
-        assert decile_index(b, t_same) == decile_index(b, 33.0)
+        assert _decile(b, t_same) == full.decile
         assert half.density(t_same) == pytest.approx(full.density(t_same), rel=1e-14)
 
     def test_same_decile_points_share_numerator_mean(self):
@@ -231,7 +231,7 @@ class TestDeciles:
         for t_star in (b[0] - 3.0, b[0], b[3], 0.5 * (b[3] + b[4]), b[9], b[10], b[10] + 3.0):
             h = DecileMidpointAssignment(boundaries=b, s2=4.0, t_star=t_star, k=0.5)
             base = NormalParams(_midpoint(b, t_star), 4.0).density(grid)
-            old = np.where(decile_index(b, grid) == decile_index(b, t_star), base, 0.5 * base)
+            old = np.where(_decile(b, grid) == _decile(b, t_star), base, 0.5 * base)
             assert np.array_equal(h.density(grid), old)
             assert [h.density(t) for t in grid[:11]] == old[:11].tolist()
 
@@ -269,6 +269,19 @@ class TestLikelihoodRatio:
         t = np.array([5.0, 3.0, 5.0, 7.0, 9.0])
         with pytest.raises(PositivityError, match=re.escape("t=[5.0, 3.0, 7.0];")):
             likelihood_ratio(np.ones(5), np.zeros(5), t)
+
+    def test_negative_or_nan_numerator_raises(self):
+        # a NaN or negative h(t) was once weight 0, silently dropping the point
+        with pytest.raises(ValueError, match=re.escape("assignment density negative or NaN at t=[1.0, 2.0]")) as info:
+            likelihood_ratio([0.3, math.nan, -0.2], [0.5, 0.5, 0.5], [0.0, 1.0, 2.0])
+        assert type(info.value) is ValueError
+        # a block names three distinct treatments, in array order
+        num = np.array([[-1.0, 0.3, math.nan], [math.nan, -0.0, -1.0]])
+        with pytest.raises(ValueError, match=re.escape("at t=[0.1, 0.3]")):
+            likelihood_ratio(num, np.ones(3), np.array([0.1, 0.2, 0.3]))
+        t = np.array([5.0, 3.0, 5.0, 7.0, 9.0])
+        with pytest.raises(ValueError, match=re.escape("at t=[5.0, 3.0, 7.0]")):
+            likelihood_ratio(-np.ones(5), np.ones(5), t)
 
 
 def _calibration(t_cal, gps, offset=0.0):
@@ -457,7 +470,7 @@ def _old_decile_density(b, s2, t_star, k, t):
     """The decile-midpoint density as one member evaluated it alone: its
     own Normal and decile lookup."""
     base = NormalParams(_midpoint(b, t_star), s2).density(t)
-    return np.where(decile_index(b, t) == decile_index(b, t_star), base, k * base)
+    return np.where(_decile(b, t) == _decile(b, t_star), base, k * base)
 
 
 class TestDecileFamily:

@@ -148,9 +148,14 @@ class TestWeightedQuantile:
                 assert got_r == [scalar_scan(scores, weights[r], float(w), alpha) for w in mine]
 
     def test_invalid_test_weights_rejected(self):
-        for bad in ([1.0, -1.0], [math.inf], [math.nan]):
+        for bad in ([1.0, -1.0], [math.nan]):
             with pytest.raises(ValueError, match="w_new"):
                 thresholds([1.0, 2.0], [1.0, 1.0], bad, 0.1)
+
+    def test_infinite_test_weight_gives_infinite_threshold(self):
+        # a test weight that overflowed to +inf carries all the mass
+        got = thresholds([1.0, 2.0], [1.0, 1.0], [math.inf, 0.0], 0.1)
+        assert got.tolist() == [math.inf, 2.0]
 
     def test_tied_scores_merge(self):
         scores = [1.0, 1.0, 2.0, 2.0, 3.0]
@@ -530,7 +535,7 @@ class TestBlockedBand:
         self._assert_matches_oracle(lambda t: NormalParams(t, 0.5), n_grid)
 
     def test_one_calibration_per_distinct_assignment(self):
-        from doseband.assignment import DecileMidpointAssignment, decile_boundaries, decile_index
+        from doseband.assignment import DecileMidpointAssignment, decile_boundaries
 
         d, sp, model, gps = self._tied(n=400)
         n_cal = len(sp.cal)
@@ -552,7 +557,7 @@ class TestBlockedBand:
         shift = NormalParams(0.5, 1.0)
         assert density_calls(lambda t: _Counted(shift, lengths)) == ([n_cal + 60], [n_cal + 60])
         b = decile_boundaries(d.t[sp.train])
-        reached = len(set(decile_index(b, grid).tolist()))
+        reached = len(set(np.searchsorted(b[1:-1], grid, side="right").tolist()))
         sizes, expected = density_calls(
             lambda t: _Counted(DecileMidpointAssignment(b, s2=1.0, t_star=t, k=0.5), lengths)
         )
@@ -712,6 +717,29 @@ class TestBlockedBand:
         assert band.p_inf[-1] == 1.0
         assert all(math.isfinite(iv.length) for iv in band.intervals[:-1])
 
+    def test_test_weight_beyond_the_float_range_gives_whole_line(self):
+        # h(1) / 1e-310 overflows to +inf in the division itself; it once
+        # warned there and then failed the test-weight check
+        d, sp, model, _ = self._tied(n=200)
+        gps = CallableGps(fn=lambda t, x: np.where(t == 1.0, 1e-310, 1.0))
+        h = NormalParams(0.0, 4.0)
+        band = prediction_band(
+            d, sp, model, gps, lambda t: h, ConformalConfig(0.1), np.array([0.0]), -1.0, 1.0, 5
+        )
+        assert (band.lower[-1], band.upper[-1], band.p_inf[-1]) == (-math.inf, math.inf, 1.0)
+        assert np.isfinite(band.upper[:-1] - band.lower[:-1]).all()
+
+    def test_calibration_weight_beyond_the_float_range_rejected(self):
+        # the same overflow at a calibration treatment cannot be normalized
+        d, sp, model, _ = self._tied(n=200)
+        t_bad = float(d.t[sp.cal][7])
+        gps = CallableGps(fn=lambda t, x: np.where(t == t_bad, 1e-310, 1.0))
+        h = NormalParams(0.0, 4.0)
+        with pytest.raises(ValueError, match="weights must be finite and nonnegative"):
+            prediction_band(
+                d, sp, model, gps, lambda t: h, ConformalConfig(0.1), np.array([0.0]), -1.0, 1.0, 5
+            )
+
 
 class TestCalibration:
     """One ``Calibration`` queried with ``bounds``: the study's use, many
@@ -811,6 +839,23 @@ class TestCalibration:
             x[1, 0] = bad
             with pytest.raises(ValueError, match="covariate values must be finite"):
                 calib.bounds(x, t, [NormalParams(0.0, 1.0)], owner)
+
+    @pytest.mark.parametrize("test_atom", [True, False])
+    def test_malformed_shapes_rejected(self, test_atom):
+        # a 1-d x row once reached the GPS as a one-point query, whose float
+        # answer failed deep inside as a TypeError, and a 0-d t failed in len()
+        d, sp, model, gps = TestBlockedBand()._tied(n=200)
+        calib = Calibration(d, sp, model, gps, ConformalConfig(0.1))
+        hs, one = [NormalParams(0.0, 1.0)], np.zeros(1, dtype=np.intp)
+        for x, t, owner in (
+            (d.x[0], np.array([1.0]), one),  # x a row, not a matrix
+            (d.x[:1], np.array(1.0), np.zeros((), dtype=np.intp)),  # t a scalar
+            (d.x[:1, :, None], np.array([1.0]), one),  # x 3-d
+            (d.x[:2], np.array([1.0]), one),  # a row too many
+        ):
+            with pytest.raises(ValueError, match="need a 1-d t and a 2-d x with a row per treatment"):
+                calib.bounds(x, t, hs, owner, test_atom)
+        assert all(len(a) == 1 for a in calib.bounds(d.x[:1], np.array([1.0]), hs, one, test_atom))
 
 
 class TestConformalConfig:

@@ -14,7 +14,6 @@ from doseband.dist import (
     NormalParams,
     Rng,
     TruncatedNormalParams,
-    _at_least_two,
     _erfc,
     _horner,
     _log_std_lower_tail,
@@ -60,7 +59,7 @@ def _quantile_with_generic_density(prob, p):
     """``normal_quantile`` with the Newton step's density taken from the
     generic ``_normal_density(x, 0.0, 1.0)``, as it was computed before
     the step built the standard density in place."""
-    q = _at_least_two(np.asarray(prob, dtype=float).flatten())
+    q = np.asarray(prob, dtype=float).flatten()
     flip = (q > 0.5).nonzero()[0]
     q[flip] = 1.0 - q[flip]
     u = q - 0.5
@@ -68,7 +67,7 @@ def _quantile_with_generic_density(prob, p):
     x = _horner(r, _ACKLAM_A)
     x *= u
     x /= _horner(r, _ACKLAM_B)
-    lo = _at_least_two((q < _ACKLAM_PLOW).nonzero()[0])
+    lo = (q < _ACKLAM_PLOW).nonzero()[0]
     if lo.size:
         x[lo] = _rational(np.sqrt(-2.0 * np.log(q[lo])), _ACKLAM_C, _ACKLAM_D)
     step = _std_lower_tail(x)
@@ -78,7 +77,7 @@ def _quantile_with_generic_density(prob, p):
     np.divide(step, pdf, out=step, where=ok)
     np.subtract(x, step, out=x, where=ok)
     x[flip] = -x[flip]
-    return p.mean + p.sd * x[: np.size(prob)].reshape(np.shape(prob))
+    return p.mean + p.sd * x.reshape(np.shape(prob))
 
 
 class TestNormal:

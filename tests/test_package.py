@@ -3,6 +3,9 @@ import importlib
 import pkgutil
 import re
 import sys
+import time
+import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +22,19 @@ tomllib = pytest.importorskip("tomllib")
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
+
+
+def test_readme_example_runs_in_under_a_second(capsys):
+    # the README's one example runs as written, with every warning an error
+    (example,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exec(compile(example, "README.md", "exec"), {})
+    elapsed = time.perf_counter() - start
+    lines = capsys.readouterr().out.splitlines()
+    assert [line[:4] for line in lines] == ["t = "] * 5 + ["SimR"], lines
+    assert elapsed < 1.0
 
 
 def test_every_console_script_target_imports():
@@ -110,6 +126,53 @@ def test_no_module_calls_np_vectorize():
                 if name == "vectorize":
                     calls.append(f"{path.name}:{node.lineno}")
     assert not calls, f"np.vectorize called at {calls}"
+
+
+def _module_private_names(tree):
+    """(name, definition node) of every module-level private name: a
+    function, class or assignment target starting with one underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from ((name, node) for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def _referenced(nodes, strings=False) -> Counter:
+    """Counts of the names read as AST names or attributes among the
+    nodes, and with ``strings`` of every word of a string constant."""
+    found = Counter()
+    for node in nodes:
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.update(re.findall(r"\w+", node.value))
+    return found
+
+
+def test_every_private_name_has_a_caller():
+    # a private helper stays only while the package or the benchmark uses
+    # it, outside its own definition; the benchmark's tracer names its
+    # sites in strings
+    package = Path(doseband.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in sorted(package.glob("*.py"))}
+    uses = sum((_referenced(ast.walk(tree)) for tree in trees.values()), Counter())
+    for path in (ROOT / "bench").glob("*.py"):
+        uses += _referenced(ast.walk(ast.parse(path.read_text(), filename=str(path))), strings=True)
+    unused = [
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name, definition in _module_private_names(tree)
+        if uses[name] <= _referenced(ast.walk(definition))[name]
+    ]
+    assert not unused, f"private names with no caller in src/doseband or bench/: {unused}"
 
 
 BENCH_READERS = ("workloads.py", "make_reference.py", "setup_child.py")

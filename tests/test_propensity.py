@@ -46,6 +46,17 @@ def _ols_residual(Z, t):
     return t - Z @ beta
 
 
+def _stepped_loglik(Z, t, resp, steps):
+    """(steps, starts) log-likelihoods of EM stepped one iteration per
+    call, each call continuing every start from the last one's E-step."""
+    trajectory = []
+    for _ in range(steps):
+        em = _run_em(Z, t, resp, 1, propensity.REL_TOL)
+        trajectory.append(em.loglik)
+        resp = em.resp
+    return np.array(trajectory)
+
+
 class TestOlsGaussian:
     def test_noiseless_affine_recovery_and_floor(self):
         gen = Rng(0).gen
@@ -142,12 +153,12 @@ class TestMixtureEm:
         starts = [_quantile_split_init(_ols_residual(Z, d.t), 2)]
         starts += [Rng(seed).gen.dirichlet(np.ones(2), size=d.n).T for seed in (1, 2)]
         em = _run_em(Z, d.t, np.stack(starts), max_iter=200, rel_tol=1e-10)
-        assert not em.collapsed.any()
-        for history in em.history.T:
-            history = history[~np.isnan(history)]
-            assert len(history) > 2
-            diffs = np.diff(history)
-            assert np.all(diffs >= -1e-8 * (1.0 + np.abs(history[:-1])))
+        assert not em.collapsed.any() and em.iterations.min() > 2
+        trajectory = _stepped_loglik(Z, d.t, np.stack(starts), int(em.iterations.max()))
+        # the stepped trajectory passes through each start's final value
+        np.testing.assert_allclose(trajectory[em.iterations - 1, [0, 1, 2]], em.loglik, rtol=1e-12, atol=0.0)
+        diffs = np.diff(trajectory, axis=0)
+        assert np.all(diffs >= -1e-8 * (1.0 + np.abs(trajectory[:-1])))
 
     def test_report_counts_iterations_and_collapsed_starts(self):
         d = _two_component_data(1000, 12)
@@ -218,25 +229,24 @@ class TestMixtureEm:
         starts += [Rng(seed).gen.dirichlet(np.ones(2), size=d.n).T for seed in (1, 2, 3)]
         em = _run_em(Z, d.t, np.stack(starts), propensity.MAX_ITER, propensity.REL_TOL)
         assert len(set(em.iterations.tolist())) > 1 and em.converged.all()
+        batch = _stepped_loglik(Z, d.t, np.stack(starts), int(em.iterations.max()))
         for i, start in enumerate(starts):
             alone = _run_em(Z, d.t, start[None], propensity.MAX_ITER, propensity.REL_TOL)
             assert em.iterations[i] == alone.iterations[0]
             assert em.loglik[i] == pytest.approx(alone.loglik[0], rel=1e-12, abs=0.0)
-            history = em.history[:, i]
-            np.testing.assert_allclose(history[~np.isnan(history)], alone.history[:, 0], rtol=1e-12, atol=0.0)
+            solo = _stepped_loglik(Z, d.t, start[None], int(alone.iterations[0]))[:, 0]
+            assert solo[-1] == alone.loglik[0]
+            np.testing.assert_allclose(batch[: len(solo), i], solo, rtol=1e-12, atol=0.0)
 
-    def test_history_is_two_dimensional(self):
+    def test_zero_iteration_and_all_collapsed_runs(self):
         d = _two_component_data(1000, 12)
         Z = _design(d.x, None)
         healthy = np.stack([Rng(seed).gen.dirichlet(np.ones(2), size=d.n).T for seed in (1, 2, 3)])
         starved = np.vstack([np.ones(d.n), np.zeros(d.n)])[None]
         em = _run_em(Z, d.t, healthy, 0, propensity.REL_TOL)
-        assert em.history.shape == (0, 3) and not em.iterations.any()
-        em = _run_em(Z, d.t, healthy, propensity.MAX_ITER, propensity.REL_TOL)
-        assert em.history.shape == (em.iterations.max(), 3)
-        assert not np.isnan(em.history[-1]).all()
+        assert not em.iterations.any()
         em = _run_em(Z, d.t, starved, propensity.MAX_ITER, propensity.REL_TOL)
-        assert em.collapsed.all() and em.history.shape == (0, 1)
+        assert em.collapsed.all() and not em.iterations.any()
 
 
 # fit_gaussian_mixture on a fixed seed -> (n_components, log_likelihood,
