@@ -53,8 +53,9 @@ __all__ = [
 
 
 class PositivityError(ValueError):
-    """Zero GPS density (with zero offset) at a point that carries
-    assignment mass."""
+    """Zero GPS density (with zero offset) at a calibration point that
+    carries assignment mass. A test point there is no error: its weight
+    is +inf, and its interval the whole line."""
 
 
 @dataclass(frozen=True)

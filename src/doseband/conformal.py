@@ -240,10 +240,12 @@ def _base_interval(model, kind: str, x, t):
     outcome model: [m, m] for absolute residuals, and for cqr the
     quantile pair sorted to (min, max), which repairs a crossed pair."""
     if kind == "absolute-residual":
+        if not hasattr(model, "mean"):
+            raise ValueError(f"absolute-residual scoring needs a model with a mean, not {type(model).__name__}")
         m = model.mean(x, t)
         return m, m
-    if len(model.levels) != 2:
-        raise ValueError("quantile scoring needs a model with two levels")
+    if len(getattr(model, "levels", ())) != 2:
+        raise ValueError(f"cqr scoring needs a quantile model with two levels, not {type(model).__name__}")
     lo, hi = (model.quantile(x, t, level) for level in model.levels)
     return np.minimum(lo, hi), np.maximum(lo, hi)
 
@@ -302,7 +304,8 @@ class Calibration:
         the row's test-atom mass; four arrays, one value per row. ``t``
         must be a vector and ``x`` a matrix with a row per treatment,
         both finite, and ``owner`` an integer array of t's shape with
-        entries in [0, len(hs)), or ``ValueError`` is raised.
+        entries in [0, len(hs)), or ``ValueError`` is raised. A test row
+        outside the GPS support, its offset density exactly 0, gets weight +inf.
 
         Without ``test_atom`` the threshold is the weighted quantile of
         the calibration scores alone: no density is evaluated at the test
@@ -342,6 +345,8 @@ class Calibration:
         values, t_cal, n_cal, alpha = self.values, self.t_cal, len(self.t_cal), self.cfg.alpha
         if test_atom:
             den = self.gps.density(t, x) + self.cfg.offset
+            outside = den == 0.0  # outside the GPS support: weight +inf, set below
+            den[outside] = 1.0
         rows = max(1, _BLOCK_ELEMENTS // n_cal)
         eta, ess, p_inf = np.empty(len(t)), np.empty(len(t)), np.zeros(len(t))
         for start in range(0, len(hs), rows):
@@ -372,6 +377,7 @@ class Calibration:
             suffix, total, scale, unit = _tail_mass(bins, len(values), cal)
             if test_atom:
                 w = likelihood_ratio(num_at, den[at], t[at])
+                w[outside[at] & (w > 0.0)] = math.inf
                 eta[at] = _lift(values, suffix, total, scale, w, own, alpha)
                 with np.errstate(over="ignore", invalid="ignore"):  # p_inf -> 1 as w / scale overflows
                     w = w / scale[own]
@@ -382,6 +388,15 @@ class Calibration:
             ess[at] = (total * total / np.einsum("ij,ij->i", unit, unit))[own]
         lower, upper = score_interval(self.model, self.cfg, x, t, eta)
         return lower, upper, ess, p_inf
+
+
+def _profile(x_new) -> np.ndarray:
+    """The one covariate profile ``x_new``, a vector or a single row, as a
+    vector; any other shape raises ``ValueError``."""
+    x = np.asarray(x_new, dtype=float)
+    if not (x.ndim == 1 or x.ndim == 2 and len(x) == 1):
+        raise ValueError(f"x_new must be one covariate profile, a vector or a single row, got shape {x.shape}")
+    return x.reshape(-1)
 
 
 def weighted_interval(
@@ -396,10 +411,10 @@ def weighted_interval(
 ) -> Interval:
     """Weighted split-conformal interval at (x_new, t_new), with
     likelihood-ratio weights h(t) / (gps(t | x) + cfg.offset): the
-    one-row query of a ``Calibration``.
-    """
+    one-row query of a ``Calibration``. ``x_new`` is one covariate
+    profile, a vector or a single row."""
     calib = Calibration(data, sp, model, gps, cfg)
-    x = np.atleast_2d(np.asarray(x_new, dtype=float))
+    x = _profile(x_new)[None, :]
     lower, upper, _, _ = calib.bounds(x, np.array([float(t_new)]), [h], np.zeros(1, dtype=np.intp))
     return Interval(float(lower[0]), float(upper[0]))
 
@@ -421,7 +436,8 @@ def prediction_band(
     ``h_factory`` maps each grid treatment to its assignment
     distribution, covering both a fixed shift (ignore the argument) and
     treatment-tracking numerators such as the decile-midpoint weights.
-    Each grid point's interval is the ``weighted_interval`` there.
+    ``x_new`` is one covariate profile, a vector or a single row. Each
+    grid point's interval is the ``weighted_interval`` there.
 
     The assignments must be hashable, and two that compare equal must
     have equal densities; every doseband assignment is. The Normal,
@@ -457,6 +473,6 @@ def prediction_band(
             owner[k] = distinct.setdefault(h, len(distinct))
         except TypeError as exc:
             raise TypeError(f"assignments must be hashable, got {type(h).__name__}") from exc
-    x_rows = np.tile(np.asarray(x_new, dtype=float), (n_grid, 1))
-    lower, upper, ess, p_inf = calib.bounds(x_rows, grid, list(distinct), owner)
-    return PredictionBand(t_grid=grid, lower=lower, upper=upper, x=x_new, ess=ess, p_inf=p_inf)
+    x = _profile(x_new)
+    lower, upper, ess, p_inf = calib.bounds(np.tile(x, (n_grid, 1)), grid, list(distinct), owner)
+    return PredictionBand(t_grid=grid, lower=lower, upper=upper, x=x, ess=ess, p_inf=p_inf)

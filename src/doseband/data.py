@@ -1,9 +1,8 @@
 """Dataset container, train/calibration splitting, and CSV ingestion.
 
 The on-disk schema is a UTF-8 CSV with header ``y,t,x1,...,xp``, comma
-delimited, '.' decimal separator. Values are written with shortest
-round-trip formatting, so ``read_csv(write_csv(d))`` reproduces ``d``
-exactly.
+delimited, '.' decimal separator. A leading UTF-8 byte-order mark, as
+Excel and R write, is skipped.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import numpy as np
 
 from .dist import Rng
 
-__all__ = ["Dataset", "SplitIndices", "split", "query_rows", "read_csv", "write_csv"]
+__all__ = ["Dataset", "SplitIndices", "split", "query_rows", "read_csv"]
 
 
 def _frozen_array(values, dtype=float, ndim=None) -> np.ndarray:
@@ -124,24 +123,20 @@ def split(data: Dataset, fraction: float, rng: Rng) -> SplitIndices:
     return SplitIndices(np.sort(perm[:n_train]), np.sort(perm[n_train:]))
 
 
-def _expected_header(p: int) -> list[str]:
-    return ["y", "t"] + [f"x{i}" for i in range(1, p + 1)]
-
-
 def read_csv(path) -> Dataset:
     """Load a dataset from a ``y,t,x1,...,xp`` CSV.
 
     Malformed rows are rejected with the offending line number; every
     cell must parse as a finite float.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: empty file")
         header = [h.strip() for h in header]
         p = len(header) - 2
-        if p < 1 or header != _expected_header(p):
+        if p < 1 or header != ["y", "t"] + [f"x{i}" for i in range(1, p + 1)]:
             raise ValueError(
                 f"{path}: bad header {','.join(header)!r}; expected y,t,x1,...,xp"
             )
@@ -169,15 +164,3 @@ def read_csv(path) -> Dataset:
         raise ValueError(f"{path}: no data rows")
     arr = np.array(rows)
     return Dataset(arr[:, 0], arr[:, 1], arr[:, 2:])
-
-
-def write_csv(data: Dataset, path) -> None:
-    """Write a dataset in the canonical schema at full precision."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_expected_header(data.p))
-        for i in range(data.n):
-            writer.writerow(
-                [repr(float(data.y[i])), repr(float(data.t[i]))]
-                + [repr(float(v)) for v in data.x[i]]
-            )

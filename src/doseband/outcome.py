@@ -76,10 +76,7 @@ class OracleQuantileModel:
         object.__setattr__(self, "levels", _check_levels(self.levels))
 
     def quantile(self, x, t, level):
-        t, x2, scalar = query_rows(t, x)
-        shift = _normal_shift(float(level), float(self.variance))
-        out = np.asarray(self.mean_fn(x2, t), dtype=float) + shift
-        return float(out[0]) if scalar else out
+        return self.mean(x, t) + _normal_shift(float(level), float(self.variance))
 
     def mean(self, x, t):
         t, x2, scalar = query_rows(t, x)

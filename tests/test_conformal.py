@@ -25,8 +25,8 @@ from doseband.conformal import (
 )
 from doseband.data import Dataset, SplitIndices, split
 from doseband.dist import NormalParams, Rng
-from doseband.outcome import LinearPinballModel, OracleQuantileModel
-from doseband.propensity import CallableGps, MixtureGps
+from doseband.outcome import LinearPinballModel, OlsMeanModel, OracleQuantileModel
+from doseband.propensity import CallableGps, MixtureGps, fit_ols_gaussian
 
 
 def oracle_weighted_quantile(scores, weights, w_new, alpha):
@@ -369,6 +369,25 @@ class TestOneScoringRule:
         with pytest.raises(ValueError, match="two levels"):
             score_interval(model, ConformalConfig(0.1, "cqr"), np.array([0.0]), 0.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "kind, model, lacks",
+        [
+            (
+                "absolute-residual",
+                LinearPinballModel(_affine_basis, {0.05: np.zeros(3), 0.95: np.ones(3)}, (0.05, 0.95)),
+                "needs a model with a mean, not LinearPinballModel",
+            ),
+            ("cqr", OlsMeanModel(_affine_basis, np.zeros(3)), "needs a quantile model with two levels, not OlsMeanModel"),
+        ],
+        ids=SCORE_KINDS,
+    )
+    def test_model_without_the_base_interval_rejected(self, kind, model, lacks):
+        # a quantile model has no mean and a mean model no levels; both
+        # once failed with AttributeError
+        d, sp = TestWeightedIntervals()._setup()
+        with pytest.raises(ValueError, match=re.escape(f"{kind} scoring {lacks}")):
+            weighted_interval(d, sp, model, _flat_gps(), NormalParams(0.0, 1.0), ConformalConfig(0.1, kind), d.x[0], 0.0)
+
 
 class TestPredictionBand:
     def _pieces(self, seed=11):
@@ -442,6 +461,22 @@ class TestPredictionBand:
         assert band.x.tolist() == [0.5]
         with pytest.raises(ValueError, match="read-only"):
             band.x[0] = 1.0
+
+    def test_one_profile_as_a_vector_or_a_single_row(self):
+        d, sp, model = self._pieces()
+        cfg, h = ConformalConfig(0.1, "cqr"), NormalParams(0.0, 1.0)
+        band = prediction_band(d, sp, model, _flat_gps(), lambda t: h, cfg, d.x[0], -1.0, 1.0, 5)
+        row = prediction_band(d, sp, model, _flat_gps(), lambda t: h, cfg, d.x[:1], -1.0, 1.0, 5)
+        assert np.array_equal(band.lower, row.lower) and np.array_equal(band.upper, row.upper)
+        assert np.array_equal(band.x, d.x[0]) and np.array_equal(row.x, d.x[0])
+        assert weighted_interval(d, sp, model, _flat_gps(), h, cfg, d.x[:1], 1.0) == band.intervals[-1]
+        # two rows once failed deep in the query with a message about the grid's shape
+        for x_new in (d.x[:2], d.x[:1, :, None], 0.5):
+            shape = re.escape(str(np.shape(x_new)))
+            with pytest.raises(ValueError, match=f"x_new must be one covariate profile.*got shape {shape}"):
+                prediction_band(d, sp, model, _flat_gps(), lambda t: h, cfg, x_new, -1.0, 1.0, 5)
+            with pytest.raises(ValueError, match=f"x_new must be one covariate profile.*got shape {shape}"):
+                weighted_interval(d, sp, model, _flat_gps(), h, cfg, x_new, 1.0)
 
     def test_grid_validation(self):
         d, sp, model = self._pieces()
@@ -728,6 +763,32 @@ class TestBlockedBand:
         )
         assert (band.lower[-1], band.upper[-1], band.p_inf[-1]) == (-math.inf, math.inf, 1.0)
         assert np.isfinite(band.upper[:-1] - band.lower[:-1]).all()
+
+    def test_test_point_outside_the_gps_support_gives_whole_line(self):
+        # a zero GPS density at t = 1 once raised PositivityError for the
+        # whole band; the point now takes the whole line, as at 1e-300
+        data, _ = sim.generate(sim.make_scenario("s1"), Rng(0))
+        sp = split(data, 0.5, Rng(1))
+        ols = fit_ols_gaussian(data, sp.train)
+        model, cfg, h = _mean_model(), ConformalConfig(0.1, "absolute-residual"), NormalParams(1.0, 1.0)
+
+        def gps_at_one(value):
+            return CallableGps(fn=lambda t, x: np.where(t == 1.0, value, ols.density(t, x)))
+
+        zero, tiny = (
+            prediction_band(data, sp, model, gps_at_one(v), lambda t: h, cfg, data.x[0], -1.0, 3.0, 5)
+            for v in (0.0, 1e-300)
+        )
+        for name in ("lower", "upper", "ess", "p_inf"):
+            assert np.array_equal(getattr(zero, name), getattr(tiny, name)), name
+        assert (zero.lower[2], zero.upper[2], zero.p_inf[2]) == (-math.inf, math.inf, 1.0)
+        assert np.isfinite(np.delete(zero.upper - zero.lower, 2)).all()
+        iv = weighted_interval(data, sp, model, gps_at_one(0.0), h, cfg, data.x[0], 1.0)
+        assert iv == Interval(-math.inf, math.inf)
+        # a NaN or negative test density is still an error
+        for bad in (math.nan, -1e-3):
+            with pytest.raises(ValueError, match=r"propensity density .* at t=\[1.0\]"):
+                weighted_interval(data, sp, model, gps_at_one(bad), h, cfg, data.x[0], 1.0)
 
     def test_calibration_weight_beyond_the_float_range_rejected(self):
         # the same overflow at a calibration treatment cannot be normalized

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from doseband.data import Dataset, SplitIndices, query_rows, read_csv, split, write_csv
+from doseband.data import Dataset, SplitIndices, query_rows, read_csv, split
 from doseband.dist import Rng
 from doseband.propensity import MixtureGps
 
@@ -116,9 +116,12 @@ class TestSplit:
 
 class TestCsv:
     def test_roundtrip_exact(self, tmp_path):
+        # shortest round-trip cells parse back to the same bits
         d = _toy(17, 4, seed=3)
         path = tmp_path / "d.csv"
-        write_csv(d, path)
+        cells = np.column_stack([d.y, d.t, d.x])
+        lines = ["y,t,x1,x2,x3,x4"] + [",".join(repr(float(v)) for v in row) for row in cells]
+        path.write_text("\n".join(lines) + "\n")
         back = read_csv(path)
         np.testing.assert_array_equal(back.y, d.y)
         np.testing.assert_array_equal(back.t, d.t)
@@ -129,6 +132,13 @@ class TestCsv:
         path.write_text("y,t,x1\n1.5,0.2,3\n2,0.1,4\n0,0,0\n")
         d = read_csv(path)
         assert d.n == 3 and d.p == 1
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # Excel and R write one; it was read as part of the first column name
+        path = tmp_path / "d.csv"
+        path.write_text("\ufeffy,t,x1\n1,2,3\n4,5,6\n", encoding="utf-8")
+        d = read_csv(path)
+        assert d.y.tolist() == [1.0, 4.0] and d.t.tolist() == [2.0, 5.0] and d.x.tolist() == [[3.0], [6.0]]
 
     def test_blank_cell_names_line(self, tmp_path):
         path = tmp_path / "d.csv"

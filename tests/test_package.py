@@ -128,6 +128,24 @@ def test_no_module_calls_np_vectorize():
     assert not calls, f"np.vectorize called at {calls}"
 
 
+BROAD_EXCEPTIONS = {"Exception", "BaseException"}
+
+
+def test_no_handler_catches_every_exception():
+    # a blanket handler hides bugs: each handler names the errors it expects,
+    # never Exception or BaseException, alone or in a tuple, nor is it bare
+    broad = []
+    for path in sorted(Path(doseband.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            names = {getattr(c, "attr", getattr(c, "id", None)) for c in caught if c is not None}
+            if node.type is None or names & BROAD_EXCEPTIONS:
+                broad.append(f"{path.name}:{node.lineno}")
+    assert not broad, f"blanket exception handlers at {broad}"
+
+
 def _module_private_names(tree):
     """(name, definition node) of every module-level private name: a
     function, class or assignment target starting with one underscore."""
