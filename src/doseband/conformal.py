@@ -294,6 +294,7 @@ class Calibration:
     def __init__(self, data: Dataset, sp: SplitIndices, model, gps, cfg: ConformalConfig):
         self.model, self.gps, self.cfg = model, gps, cfg
         self.values, self.inverse = _tie_index(calibration_scores(model, cfg, data, sp.cal))
+        self.p = data.p
         self.t_cal = data.t[sp.cal]
         self.den_cal = gps.density(self.t_cal, data.x[sp.cal]) + cfg.offset
 
@@ -302,10 +303,11 @@ class Calibration:
         numerator of row i's weights being the assignment density
         hs[owner[i]], with the Kish ESS of those calibration weights and
         the row's test-atom mass; four arrays, one value per row. ``t``
-        must be a vector and ``x`` a matrix with a row per treatment,
-        both finite, and ``owner`` an integer array of t's shape with
-        entries in [0, len(hs)), or ``ValueError`` is raised. A test row
-        outside the GPS support, its offset density exactly 0, gets weight +inf.
+        must be a vector and ``x`` a matrix with a row per treatment and
+        the calibration covariates' width, both finite, and ``owner`` an
+        integer array of t's shape with entries in [0, len(hs)), or
+        ``ValueError`` is raised. A test row outside the GPS support, its
+        offset density exactly 0, gets weight +inf.
 
         Without ``test_atom`` the threshold is the weighted quantile of
         the calibration scores alone: no density is evaluated at the test
@@ -331,6 +333,8 @@ class Calibration:
         t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
         if t.ndim != 1 or x.ndim != 2 or len(x) != len(t):
             raise ValueError(f"need a 1-d t and a 2-d x with a row per treatment, got shapes {t.shape} and {x.shape}")
+        if x.shape[1] != self.p:
+            raise ValueError(f"x has {x.shape[1]} covariate columns, the calibration data {self.p}")
         if not np.all(np.isfinite(t)):
             raise ValueError("treatment values must be finite")
         if not np.all(np.isfinite(x)):
@@ -461,8 +465,8 @@ def prediction_band(
     """
     if n_grid < 2:
         raise ValueError("need at least 2 grid points")
-    if not t_min < t_max:
-        raise ValueError("need t_min < t_max")
+    if not -math.inf < t_min < t_max < math.inf:
+        raise ValueError("need finite t_min < t_max")
     grid = np.linspace(t_min, t_max, n_grid)
     calib = Calibration(data, sp, model, gps, cfg)
     distinct: dict = {}  # assignment -> its index, in first-seen order

@@ -30,15 +30,15 @@ def _frozen_array(values, dtype=float, ndim=None) -> np.ndarray:
     return arr
 
 
-def query_rows(t, x):
-    """Normalize model query shapes (t, x) to (t_vec, x_matrix, scalar_flag).
+def query_rows(fn, t, x):
+    """Answer a model query at (t, x) by ``fn(t_vec, x_matrix)``.
 
-    A 1-d x is one row, and a scalar t is repeated over the rows; the flag
-    marks a single-point query, which models answer with a float.
+    A 1-d x is one row, and a scalar t is repeated over the rows. A
+    single-point query, a 1-d x with one treatment, gives a Python
+    float; any other gives fn's result as a float array.
     """
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 1
-    x2 = x[None, :] if scalar else x
+    x2 = x[None, :] if x.ndim == 1 else x
     t = np.asarray(t, dtype=float)
     if t.ndim > 1 or x.ndim not in (1, 2):
         raise ValueError(f"need a scalar or 1-d t and a 1-d or 2-d x, got {t.shape} and {x.shape}")
@@ -46,7 +46,8 @@ def query_rows(t, x):
         t = np.full(x2.shape[0], float(t))
     if t.shape[0] != x2.shape[0]:
         raise ValueError("t and x row counts differ")
-    return t, x2, scalar and t.shape[0] == 1
+    out = np.asarray(fn(t, x2), dtype=float)
+    return float(out.reshape(-1)[0]) if x.ndim == 1 and t.shape[0] == 1 else out
 
 
 @dataclass(frozen=True)
@@ -141,10 +142,10 @@ def read_csv(path) -> Dataset:
                 f"{path}: bad header {','.join(header)!r}; expected y,t,x1,...,xp"
             )
         rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if len(row) != p + 2:
                 raise ValueError(
-                    f"{path}: line {lineno}: expected {p + 2} fields, got {len(row)}"
+                    f"{path}: line {reader.line_num}: expected {p + 2} fields, got {len(row)}"
                 )
             parsed = []
             for name, cell in zip(header, row):
@@ -152,11 +153,11 @@ def read_csv(path) -> Dataset:
                     value = float(cell)
                 except ValueError:
                     raise ValueError(
-                        f"{path}: line {lineno}: non-numeric value {cell!r} in column {name}"
+                        f"{path}: line {reader.line_num}: non-numeric value {cell!r} in column {name}"
                     ) from None
                 if not math.isfinite(value):
                     raise ValueError(
-                        f"{path}: line {lineno}: non-finite value {cell!r} in column {name}"
+                        f"{path}: line {reader.line_num}: non-finite value {cell!r} in column {name}"
                     )
                 parsed.append(value)
             rows.append(parsed)

@@ -79,9 +79,7 @@ class OracleQuantileModel:
         return self.mean(x, t) + _normal_shift(float(level), float(self.variance))
 
     def mean(self, x, t):
-        t, x2, scalar = query_rows(t, x)
-        out = np.asarray(self.mean_fn(x2, t), dtype=float)
-        return float(out[0]) if scalar else out
+        return query_rows(lambda tt, xx: self.mean_fn(xx, tt), t, x)
 
 
 @dataclass(frozen=True)
@@ -100,9 +98,7 @@ class LinearPinballModel:
             beta = self.coefs[level]
         except KeyError:
             raise KeyError(f"no coefficients fitted for level {level}") from None
-        t, x2, scalar = query_rows(t, x)
-        out = np.asarray(self.basis(x2, t), dtype=float) @ beta
-        return float(out[0]) if scalar else out
+        return query_rows(lambda tt, xx: np.asarray(self.basis(xx, tt), dtype=float) @ beta, t, x)
 
 
 @dataclass(frozen=True)
@@ -111,9 +107,7 @@ class OlsMeanModel:
     beta: np.ndarray
 
     def mean(self, x, t):
-        t, x2, scalar = query_rows(t, x)
-        out = np.asarray(self.basis(x2, t), dtype=float) @ self.beta
-        return float(out[0]) if scalar else out
+        return query_rows(lambda tt, xx: np.asarray(self.basis(xx, tt), dtype=float) @ self.beta, t, x)
 
 
 def pinball_loss(u: np.ndarray, level: float) -> float:

@@ -38,8 +38,6 @@ MIX_WEIGHT_SUM_TOL = 1e-9
 
 def _design(x: np.ndarray, basis: Callable | None) -> np.ndarray:
     b = x if basis is None else np.asarray(basis(x), dtype=float)
-    if b.ndim == 1:
-        b = b[:, None]
     return np.column_stack([np.ones(b.shape[0]), b])
 
 
@@ -74,12 +72,14 @@ class MixtureGps:
             raise ValueError("variances must hold one finite, positive entry per mixing weight")
 
     def density(self, t, x):
-        t, x2, scalar = query_rows(t, x)
-        Z = _design(x2, self.basis)
+        return query_rows(self._density, t, x)
+
+    def _density(self, t, x):
+        Z = _design(x, self.basis)
         out = np.zeros_like(t)
         for pi_k, beta_k, var_k in zip(self.mix_weights, self.betas, self.variances, strict=True):
             out += pi_k * _normal_density(t, Z @ beta_k, math.sqrt(var_k))
-        return float(out[0]) if scalar else out
+        return out
 
 
 @dataclass(frozen=True)
@@ -89,9 +89,7 @@ class CallableGps:
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def density(self, t, x):
-        t, x2, scalar = query_rows(t, x)
-        out = np.asarray(self.fn(t, x2), dtype=float)
-        return float(out.reshape(-1)[0]) if scalar else out
+        return query_rows(self.fn, t, x)
 
 
 @dataclass(frozen=True)

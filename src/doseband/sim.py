@@ -216,6 +216,8 @@ class Scenario:
             raise ValueError(f"unknown scenario {self.id!r}")
         if self.setup not in SETUPS:
             raise ValueError(f"unknown setup {self.setup!r}")
+        if not all(isinstance(v, (int, np.integer)) for v in (self.n, self.n_test)):
+            raise ValueError(f"scenario sizes must be integers, got n={self.n!r}, n_test={self.n_test!r}")
         if self.n < 20:
             raise ValueError("scenario needs n >= 20")
         if self.n_test < 1:

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from doseband import sim
-from doseband.assignment import UniformAssignment, likelihood_ratio
+from doseband.assignment import DecileMidpointAssignment, UniformAssignment, decile_boundaries, likelihood_ratio
 from doseband.conformal import (
     SCORE_KINDS,
     Calibration,
@@ -490,6 +491,19 @@ class TestPredictionBand:
                 d, sp, model, _flat_gps(), lambda t: None, cfg, np.array([0.5]), 2.0, 1.0, 5
             )
 
+    @pytest.mark.parametrize("t_min, t_max", [(-math.inf, 1.0), (-1.0, math.inf), (math.nan, 1.0)])
+    def test_infinite_or_nan_grid_end_rejected(self, t_min, t_max):
+        # an infinite end once warned in np.linspace and then failed on the
+        # grid's non-finite treatments, with a message about those
+        d, sp, model = self._pieces()
+        cfg, h = ConformalConfig(0.1, "cqr"), NormalParams(0.0, 1.0)
+        b = decile_boundaries(d.t[sp.train])
+        for h_factory in (lambda t: h, lambda t: DecileMidpointAssignment(b, s2=1.0, t_star=t, k=0.5)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="need finite t_min < t_max"):
+                    prediction_band(d, sp, model, _flat_gps(), h_factory, cfg, np.array([0.5]), t_min, t_max, 5)
+
 
 @dataclass(frozen=True)
 class _Counted:
@@ -917,6 +931,22 @@ class TestCalibration:
             with pytest.raises(ValueError, match="need a 1-d t and a 2-d x with a row per treatment"):
                 calib.bounds(x, t, hs, owner, test_atom)
         assert all(len(a) == 1 for a in calib.bounds(d.x[:1], np.array([1.0]), hs, one, test_atom))
+
+    def test_covariates_of_another_width_rejected(self):
+        # a profile of the wrong width once failed inside numpy's matmul
+        data, _ = sim.generate(sim.make_scenario("s1"), Rng(8))
+        sp = split(data, 0.5, Rng(9))
+        model = OracleQuantileModel(mean_fn=lambda xx, tt: xx[:, 0] + tt, variance=1.0, levels=(0.05, 0.95))
+        gps, cfg, h = fit_ols_gaussian(data, sp.train), ConformalConfig(0.1), NormalParams(4.0, 1.0)
+        calib = Calibration(data, sp, model, gps, cfg)
+        for x_new in (data.x[0][:2], np.ones(5)):
+            widths = f"x has {len(x_new)} covariate columns, the calibration data 3"
+            with pytest.raises(ValueError, match=widths):
+                calib.bounds(x_new[None, :], np.array([4.0]), [h], np.zeros(1, dtype=np.intp))
+            with pytest.raises(ValueError, match=widths):
+                weighted_interval(data, sp, model, gps, h, cfg, x_new, 4.0)
+            with pytest.raises(ValueError, match=widths):
+                prediction_band(data, sp, model, gps, lambda t: h, cfg, x_new, 3.0, 5.0, 5)
 
 
 class TestConformalConfig:

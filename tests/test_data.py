@@ -30,13 +30,17 @@ class TestDataset:
             d.y[0] = 99.0
 
 
+def _never(t, x):
+    raise AssertionError("query_rows evaluated a rejected query")
+
+
 class TestQueryRows:
     def test_rejects_2d_t_and_a_scalar_or_3d_x(self):
         with pytest.raises(ValueError, match=r"got \(3, 1\) and \(3, 2\)"):
-            query_rows(np.zeros((3, 1)), np.ones((3, 2)))
+            query_rows(_never, np.zeros((3, 1)), np.ones((3, 2)))
         for x in (np.float64(1.0), np.ones((3, 2, 1))):
             with pytest.raises(ValueError, match="1-d or 2-d x"):
-                query_rows(np.zeros(3), x)
+                query_rows(_never, np.zeros(3), x)
 
     def test_model_rejects_column_t_instead_of_broadcasting(self):
         gps = MixtureGps(mix_weights=[1.0], betas=[[0.0, 1.0, 1.0]], variances=[1.0])
@@ -150,6 +154,13 @@ class TestCsv:
         path = tmp_path / "d.csv"
         path.write_text("y,t,x1\n1.5,abc,3\n")
         with pytest.raises(ValueError, match="line 2"):
+            read_csv(path)
+
+    def test_line_after_a_cell_spanning_lines(self, tmp_path):
+        # records were once counted instead of lines, which named line 3 here
+        path = tmp_path / "d.csv"
+        path.write_text('y,t,x1\n"1\n",2,3\n4,abc,6\n')
+        with pytest.raises(ValueError, match="line 4: non-numeric value 'abc'"):
             read_csv(path)
 
     def test_header_mismatch(self, tmp_path):

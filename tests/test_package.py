@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import pkgutil
 import re
 import sys
@@ -15,7 +16,7 @@ import doseband
 from doseband import conformal, sim
 from doseband.assignment import DecileMidpointAssignment, UniformAssignment, likelihood_ratio
 from doseband.dist import NormalParams, TruncatedNormalParams
-from doseband.outcome import LinearPinballModel, OracleQuantileModel
+from doseband.outcome import LinearPinballModel, OlsMeanModel, OracleQuantileModel
 from doseband.propensity import CallableGps, MixtureGps
 
 tomllib = pytest.importorskip("tomllib")
@@ -227,27 +228,33 @@ def _affine_basis(x, t):
     return np.column_stack([np.ones(len(t)), x, t])
 
 
-def _single_point_queries():
-    """(label, query) for every GPS and quantile model class, each query
-    one point given with an x row, the way
-    ``bench/workloads.py::reference_band`` asks for it."""
-    x = np.array([0.3, -0.2])
+def _model_queries():
+    """(label, query(t, x)) for every GPS and outcome model class: the
+    density at (t, x), or the first quantile level or the mean at (x, t)."""
     coefs = {0.05: np.arange(4.0), 0.95: -np.arange(4.0)}
     pinball = LinearPinballModel(basis=_affine_basis, coefs=coefs, levels=(0.05, 0.95))
     oracle = OracleQuantileModel(mean_fn=lambda xx, tt: xx[:, 0] + tt, variance=1.0, levels=(0.05, 0.95))
+    mixture = MixtureGps(
+        mix_weights=np.array([0.4, 0.6]),
+        betas=np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]]),
+        variances=np.array([1.0, 2.0]),
+    )
+    ols = OlsMeanModel(basis=_affine_basis, beta=np.array([0.5, -1.0, 2.0, 0.25]))
     return [
-        (
-            "MixtureGps",
-            lambda: MixtureGps(
-                mix_weights=np.array([0.4, 0.6]),
-                betas=np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]]),
-                variances=np.array([1.0, 2.0]),
-            ).density(0.7, x),
-        ),
-        ("CallableGps", lambda: CallableGps(fn=lambda tt, xx: np.exp(-tt * tt)).density(0.7, x)),
-        ("OracleQuantileModel", lambda: oracle.quantile(x, 0.7, 0.95)),
-        ("LinearPinballModel", lambda: pinball.quantile(x, 0.7, 0.05)),
+        ("MixtureGps", mixture.density),
+        ("CallableGps", CallableGps(fn=lambda tt, xx: np.exp(-tt * tt) + xx[:, 0] ** 2).density),
+        ("OracleQuantileModel", lambda t, x: oracle.quantile(x, t, 0.95)),
+        ("LinearPinballModel", lambda t, x: pinball.quantile(x, t, 0.05)),
+        ("OlsMeanModel", lambda t, x: ols.mean(x, t)),
     ]
+
+
+def _single_point_queries():
+    """(label, query) for every GPS and outcome model class, each query
+    one point given with an x row, the way
+    ``bench/workloads.py::reference_band`` asks for it."""
+    x = np.array([0.3, -0.2])
+    return [(label, lambda query=query: query(0.7, x)) for label, query in _model_queries()]
 
 
 @pytest.mark.parametrize("label, query", _single_point_queries(), ids=[q[0] for q in _single_point_queries()])
@@ -255,6 +262,21 @@ def test_single_point_query_returns_a_python_float(label, query):
     # reference_band assigns these to one row of an array; a length-1
     # array there raises "setting an array element with a sequence"
     assert type(query()) is float, label
+
+
+@pytest.mark.parametrize("label, query", _model_queries(), ids=[q[0] for q in _model_queries()])
+def test_every_model_answers_the_query_rows_contract(label, query):
+    x = np.array([[0.3, -0.2], [1.5, 0.4], [-0.7, 2.0]])
+    one = query(0.7, x[0])
+    assert type(one) is float and one == query(np.array([0.7]), x[:1])[0], label
+    # a matrix product over three rows may round the first one differently
+    rows = query(0.7, x)
+    assert rows.shape == (3,) and rows[0] == pytest.approx(one, rel=1e-12), label
+    with pytest.raises(ValueError, match="need a scalar or 1-d t"):
+        query(np.full((3, 1), 0.7), x)
+    for t, xx in ((np.full(2, 0.7), x), (np.full(3, 0.7), x[0])):
+        with pytest.raises(ValueError, match="t and x row counts differ"):
+            query(t, xx)
 
 
 def _scalar_array_queries():
@@ -278,3 +300,27 @@ def test_scalar_query_gives_a_0d_result(label, query):
     out = np.zeros((3, 2))
     out[1] = v, v
     assert out[1].tolist() == [float(v)] * 2 and float(v) > 0.0, label
+
+
+def _bench_workloads():
+    """bench/workloads.py, loaded by path once."""
+    name = "bench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, ROOT / "bench" / "workloads.py")
+        # registered first: its dataclasses look their module up while it runs
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+@pytest.mark.parametrize("name", ["band", "study-query"])
+def test_benchmark_output_checks_pass(name):
+    # the band check compares with bench/workloads.py::reference_band, which
+    # queries every model one point at a time
+    workloads = _bench_workloads()
+    workload = workloads.WORKLOADS[name]
+    state = workload.setup(workloads.DEFAULT_SEED)
+    check = workload.checker(state, workloads.load_reference())
+    for i in range(workload.distinct):
+        check.add(i, workload.fingerprint(workload.call(state, workload.prepare(state, i))))
+    assert check.failures() == {}

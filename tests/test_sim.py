@@ -255,6 +255,17 @@ class TestScenario:
         sc = sim.make_scenario("s1", setup="unadjusted", n=50, n_test=3, alpha=0.2)
         assert sc == sim.Scenario("s1", 50, 3, 0.2, "unadjusted")
 
+    @pytest.mark.parametrize("sizes", [dict(n=100.5), dict(n_test=2.5), dict(n=np.float64(100.0))])
+    def test_non_integer_size_rejected(self, sizes):
+        # generate once failed on it with numpy's TypeError
+        with pytest.raises(ValueError, match="scenario sizes must be integers"):
+            sim.make_scenario("s1", **sizes)
+
+    def test_numpy_integer_sizes_accepted(self):
+        sc = sim.make_scenario("s1", n=np.int64(100), n_test=np.int32(3))
+        data, test = sim.generate(sc, Rng(0))
+        assert data.n == 100 and test.n == 3
+
     def test_unknown_id(self):
         with pytest.raises(ValueError, match="unknown scenario"):
             sim.make_scenario("s9")
