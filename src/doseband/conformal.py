@@ -463,8 +463,8 @@ def prediction_band(
     carries, per grid point, the Kish ESS of the calibration weights and
     the test-atom mass p_inf.
     """
-    if n_grid < 2:
-        raise ValueError("need at least 2 grid points")
+    if not isinstance(n_grid, (int, np.integer)) or n_grid < 2:
+        raise ValueError(f"n_grid must be an integer >= 2, got {n_grid!r}")
     if not -math.inf < t_min < t_max < math.inf:
         raise ValueError("need finite t_min < t_max")
     grid = np.linspace(t_min, t_max, n_grid)

@@ -110,8 +110,14 @@ class OlsMeanModel:
         return query_rows(lambda tt, xx: np.asarray(self.basis(xx, tt), dtype=float) @ self.beta, t, x)
 
 
+def _check_level(level) -> None:
+    if not 0.0 < level < 1.0:
+        raise ValueError("level must lie strictly inside (0, 1)")
+
+
 def pinball_loss(u: np.ndarray, level: float) -> float:
     """Mean check loss rho_tau(u) = u * (tau - 1{u < 0})."""
+    _check_level(level)
     u = np.asarray(u, dtype=float)
     return float(np.mean(u * (level - (u < 0.0))))
 
@@ -277,8 +283,7 @@ def fit_linear_pinball(
     (carrying the lower of the least-squares and the descent's
     objective) is raised if the certificate cannot be established.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie strictly inside (0, 1)")
+    _check_level(level)
     train = np.asarray(train)
     Z = np.asarray(basis(data.x[train], data.t[train]), dtype=float)
     y = data.y[train]

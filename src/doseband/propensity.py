@@ -142,7 +142,8 @@ REL_TOL = 1e-8
 
 
 class _EmRun(NamedTuple):
-    """EM outcome for each of a batch of starts (leading axis)."""
+    """EM outcome for each of a batch of starts (leading axis). A collapsed
+    start's ``pis`` and ``betas`` are zeros and its ``resp`` is its start's."""
 
     loglik: np.ndarray  # final log-likelihood; -inf for a collapsed start
     pis: np.ndarray  # (starts, k) mixing weights
@@ -157,27 +158,27 @@ def _run_em(Z, t, resp0, max_iter, rel_tol) -> _EmRun:
     """EM for a mixture of Gaussian linear regressions (MLE variances),
     run for every start of ``resp0`` (starts, k, n) as one computation.
 
-    Each start stops on its own: it is frozen once its log-likelihood
-    changes by at most ``rel_tol * (1 + |previous|)``, and dropped as
-    collapsed when a component starves (mixing weight below
-    ``MIN_MIX_WEIGHT``), its weighted design is rank deficient or its
-    variance falls below ``VARIANCE_FLOOR``. The M-step solves the
-    weighted normal equations of every start and component at once from
-    a table of the per-row products Z_i Z_i^T and Z_i t_i; the design
-    counts as rank deficient when the Gram matrix's eigenvalue ratio is
-    at or below lstsq's default cutoff eps * max(n, q). ``Z`` is a
-    ``_design`` matrix, so its first column is the intercept and the
-    table's first column, Z_i0 Z_i0, is 1: the mixing weights are read
-    from those weighted sums instead of summing the responsibilities.
+    Each start stops on its own: converged once its log-likelihood
+    changes by at most ``rel_tol * (1 + |previous|)``, unconverged after
+    ``max_iter`` iterations, or collapsed when a component starves
+    (mixing weight below ``MIN_MIX_WEIGHT``), its weighted design is
+    rank deficient or its variance falls below ``VARIANCE_FLOOR``. The
+    M-step solves the weighted normal equations of every start and
+    component at once from a table of the per-row products Z_i Z_i^T and
+    Z_i t_i; the design counts as rank deficient when the Gram matrix's
+    eigenvalue ratio is at or below lstsq's default cutoff
+    eps * max(n, q). ``Z`` is a ``_design`` matrix, so its first column
+    is the intercept and the table's first column, Z_i0 Z_i0, is 1: the
+    mixing weights are read from those weighted sums instead of summing
+    the responsibilities.
 
     Starts do not interact: every operation acts on each start's own
-    slice, so a start's iterates are those of its own one-start run.
-    While every start is still running, the loop works on the full
-    responsibility array; the running starts are gathered by index only
-    once one has stopped or collapsed. A one-iteration run from a
-    result's ``resp`` continues every start that did not collapse from
-    its last E-step: ``_run_em(Z, t, em.resp, 1, rel_tol)`` steps EM one
-    iteration on.
+    slice, so a start's iterates are those of its own one-start run. The
+    loop carries only the running starts, compacted whenever some stop
+    or collapse, and a start's outputs are written once, when it stops.
+    A one-iteration run from a result's ``resp`` continues every start
+    that did not collapse from its last E-step: ``_run_em(Z, t, em.resp,
+    1, rel_tol)`` steps EM one iteration on.
     """
     n_starts, k, n = resp0.shape
     q = Z.shape[1]
@@ -192,17 +193,17 @@ def _run_em(Z, t, resp0, max_iter, rel_tol) -> _EmRun:
     collapsed = np.zeros(n_starts, dtype=bool)
     iterations = np.zeros(n_starts, dtype=int)
     run = np.arange(n_starts)
+    r, prev = resp, loglik.copy()
     it = 0
     while run.size and it < max_iter:
-        r = resp if run.size == n_starts else resp[run]
         sums = (r.reshape(-1, n) @ moments).reshape(run.size, k, q * q + q)
         pi = sums[..., 0] / n
         gram = sums[..., : q * q].reshape(run.size, k, q, q)
         eig = np.linalg.eigvalsh(gram)
         ok = np.all((pi >= MIN_MIX_WEIGHT) & (eig[..., 0] > cutoff * eig[..., -1]), axis=1)
         if not ok.all():
-            collapsed[run[~ok]] = True
-            run, r, pi, gram, sums = run[ok], r[ok], pi[ok], gram[ok], sums[ok]
+            collapsed[run[~ok]], iterations[run[~ok]] = True, it
+            run, r, prev, pi, gram, sums = run[ok], r[ok], prev[ok], pi[ok], gram[ok], sums[ok]
         beta = np.linalg.solve(gram, sums[..., q * q :, None])[..., 0]
         e2 = (beta.reshape(-1, q) @ Z.T).reshape(r.shape)
         np.subtract(t, e2, out=e2)
@@ -210,8 +211,8 @@ def _run_em(Z, t, resp0, max_iter, rel_tol) -> _EmRun:
         var = np.einsum("skn,skn->sk", r, e2) / (pi * n)
         ok = np.all(var >= VARIANCE_FLOOR, axis=1)
         if not ok.all():
-            collapsed[run[~ok]] = True
-            run, pi, beta, e2, var = run[ok], pi[ok], beta[ok], e2[ok], var[ok]
+            collapsed[run[~ok]], iterations[run[~ok]] = True, it
+            run, prev, pi, beta, e2, var = run[ok], prev[ok], pi[ok], beta[ok], e2[ok], var[ok]
 
         # E-step: log pi - log(2 pi var) / 2 - e^2 / (2 var), normalised
         # over the components by log-sum-exp, all in e2's buffer
@@ -223,20 +224,16 @@ def _run_em(Z, t, resp0, max_iter, rel_tol) -> _EmRun:
         total = e2.sum(axis=1, keepdims=True)
         ll = (top + np.log(total)).sum(axis=(1, 2))
         e2 /= total
-        if run.size == n_starts:
-            resp = e2
-        else:
-            resp[run] = e2
-        pis[run], betas[run] = pi, beta
-        iterations[run] += 1
-
-        prev = loglik[run]
-        done = (prev > -np.inf) & (np.abs(ll - prev) <= rel_tol * (1.0 + np.abs(prev)))
-        loglik[run] = ll
-        converged[run[done]] = True
         it += 1
-        run = run[~done]
-    loglik[collapsed] = -np.inf
+
+        done = (prev > -np.inf) & (np.abs(ll - prev) <= rel_tol * (1.0 + np.abs(prev)))
+        stop = done | (it == max_iter)
+        if stop.any():
+            out = run[stop]
+            pis[out], betas[out], resp[out], loglik[out] = pi[stop], beta[stop], e2[stop], ll[stop]
+            converged[out], iterations[out] = done[stop], it
+            run, e2, ll = run[~stop], e2[~stop], ll[~stop]
+        r, prev = e2, ll
     return _EmRun(loglik, pis, betas, resp, converged, collapsed, iterations)
 
 

@@ -446,8 +446,8 @@ def _study(scenario: Scenario, replications: int, rng: Rng, test_atom: bool, num
     for the rest (a process's first replication pays one-time costs):
     the rest go to the worker pool when they would take longer than
     ``_POOL_MIN_S`` here."""
-    if replications < 10:
-        raise ValueError("need at least 10 replications")
+    if not isinstance(replications, (int, np.integer)) or replications < 10:
+        raise ValueError(f"replications must be an integer >= 10, got {replications!r}")
     rngs = rng.spawn(replications)
     rows, seconds = [], []
     for r in rngs[:2]:

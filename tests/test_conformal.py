@@ -491,6 +491,25 @@ class TestPredictionBand:
                 d, sp, model, _flat_gps(), lambda t: None, cfg, np.array([0.5]), 2.0, 1.0, 5
             )
 
+    @pytest.mark.parametrize("n_grid", [5.0, 5.5, np.float64(5.0)])
+    def test_non_integer_grid_size_rejected(self, n_grid):
+        # np.linspace once failed on it with a TypeError
+        d, sp, model = self._pieces()
+        with pytest.raises(ValueError, match="n_grid must be an integer >= 2"):
+            prediction_band(
+                d, sp, model, _flat_gps(), lambda t: NormalParams(0.0, 1.0), ConformalConfig(0.1, "cqr"),
+                np.array([0.5]), 0.0, 1.0, n_grid,
+            )
+
+    def test_numpy_integer_grid_size_accepted(self):
+        d, sp, model = self._pieces()
+        args = (d, sp, model, _flat_gps(), lambda t: NormalParams(0.0, 1.0), ConformalConfig(0.1, "cqr"),
+                np.array([0.5]), 0.0, 1.0)
+        band, want = prediction_band(*args, np.int64(5)), prediction_band(*args, 5)
+        np.testing.assert_array_equal(band.t_grid, want.t_grid)
+        np.testing.assert_array_equal(band.lower, want.lower)
+        np.testing.assert_array_equal(band.upper, want.upper)
+
     @pytest.mark.parametrize("t_min, t_max", [(-math.inf, 1.0), (-1.0, math.inf), (math.nan, 1.0)])
     def test_infinite_or_nan_grid_end_rejected(self, t_min, t_max):
         # an infinite end once warned in np.linspace and then failed on the

@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -137,6 +138,12 @@ class TestLinearPinball:
             levels=(0.9,),
         )
         assert model.quantile(np.array([5.0, -3.0]), 7.7, 0.9) == pytest.approx(4.2)
+
+    @pytest.mark.parametrize("level", [2.0, 1.0, 0.0, -0.5, math.nan])
+    def test_loss_rejects_a_level_outside_the_unit_interval(self, level):
+        # pinball_loss once returned a number for such a level
+        with pytest.raises(ValueError, match=re.escape("level must lie strictly inside (0, 1)")):
+            pinball_loss(np.array([1.0, -1.0]), level)
 
     def test_unfitted_level_raises(self):
         model = LinearPinballModel(

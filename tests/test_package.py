@@ -19,10 +19,16 @@ from doseband.dist import NormalParams, TruncatedNormalParams
 from doseband.outcome import LinearPinballModel, OlsMeanModel, OracleQuantileModel
 from doseband.propensity import CallableGps, MixtureGps
 
-tomllib = pytest.importorskip("tomllib")
-
 ROOT = Path(__file__).resolve().parents[1]
-PYPROJECT = ROOT / "pyproject.toml"
+
+
+def _project() -> dict:
+    """pyproject.toml's [project] table. tomllib joined the standard
+    library in Python 3.11, so only the tests that read the file skip on
+    Python 3.10."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        return tomllib.load(f)["project"]
 
 
 def test_readme_example_runs_in_under_a_second(capsys):
@@ -39,8 +45,7 @@ def test_readme_example_runs_in_under_a_second(capsys):
 
 
 def test_every_console_script_target_imports():
-    with open(PYPROJECT, "rb") as f:
-        scripts = tomllib.load(f)["project"].get("scripts", {})
+    scripts = _project().get("scripts", {})
     for name, target in scripts.items():
         module, _, attr = target.partition(":")
         try:
@@ -53,8 +58,7 @@ def test_every_console_script_target_imports():
 def test_package_imports_only_the_standard_library_and_its_dependencies():
     # the package installs with the dependencies pyproject.toml declares;
     # scipy and pytest are for the tests alone
-    with open(PYPROJECT, "rb") as f:
-        dependencies = tomllib.load(f)["project"]["dependencies"]
+    dependencies = _project()["dependencies"]
     allowed = set(sys.stdlib_module_names) | {"doseband"} | {re.match(r"[\w.-]+", d)[0] for d in dependencies}
     outside = []
     for path in sorted(Path(doseband.__file__).parent.rglob("*.py")):
@@ -94,9 +98,8 @@ def test_every_module_has_a_caller():
         imported |= _doseband_imports(path) - {name}
     for path in (ROOT / "bench").rglob("*.py"):
         imported |= _doseband_imports(path)
-    with open(PYPROJECT, "rb") as f:
-        for target in tomllib.load(f)["project"].get("scripts", {}).values():
-            imported.add(target.partition(":")[0].removeprefix("doseband.").split(".")[0])
+    for target in _project().get("scripts", {}).values():
+        imported.add(target.partition(":")[0].removeprefix("doseband.").split(".")[0])
     orphans = sorted(set(modules) - imported)
     assert not orphans, f"no package module, bench/ file or console script imports {orphans}"
 

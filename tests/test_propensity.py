@@ -221,8 +221,8 @@ class TestMixtureEm:
             fit_gaussian_mixture(d, np.arange(d.n), max_components=max_components)
 
     def test_batched_start_equals_its_solo_run(self):
-        # the four starts stop at different iterations, so the batch moves
-        # from the all-running path to the indexed one part way through
+        # the four starts stop at different iterations, so the batch is
+        # compacted part way through
         d = _two_component_data(1000, 12)
         Z = _design(d.x, None)
         starts = [_quantile_split_init(_ols_residual(Z, d.t), 2)]

@@ -274,6 +274,17 @@ class TestScenario:
         with pytest.raises(ValueError, match="replications"):
             sim.run_study(sim.make_scenario("s1", n=50), 9, Rng(0))
 
+    @pytest.mark.parametrize("replications", [10.0, 10.5, np.float64(10.0)])
+    def test_non_integer_replications_rejected(self, replications):
+        # spawning the replication streams once failed on it with a TypeError
+        for study, scenario_id in ((sim.run_study, "s1"), (sim.compare_uniform, "unif-compare")):
+            with pytest.raises(ValueError, match="replications must be an integer >= 10"):
+                study(sim.make_scenario(scenario_id, n=50), replications, Rng(0))
+
+    def test_numpy_integer_replications_accepted(self):
+        res = sim.run_study(sim.make_scenario("s1", n=50, n_test=3), np.int64(10), Rng(0))
+        assert res == sim.run_study(sim.make_scenario("s1", n=50, n_test=3), 10, Rng(0))
+
 
 def _in_process_replications(monkeypatch) -> list:
     """The stream of each replication that runs in this process, in order."""
