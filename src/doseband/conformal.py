@@ -81,27 +81,19 @@ __all__ = [
 SCORE_KINDS = ("absolute-residual", "cqr")
 
 
-def _tie_index(scores) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct score values ascending, and the index of each score
-    among them."""
-    if len(scores) == 0:
-        raise ValueError("need at least one calibration score")
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("scores must be finite")
-    return np.unique(scores, return_inverse=True)
-
-
-def _tail_mass(bins, n_atoms: int, weights: np.ndarray):
+def _tail_mass(inverse, n_atoms: int, weights: np.ndarray):
     """Tie-merged atoms of every row of a (rows, n) block of calibration
     weights, each row max-normalized to keep the ratios overflow-safe.
 
     Each row of weights must be finite, nonnegative and not all zero.
-    ``bins`` is the tie index of every element of the block, row r
-    offset by r * n_atoms (for one row, the tie index itself), so that
-    one ``bincount`` merges the ties of every row, adding each row's
-    weights in the same order as a single-row call. Returns (suffix
-    mass strictly above each atom, (rows, n_atoms); total mass, (rows,);
-    normalization scale, (rows,); the max-normalized weights, (rows, n)).
+    ``inverse`` is the tie index of the n calibration scores among the
+    n_atoms distinct ones; offset by r * n_atoms for row r, it lets one
+    ``bincount`` merge the ties of every row, adding each row's weights
+    in the same order as a single-row call. Returns the table that
+    ``_lift`` searches, (rows, a power of two above n_atoms), whose entry
+    k is the mass strictly above atom k - 1, -inf at k = 0 and past the
+    last atom; the total mass, the normalization scale and the Kish ESS
+    (sum W)^2 / sum W^2, each (rows,).
     """
     if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
         raise ValueError("weights must be finite and nonnegative")
@@ -110,45 +102,44 @@ def _tail_mass(bins, n_atoms: int, weights: np.ndarray):
     if not np.all(scale > 0.0):
         raise ValueError("weights must not all be zero")
     unit = weights / scale[:, None]
+    bins = (inverse + n_atoms * np.arange(rows)[:, None]).ravel()
     grouped = np.bincount(bins, weights=unit.ravel(), minlength=rows * n_atoms)
     rev = np.cumsum(grouped.reshape(rows, n_atoms)[:, ::-1], axis=1)
-    suffix = np.zeros((rows, n_atoms))
-    suffix[:, :-1] = rev[:, -2::-1]
-    return suffix, rev[:, -1], scale, unit
+    total = rev[:, -1]
+    table = np.full((rows, 1 << n_atoms.bit_length()), -math.inf)
+    table[:, 1:n_atoms] = rev[:, -2::-1]
+    table[:, n_atoms] = 0.0
+    return table, total, scale, total * total / np.einsum("ij,ij->i", unit, unit)
 
 
-def _lift(values, suffix, total, scale, w_new, owner, alpha: float) -> np.ndarray:
-    """Thresholds for a vector of test weights, w_new[i] queried against
-    atom row owner[i] of (suffix, total, scale) from ``_tail_mass``.
+def _lift(values, table, total, w_new, owner, alpha: float) -> np.ndarray:
+    """Thresholds for a vector of test weights, each already divided by
+    its row's scale, w_new[i] queried against row owner[i] of (table,
+    total) from ``_tail_mass``.
 
     Element i is the smallest value whose strict upper-tail mass,
     always including the infinity atom w_new[i], is at most alpha times
-    the total, or +inf when none qualifies. A test weight of +inf, or
-    one too large to normalize, gives +inf.
+    the total, or +inf when none qualifies. A test weight of +inf gives
+    +inf.
     """
     if not np.all(w_new >= 0.0):
         raise ValueError("w_new must be nonnegative, not NaN")
-    rows, n = suffix.shape
-    # the atoms failing suffix + w <= target form a prefix of each row,
-    # because suffix never increases; count them by binary lifting over
-    # padded[r, k] = suffix[r, k - 1], padded past the last atom with -inf
-    # (fails holds flat indices into padded, offset by the owner row's start)
-    width = 1 << n.bit_length()
-    padded = np.full((rows, width), -math.inf)
-    padded[:, 1 : n + 1] = suffix
-    flat = padded.ravel()
+    n, width = len(values), table.shape[1]
+    # the atoms failing tail + w <= target form a prefix of each row,
+    # because the table never increases from k = 1 on; count them by binary
+    # lifting (fails holds flat indices into the table, offset by the
+    # owner row's start)
+    flat = table.ravel()
     base = width * owner
-    with np.errstate(over="ignore"):
-        w = w_new / scale[owner]
-        finite = np.isfinite(w)
-        w = np.where(finite, w, 0.0)
-        target = alpha * (total[owner] + w)
-        fails = base
-        step = width // 2
-        while step:
-            cand = fails + step
-            fails = np.where(flat[cand] + w > target, cand, fails)
-            step //= 2
+    finite = np.isfinite(w_new)
+    w = np.where(finite, w_new, 0.0)
+    target = alpha * (total[owner] + w)
+    fails = base
+    step = width // 2
+    while step:
+        cand = fails + step
+        fails = np.where(flat[cand] + w > target, cand, fails)
+        step //= 2
     fails = fails - base
     return np.where(finite & (fails < n), values[np.minimum(fails, n - 1)], math.inf)
 
@@ -293,7 +284,12 @@ class Calibration:
 
     def __init__(self, data: Dataset, sp: SplitIndices, model, gps, cfg: ConformalConfig):
         self.model, self.gps, self.cfg = model, gps, cfg
-        self.values, self.inverse = _tie_index(calibration_scores(model, cfg, data, sp.cal))
+        scores = calibration_scores(model, cfg, data, sp.cal)
+        if len(scores) == 0:
+            raise ValueError("need at least one calibration score")
+        if not np.all(np.isfinite(scores)):
+            raise ValueError("scores must be finite")
+        self.values, self.inverse = np.unique(scores, return_inverse=True)
         self.p = data.p
         self.t_cal = data.t[sp.cal]
         self.den_cal = gps.density(self.t_cal, data.x[sp.cal]) + cfg.offset
@@ -377,19 +373,18 @@ class Calibration:
                     mine = decile_of[own] >= 0
                     num_at[mine] = family.density(t[at[mine]], decile_of[own[mine]])
             cal = likelihood_ratio(num_cal, self.den_cal, t_cal)
-            bins = (self.inverse + len(values) * np.arange(len(block))[:, None]).ravel()
-            suffix, total, scale, unit = _tail_mass(bins, len(values), cal)
+            table, total, scale, ess_block = _tail_mass(self.inverse, len(values), cal)
             if test_atom:
                 w = likelihood_ratio(num_at, den[at], t[at])
                 w[outside[at] & (w > 0.0)] = math.inf
-                eta[at] = _lift(values, suffix, total, scale, w, own, alpha)
-                with np.errstate(over="ignore", invalid="ignore"):  # p_inf -> 1 as w / scale overflows
+                with np.errstate(over="ignore", invalid="ignore"):  # an overflowing w / scale is +inf, p_inf 1
                     w = w / scale[own]
                     p_inf[at] = np.where(np.isfinite(w), w / (total[own] + w), 1.0)
+                eta[at] = _lift(values, table, total, w, own, alpha)
             else:  # zero test mass: the rows of an assignment share one query, and p_inf stays 0
                 queries = np.arange(len(block))
-                eta[at] = _lift(values, suffix, total, scale, np.zeros(len(block)), queries, alpha)[own]
-            ess[at] = (total * total / np.einsum("ij,ij->i", unit, unit))[own]
+                eta[at] = _lift(values, table, total, np.zeros(len(block)), queries, alpha)[own]
+            ess[at] = ess_block[own]
         lower, upper = score_interval(self.model, self.cfg, x, t, eta)
         return lower, upper, ess, p_inf
 

@@ -84,14 +84,19 @@ class OracleQuantileModel:
 
 @dataclass(frozen=True)
 class LinearPinballModel:
-    """Per-level linear quantile model over a basis in (x, t)."""
+    """Per-level linear quantile model over a basis in (x, t), with a
+    coefficient vector in ``coefs`` for each of its ``levels``."""
 
     basis: Callable[[np.ndarray, np.ndarray], np.ndarray]
     coefs: dict  # level -> coefficient vector
     levels: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "levels", _check_levels(self.levels))
+        levels = _check_levels(self.levels)
+        missing = [level for level in levels if level not in self.coefs]
+        if missing:
+            raise ValueError(f"coefs has no coefficients for levels {missing}")
+        object.__setattr__(self, "levels", levels)
 
     def quantile(self, x, t, level):
         try:
@@ -119,6 +124,8 @@ def pinball_loss(u: np.ndarray, level: float) -> float:
     """Mean check loss rho_tau(u) = u * (tau - 1{u < 0})."""
     _check_level(level)
     u = np.asarray(u, dtype=float)
+    if u.size == 0:
+        raise ValueError("need at least one residual")
     return float(np.mean(u * (level - (u < 0.0))))
 
 

@@ -47,7 +47,7 @@ class MixtureGps:
 
     Construction checks the fields without copying them: ``mix_weights``
     is a vector of finite weights >= 0 summing to 1 within
-    ``MIX_WEIGHT_SUM_TOL``, ``betas`` has one row per weight, and
+    ``MIX_WEIGHT_SUM_TOL``, ``betas`` has one finite row per weight, and
     ``variances`` one finite, positive entry per weight.
     """
 
@@ -68,6 +68,8 @@ class MixtureGps:
             raise ValueError(f"mix_weights must sum to 1, got {total!r}")
         if betas.ndim != 2 or len(betas) != len(w):
             raise ValueError(f"betas must be 2-d with one row per mixing weight, got shape {betas.shape}")
+        if not all(math.isfinite(v) for v in betas.ravel().tolist()):
+            raise ValueError("betas must be finite")
         if var.shape != w.shape or not all(0.0 < v < math.inf for v in var.tolist()):
             raise ValueError("variances must hold one finite, positive entry per mixing weight")
 

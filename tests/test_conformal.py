@@ -18,7 +18,6 @@ from doseband.conformal import (
     PredictionBand,
     _lift,
     _tail_mass,
-    _tie_index,
     calibration_scores,
     prediction_band,
     score_interval,
@@ -57,19 +56,22 @@ def oracle_weighted_quantile(scores, weights, w_new, alpha):
 def thresholds(scores, weights, w_new, alpha):
     """The engine's thresholds for one row of calibration weights and an
     array (or scalar) of test weights: tie index, tail mass, lift."""
-    values, inverse = _tie_index(np.asarray(scores, dtype=float))
-    atoms = _tail_mass(inverse, len(values), np.asarray(weights, dtype=float)[None])[:3]
+    values, inverse = np.unique(np.asarray(scores, dtype=float), return_inverse=True)
+    table, total, scale, _ = _tail_mass(inverse, len(values), np.asarray(weights, dtype=float)[None])
     w_new = np.asarray(w_new, dtype=float)
     owner = np.zeros(w_new.size, dtype=np.intp)
-    return _lift(values, *atoms, w_new.ravel(), owner, alpha).reshape(w_new.shape)
+    with np.errstate(over="ignore"):  # a weight too large to normalize becomes +inf
+        w = w_new.ravel() / scale[owner]
+    return _lift(values, table, total, w, owner, alpha).reshape(w_new.shape)
 
 
 def scalar_scan(scores, weights, w_new, alpha):
     """One test weight at a time: the first tie-merged atom whose strict
     upper tail plus the infinity atom is at most alpha of the total."""
-    values, inverse = _tie_index(np.asarray(scores, dtype=float))
-    suffix, total, scale, _ = _tail_mass(inverse, len(values), np.asarray(weights, dtype=float)[None])
-    suffix, total, scale = suffix[0], float(total[0]), float(scale[0])  # the one-row block
+    values, inverse = np.unique(np.asarray(scores, dtype=float), return_inverse=True)
+    table, total, scale, _ = _tail_mass(inverse, len(values), np.asarray(weights, dtype=float)[None])
+    # the one-row block; the table's entry k + 1 is the mass strictly above atom k
+    suffix, total, scale = table[0, 1 : len(values) + 1], float(total[0]), float(scale[0])
     w = w_new / scale
     if not math.isfinite(w):
         return math.inf
@@ -138,11 +140,13 @@ class TestWeightedQuantile:
             weights[gen.random((rows, n)) < 0.3] = 0.0
             weights[np.arange(rows), gen.integers(0, n, size=rows)] = tiny  # no all-zero row
             values, inverse = np.unique(scores, return_inverse=True)
-            bins = (inverse + len(values) * np.arange(rows)[:, None]).ravel()
             w_new = gen.permutation(np.r_[0.0, gen.gamma(1.0, 2.0, size=10) * tiny, 1e308])
             owner = gen.integers(0, rows, size=len(w_new))
             alpha = float(gen.uniform(0.02, 0.5))
-            got = _lift(values, *_tail_mass(bins, len(values), weights)[:3], w_new, owner, alpha)
+            table, total, scale, _ = _tail_mass(inverse, len(values), weights)
+            with np.errstate(over="ignore"):  # 1e308 overflows once normalized
+                w = w_new / scale[owner]
+            got = _lift(values, table, total, w, owner, alpha)
             for r in range(rows):
                 mine, got_r = w_new[owner == r], got[owner == r].tolist()
                 assert got_r == thresholds(scores, weights[r], mine, alpha).tolist()
@@ -966,6 +970,61 @@ class TestCalibration:
                 weighted_interval(data, sp, model, gps, h, cfg, x_new, 4.0)
             with pytest.raises(ValueError, match=widths):
                 prediction_band(data, sp, model, gps, lambda t: h, cfg, x_new, 3.0, 5.0, 5)
+
+
+def exact_coverage(data, model, gps, h, cfg):
+    """Exact coverage of the weighted interval conditional on the multiset
+    of the points of ``data`` (Tibshirani et al. 2019, Lemma 3): point i is
+    the test point with probability proportional to the engine's weight
+    w_i = h(t_i) / (gps(t_i | x_i) + offset), the other points calibrating,
+    so the coverage is sum_i w_i [y_i in C_-i] / sum_i w_i. Returns it and
+    the weights."""
+    n = len(data.t)
+    w = likelihood_ratio(h.density(data.t), gps.density(data.t, data.x) + cfg.offset, data.t)
+    covered = np.empty(n, dtype=bool)
+    for i in range(n):
+        sp = SplitIndices(train=np.empty(0, dtype=np.intp), cal=np.delete(np.arange(n), i))
+        calib = Calibration(data, sp, model, gps, cfg)
+        lower, upper, _, _ = calib.bounds(data.x[i : i + 1], data.t[i : i + 1], [h], np.zeros(1, dtype=np.intp))
+        covered[i] = lower[0] <= data.y[i] <= upper[0]
+    return math.fsum(w[covered].tolist()) / math.fsum(w.tolist()), w
+
+
+class TestExactCoverage:
+    def test_every_multiset_reaches_nominal_coverage(self):
+        # s1 multisets of 5-29 points with the oracle model and the true GPS:
+        # both score kinds, tied scores from repeated points, a nonzero
+        # offset, and Normal or decile-family numerators
+        var = sim.S12_TREATMENT_VAR
+        gps = CallableGps(
+            fn=lambda t, x: np.exp(-0.5 * (t - sim.s12_treatment_mean(x)) ** 2 / var) / math.sqrt(2.0 * math.pi * var)
+        )
+        boundaries = np.linspace(-9.0, 11.0, 11)
+        gen = Rng(13).gen
+        for case in range(100):
+            n = int(gen.integers(5, 30))
+            alpha = float(gen.choice([0.05, 0.1, 0.2, 0.33]))
+            cfg = ConformalConfig(alpha, SCORE_KINDS[case % 2], 0.01 if case % 4 >= 2 else 0.0)
+            if case % 3 == 0:
+                t_star, k = float(gen.uniform(-9.0, 11.0)), float(gen.choice([0.5, 1.0]))
+                h = DecileMidpointAssignment(boundaries, 4.0, t_star, k)
+            else:
+                h = NormalParams(1.0, float(gen.choice([0.5, 4.0, 16.0])))
+            x = np.column_stack([gen.normal(1.0, 1.0, n), gen.normal(1.0, 1.0, n), gen.normal(4.0, 1.0, n)])
+            t = sim.s12_treatment_mean(x) + math.sqrt(var) * gen.normal(size=n)
+            y = sim.s1_response_mean(x, t) + sim.RESPONSE_SD * gen.normal(size=n)
+            tied = case % 5 < 2
+            if tied:  # repeated points: n draws from n // 2 distinct ones
+                pick = gen.integers(0, n // 2, size=n)
+                x, t, y = x[pick], t[pick], y[pick]
+            data = Dataset(y, t, x)
+            model = OracleQuantileModel(
+                mean_fn=sim.s1_response_mean, variance=sim.RESPONSE_SD**2, levels=(alpha / 2.0, 1.0 - alpha / 2.0)
+            )
+            coverage, w = exact_coverage(data, model, gps, h, cfg)
+            assert coverage >= 1.0 - alpha, (case, coverage)
+            if not tied:  # tie-free scores: coverage stays below 1 - alpha + max_i p_i
+                assert coverage < 1.0 - alpha + w.max() / w.sum(), (case, coverage)
 
 
 class TestConformalConfig:

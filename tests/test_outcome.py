@@ -145,6 +145,16 @@ class TestLinearPinball:
         with pytest.raises(ValueError, match=re.escape("level must lie strictly inside (0, 1)")):
             pinball_loss(np.array([1.0, -1.0]), level)
 
+    def test_missing_level_coefficients_rejected(self):
+        # such a model once constructed and raised KeyError at its first query
+        with pytest.raises(ValueError, match=re.escape("coefs has no coefficients for levels [0.95]")):
+            LinearPinballModel(basis=_affine_xt, coefs={0.05: np.zeros(4)}, levels=(0.05, 0.95))
+
+    def test_loss_rejects_empty_residuals(self):
+        # the mean of no residuals was NaN, with a RuntimeWarning
+        with pytest.raises(ValueError, match="at least one residual"):
+            pinball_loss(np.array([]), 0.5)
+
     def test_unfitted_level_raises(self):
         model = LinearPinballModel(
             basis=_affine_xt, coefs={0.9: np.zeros(4)}, levels=(0.9,)

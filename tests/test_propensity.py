@@ -355,6 +355,13 @@ class TestDensities:
         with pytest.raises(ValueError, match=message):
             MixtureGps(mix_weights=np.array(w), betas=np.array(betas), variances=np.array(variances))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_mixture_rejects_non_finite_betas(self, bad):
+        # such a mixture once constructed: a NaN coefficient surfaced as a NaN
+        # propensity density, an infinite one as a zero density blamed on the data
+        with pytest.raises(ValueError, match="betas must be finite"):
+            MixtureGps(np.ones(1), np.array([[bad, 1.0, 0.0, 0.0]]), np.ones(1))
+
     def test_mixture_keeps_its_fields_uncopied(self):
         w, betas, variances = np.array([0.25, 0.75]), np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, 2.0])
         m = MixtureGps(mix_weights=w, betas=betas, variances=variances)
