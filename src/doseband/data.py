@@ -90,7 +90,8 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SplitIndices:
-    """Disjoint training / calibration row indices."""
+    """Disjoint training / calibration row indices: non-negative, and
+    none listed twice within or across the two halves."""
 
     train: np.ndarray
     cal: np.ndarray
@@ -98,10 +99,17 @@ class SplitIndices:
     def __post_init__(self) -> None:
         train = _frozen_array(self.train, dtype=np.intp, ndim=1)
         cal = _frozen_array(self.cal, dtype=np.intp, ndim=1)
-        # numpy picks its linear-time lookup table for any split of range(n)
-        # and falls back to sorting when the index range is too wide for one
-        if np.isin(cal, train).any():
-            raise ValueError("train and calibration indices overlap")
+        # one sort of both halves finds a negative index and any index
+        # listed twice, within a half or across the two
+        both = np.concatenate([train, cal])
+        both.sort()
+        if both.size and (both[0] < 0 or (both[1:] == both[:-1]).any()):
+            if np.intersect1d(train, cal).size:
+                raise ValueError("train and calibration indices overlap")
+            if both[0] < 0:
+                raise ValueError(f"split indices must be non-negative, got {both[0]}")
+            half = "train" if np.unique(train).size < train.size else "calibration"
+            raise ValueError(f"{half} indices repeat a row")
         object.__setattr__(self, "train", train)
         object.__setattr__(self, "cal", cal)
 

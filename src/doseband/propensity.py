@@ -48,7 +48,9 @@ class MixtureGps:
     Construction checks the fields without copying them: ``mix_weights``
     is a vector of finite weights >= 0 summing to 1 within
     ``MIX_WEIGHT_SUM_TOL``, ``betas`` has one finite row per weight, and
-    ``variances`` one finite, positive entry per weight.
+    ``variances`` one finite, positive entry per weight. A query whose
+    design has another number of columns than ``betas`` raises
+    ``ValueError`` naming both.
     """
 
     mix_weights: np.ndarray
@@ -78,6 +80,8 @@ class MixtureGps:
 
     def _density(self, t, x):
         Z = _design(x, self.basis)
+        if Z.shape[1] != len(self.betas[0]):
+            raise ValueError(f"the query's design has {Z.shape[1]} columns, but betas has {len(self.betas[0])}")
         out = np.zeros_like(t)
         for pi_k, beta_k, var_k in zip(self.mix_weights, self.betas, self.variances, strict=True):
             out += pi_k * _normal_density(t, Z @ beta_k, math.sqrt(var_k))
@@ -156,6 +160,28 @@ class _EmRun(NamedTuple):
     iterations: np.ndarray  # (starts,) EM iterations run
 
 
+def _fed_full_rank(pi, gram, trace, cutoff, certify):
+    """Whether each component is fed, its mixing weight ``pi`` at least
+    ``MIN_MIX_WEIGHT``, and its Gram matrix (a row of ``gram``, with
+    trace ``trace``) has an eigenvalue ratio above ``cutoff``.
+
+    A Gram matrix G (q, q) is positive semi-definite, so lambda_max <=
+    tr G and lambda_min >= det G / lambda_max^(q-1) >= det G / tr G^(q-1):
+    lambda_min / lambda_max >= det G / tr G^q. With ``certify``, a fed
+    component with det G > 1e3 * cutoff * tr G^q has full rank, the
+    factor 1e3 covering the rounding of det and of eigvalsh. ``eigvalsh``
+    decides every other fed component, and every one without ``certify``,
+    so the answer is eigvalsh's for every component.
+    """
+    fed = pi >= MIN_MIX_WEIGHT
+    ok = fed & (np.linalg.det(gram) > 1e3 * cutoff * trace ** gram.shape[-1]) if certify else np.zeros_like(fed)
+    if not ok.all():
+        unsure = fed & ~ok
+        eig = np.linalg.eigvalsh(gram[unsure])
+        ok[unsure] = eig[:, 0] > cutoff * eig[:, -1]
+    return ok
+
+
 def _run_em(Z, t, resp0, max_iter, rel_tol) -> _EmRun:
     """EM for a mixture of Gaussian linear regressions (MLE variances),
     run for every start of ``resp0`` (starts, k, n) as one computation.
@@ -174,10 +200,18 @@ def _run_em(Z, t, resp0, max_iter, rel_tol) -> _EmRun:
     mixing weights are read from those weighted sums instead of summing
     the responsibilities.
 
+    A determinant bound certifies most Gram matrices' rank without
+    eigenvalues (see ``_fed_full_rank``). ``eigvalsh`` decides the rest
+    by the rule above, and every component when the bound's tr^q could
+    overflow, so a start collapses at the iteration it would under
+    ``eigvalsh`` alone.
+
     Starts do not interact: every operation acts on each start's own
     slice, so a start's iterates are those of its own one-start run. The
-    loop carries only the running starts, compacted whenever some stop
-    or collapse, and a start's outputs are written once, when it stops.
+    loop carries only the running starts as one flat batch of (start,
+    component) rows, compacted whenever some stop or collapse, tests
+    convergence in Python floats, and writes a start's outputs once,
+    when it stops.
     A one-iteration run from a result's ``resp`` continues every start
     that did not collapse from its last E-step: ``_run_em(Z, t, em.resp,
     1, rel_tol)`` steps EM one iteration on.
@@ -185,7 +219,11 @@ def _run_em(Z, t, resp0, max_iter, rel_tol) -> _EmRun:
     n_starts, k, n = resp0.shape
     q = Z.shape[1]
     moments = np.hstack([(Z[:, :, None] * Z[:, None, :]).reshape(n, q * q), Z * t[:, None]])
+    diag = slice(0, q * q, q + 1)  # the table's columns Z_ij Z_ij
     cutoff = np.finfo(float).eps * max(n, q)
+    # every trace is at most n * max_i |Z_i|^2 >= n; while that bound's q-th
+    # power is finite, so are every det and tr^q of the certificate
+    certify = q * math.log(n * float(moments[:, diag].sum(axis=1).max())) < 700.0
 
     resp = np.array(resp0, dtype=float)
     pis = np.zeros((n_starts, k))
@@ -195,47 +233,57 @@ def _run_em(Z, t, resp0, max_iter, rel_tol) -> _EmRun:
     collapsed = np.zeros(n_starts, dtype=bool)
     iterations = np.zeros(n_starts, dtype=int)
     run = np.arange(n_starts)
-    r, prev = resp, loglik.copy()
+    # r, sums, pi, gram, beta, e2 and var hold one row per running start and
+    # component, start by start; prev holds each running start's last
+    # log-likelihood as a Python float
+    r, prev = resp.reshape(-1, n), [-math.inf] * n_starts
     it = 0
     while run.size and it < max_iter:
-        sums = (r.reshape(-1, n) @ moments).reshape(run.size, k, q * q + q)
-        pi = sums[..., 0] / n
-        gram = sums[..., : q * q].reshape(run.size, k, q, q)
-        eig = np.linalg.eigvalsh(gram)
-        ok = np.all((pi >= MIN_MIX_WEIGHT) & (eig[..., 0] > cutoff * eig[..., -1]), axis=1)
-        if not ok.all():
+        sums = r @ moments
+        pi = sums[:, 0] / n
+        gram = sums[:, : q * q].reshape(-1, q, q)
+        ranked = _fed_full_rank(pi, gram, sums[:, diag].sum(axis=1), cutoff, certify)
+        if not ranked.all():
+            ok = ranked.reshape(-1, k).all(axis=1)
             collapsed[run[~ok]], iterations[run[~ok]] = True, it
-            run, r, prev, pi, gram, sums = run[ok], r[ok], prev[ok], pi[ok], gram[ok], sums[ok]
-        beta = np.linalg.solve(gram, sums[..., q * q :, None])[..., 0]
-        e2 = (beta.reshape(-1, q) @ Z.T).reshape(r.shape)
+            rows = np.repeat(ok, k)
+            run, r, pi, gram, sums = run[ok], r[rows], pi[rows], gram[rows], sums[rows]
+            prev = [p for p, keep in zip(prev, ok.tolist()) if keep]
+        beta = np.linalg.solve(gram, sums[:, q * q :, None])[:, :, 0]
+        e2 = beta @ Z.T
         np.subtract(t, e2, out=e2)
         e2 *= e2
-        var = np.einsum("skn,skn->sk", r, e2) / (pi * n)
-        ok = np.all(var >= VARIANCE_FLOOR, axis=1)
-        if not ok.all():
+        var = np.einsum("in,in->i", r, e2) / (pi * n)
+        if not var.min(initial=math.inf) >= VARIANCE_FLOOR:
+            ok = np.all(var.reshape(-1, k) >= VARIANCE_FLOOR, axis=1)
             collapsed[run[~ok]], iterations[run[~ok]] = True, it
-            run, prev, pi, beta, e2, var = run[ok], prev[ok], pi[ok], beta[ok], e2[ok], var[ok]
+            rows = np.repeat(ok, k)
+            run, pi, beta, e2, var = run[ok], pi[rows], beta[rows], e2[rows], var[rows]
+            prev = [p for p, keep in zip(prev, ok.tolist()) if keep]
 
         # E-step: log pi - log(2 pi var) / 2 - e^2 / (2 var), normalised
         # over the components by log-sum-exp, all in e2's buffer
-        e2 *= (-0.5 / var)[..., None]
-        e2 += (np.log(pi) - 0.5 * np.log(2.0 * np.pi * var))[..., None]
-        top = e2.max(axis=1, keepdims=True)
-        e2 -= top
+        e2 *= (-0.5 / var)[:, None]
+        e2 += (np.log(pi) - 0.5 * np.log(2.0 * np.pi * var))[:, None]
+        e3 = e2.reshape(-1, k, n)  # (running, k, n) view
+        top = e3.max(axis=1, keepdims=True)
+        e3 -= top
         np.exp(e2, out=e2)
-        total = e2.sum(axis=1, keepdims=True)
+        total = e3.sum(axis=1, keepdims=True)
         ll = (top + np.log(total)).sum(axis=(1, 2))
-        e2 /= total
+        e3 /= total
         it += 1
 
-        done = (prev > -np.inf) & (np.abs(ll - prev) <= rel_tol * (1.0 + np.abs(prev)))
-        stop = done | (it == max_iter)
-        if stop.any():
+        lls = ll.tolist()
+        done = [p > -math.inf and abs(v - p) <= rel_tol * (1.0 + abs(p)) for v, p in zip(lls, prev)]
+        if it == max_iter or any(done):
+            done = np.array(done, dtype=bool)
+            stop = done | (it == max_iter)
             out = run[stop]
-            pis[out], betas[out], resp[out], loglik[out] = pi[stop], beta[stop], e2[stop], ll[stop]
-            converged[out], iterations[out] = done[stop], it
-            run, e2, ll = run[~stop], e2[~stop], ll[~stop]
-        r, prev = e2, ll
+            pis[out], betas[out], resp[out] = pi.reshape(-1, k)[stop], beta.reshape(-1, k, q)[stop], e3[stop]
+            loglik[out], converged[out], iterations[out] = ll[stop], done[stop], it
+            run, e2, lls = run[~stop], e3[~stop].reshape(-1, n), ll[~stop].tolist()
+        r, prev = e2, lls
     return _EmRun(loglik, pis, betas, resp, converged, collapsed, iterations)
 
 
@@ -287,9 +335,19 @@ def fit_gaussian_mixture(
     one-component fit coincide with ``fit_ols_gaussian`` exactly. The
     report gives the selected fit's EM iterations (0 for k = 1) and the
     number of starts that collapsed over every k.
+
+    A ``max_components`` that is not a positive integer, a bool included,
+    raises ``ValueError``; an ``rng`` that is neither a ``dist.Rng`` nor
+    None raises ``TypeError``.
     """
-    if not isinstance(max_components, (int, np.integer)) or max_components < 1:
+    # a bool is an int, but True is no count of components
+    integer = isinstance(max_components, (int, np.integer)) and not isinstance(max_components, bool)
+    if not integer or max_components < 1:
         raise ValueError("max_components must be a positive integer")
+    if rng is None:
+        rng = Rng(0)
+    elif not isinstance(rng, Rng):
+        raise TypeError(f"rng must be a dist.Rng or None, got {type(rng).__name__}")
     train = np.asarray(train)
     Z = _design(data.x[train], None)
     t = data.t[train]
@@ -298,8 +356,6 @@ def fit_gaussian_mixture(
         raise ValueError(
             f"need more than {10 * (data.p + 2) * max_components} training rows, got {n}"
         )
-    if rng is None:
-        rng = Rng(0)
     children = rng.spawn(N_RESTARTS)
 
     beta, _, rank, _ = np.linalg.lstsq(Z, t, rcond=None)

@@ -86,6 +86,22 @@ class TestSplit:
         with pytest.raises(ValueError):
             SplitIndices([0, 1], [1, 2])
 
+    @pytest.mark.parametrize(
+        "train, cal, message",
+        [
+            ([0, 0, 1], [2], "train indices repeat a row"),
+            ([0, 1], [3, 2, 3], "calibration indices repeat a row"),
+            ([0, 1], [2, 1], "train and calibration indices overlap"),
+            ([0, 1, 1], [1, 2], "train and calibration indices overlap"),
+            ([-1, 1], [2], "non-negative, got -1"),
+            ([0, 1], [2, -3], "non-negative, got -3"),
+        ],
+    )
+    def test_negative_and_repeated_indices_rejected(self, train, cal, message):
+        # a calibration row listed twice would count its score twice
+        with pytest.raises(ValueError, match=message):
+            SplitIndices(np.array(train), np.array(cal))
+
     def test_overlap_check_matches_intersect1d(self):
         gen = Rng(4).gen
         pairs = [
@@ -105,17 +121,23 @@ class TestSplit:
             pairs.append(
                 (gen.integers(lo, lo + span, n_train), gen.integers(lo, lo + span, n_cal))
             )
-        overlaps = 0
+        overlaps = valid = 0
         for train, cal in pairs:
             overlap = np.intersect1d(train, cal).size > 0
             overlaps += overlap
+            both = np.concatenate([train, cal])
             if overlap:
                 with pytest.raises(ValueError, match="overlap"):
                     SplitIndices(train, cal)
+            elif (both < 0).any() or np.unique(both).size < both.size:
+                # a negative index, or one repeated within a half
+                with pytest.raises(ValueError, match="non-negative|repeat a row"):
+                    SplitIndices(train, cal)
             else:
+                valid += 1
                 sp = SplitIndices(train, cal)
                 np.testing.assert_array_equal(sp.train, np.asarray(train, dtype=np.intp))
-        assert 0 < overlaps < len(pairs)
+        assert 0 < overlaps < len(pairs) and valid > 10
 
 
 class TestCsv:

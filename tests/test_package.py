@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import math
 import pkgutil
 import re
 import sys
@@ -316,10 +317,13 @@ def _bench_workloads():
     return sys.modules[name]
 
 
-@pytest.mark.parametrize("name", ["band", "study-query"])
-def test_benchmark_output_checks_pass(name):
+@pytest.mark.parametrize("name", ["band", "study-query", "gps-em", "study-pinball"])
+def test_benchmark_output_checks_pass(name, monkeypatch):
     # the band check compares with bench/workloads.py::reference_band, which
-    # queries every model one point at a time
+    # queries every model one point at a time; the gps-em check compares each
+    # EM fit with bench/reference.json at a relative 1e-6
+    if name == "study-pinball":
+        monkeypatch.setattr(sim, "_POOL_MIN_S", math.inf)  # pooled rows equal serial ones
     workloads = _bench_workloads()
     workload = workloads.WORKLOADS[name]
     state = workload.setup(workloads.DEFAULT_SEED)

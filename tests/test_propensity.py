@@ -214,11 +214,19 @@ class TestMixtureEm:
         with pytest.raises(ValueError, match="training rows"):
             fit_gaussian_mixture(d, np.arange(d.n), max_components=2)
 
-    @pytest.mark.parametrize("max_components", [0, -1, 2.5])
+    @pytest.mark.parametrize("max_components", [0, -1, 2.5, True, np.True_])
     def test_max_components_must_be_positive_integer(self, max_components):
+        # True is an int, and used to fit one component silently
         d = self._single_gaussian_data(n=400)
         with pytest.raises(ValueError, match="max_components must be a positive integer"):
             fit_gaussian_mixture(d, np.arange(d.n), max_components=max_components)
+
+    @pytest.mark.parametrize("rng", [7, np.random.default_rng(7)])
+    def test_rng_must_be_a_dist_rng(self, rng):
+        # an int used to fail with "'int' object has no attribute 'spawn'"
+        d = self._single_gaussian_data(n=400)
+        with pytest.raises(TypeError, match="rng must be a dist.Rng or None"):
+            fit_gaussian_mixture(d, np.arange(d.n), rng=rng)
 
     def test_batched_start_equals_its_solo_run(self):
         # the four starts stop at different iterations, so the batch is
@@ -245,8 +253,93 @@ class TestMixtureEm:
         starved = np.vstack([np.ones(d.n), np.zeros(d.n)])[None]
         em = _run_em(Z, d.t, healthy, 0, propensity.REL_TOL)
         assert not em.iterations.any()
-        em = _run_em(Z, d.t, starved, propensity.MAX_ITER, propensity.REL_TOL)
-        assert em.collapsed.all() and not em.iterations.any()
+        for max_iter in (1, propensity.MAX_ITER):
+            # at max_iter 1 the cap falls in the iteration where every start collapses
+            em = _run_em(Z, d.t, starved, max_iter, propensity.REL_TOL)
+            assert em.collapsed.all() and not em.iterations.any()
+
+
+def _random_grams(gen, n, q):
+    """(rows, q, q) Gram matrices: eigenvalue ratios from 1 down to 1e-17
+    and below, then weighted moment sums of design rows as EM forms them,
+    some exactly singular."""
+    grams = []
+    for log_cond in np.linspace(0.0, 17.0, 69):
+        basis, _ = np.linalg.qr(gen.normal(size=(q, q)))
+        lam = 10.0 ** -np.concatenate([[0.0, log_cond], log_cond * gen.random(q - 2)])
+        g = (basis * (lam * 10.0 ** gen.uniform(-2.0, 6.0))) @ basis.T
+        grams.append((g + g.T) / 2.0)
+    Z = np.column_stack([np.ones(n), gen.normal(size=(n, q - 1)) * 10.0 ** gen.uniform(-1.0, 3.0, q - 1)])
+    collinear = Z.copy()
+    collinear[:, -1] = 2.0 * collinear[:, 1]
+    w = gen.random((70, n))
+    w[:20, q - 1 :] = 0.0  # weight on fewer than q rows
+    w[20:40] *= gen.random((20, n)) < 0.02  # on a handful of rows
+    for design, weights in ((Z, w[:60]), (collinear, w[60:])):
+        grams += list((weights @ (design[:, :, None] * design[:, None, :]).reshape(n, q * q)).reshape(-1, q, q))
+    return np.array(grams)
+
+
+def test_rank_certificate_decides_as_eigvalsh(monkeypatch):
+    gen = Rng(33).gen
+    n, q = 500, 4
+    cutoff = np.finfo(float).eps * n
+    grams = _random_grams(gen, n, q)
+    pi = gen.uniform(0.01, 1.0, len(grams))
+    pi[::9] = propensity.MIN_MIX_WEIGHT / 2.0  # starved
+    eig = np.linalg.eigvalsh(grams)
+    fed = pi >= propensity.MIN_MIX_WEIGHT
+    rule = fed & (eig[:, 0] > cutoff * eig[:, -1])
+    fallback = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: fallback.append(len(a)) or eigvalsh(a))
+    trace = np.trace(grams, axis1=1, axis2=2)
+    got = propensity._fed_full_rank(pi, grams, trace, cutoff, True)
+    # a start's decision is its components' conjunction, so agreeing on
+    # every component agrees on every start
+    np.testing.assert_array_equal(got, rule)
+    # both outcomes occur, and the bound alone certifies some of the full
+    # rank components, leaving eigvalsh the other fed ones
+    certified = fed.sum() - fallback[0]
+    assert 0 < rule.sum() < len(grams) and 10 < certified < rule.sum()
+    # the ratios straddle the cutoff
+    ratio = eig[:, 0] / eig[:, -1]
+    assert (ratio <= 0.0).any() and ((ratio > cutoff) & (ratio < 10.0 * cutoff)).any()
+    assert ((ratio < cutoff) & (ratio > cutoff / 10.0)).any()
+    fallback.clear()
+    np.testing.assert_array_equal(propensity._fed_full_rank(pi, grams, trace, cutoff, False), rule)
+    assert fallback == [fed.sum()]
+
+
+def test_rank_collapse_at_the_eigvalsh_iteration(monkeypatch):
+    # an outlier row draws one component onto itself: the other rows'
+    # responsibilities underflow, the component's weighted design falls to
+    # rank 1, and the start collapses at iteration 14
+    gen = Rng(4).gen
+    n = 300
+    x = gen.normal(size=n)
+    t = x + gen.normal(size=n)
+    x[0], t[0] = 1.5, 60.0
+    Z = _design(x[:, None], None)
+    resp0 = np.stack([gen.dirichlet(np.ones(2), size=n).T for _ in range(4)])
+    real = propensity._fed_full_rank
+    rank_deficient = []
+
+    def spy(pi, gram, trace, cutoff, certify):
+        ok = real(pi, gram, trace, cutoff, certify)
+        rank_deficient.append((pi >= propensity.MIN_MIX_WEIGHT) & ~ok)
+        return ok
+
+    monkeypatch.setattr(propensity, "_fed_full_rank", spy)
+    em = _run_em(Z, t, resp0, propensity.MAX_ITER, propensity.REL_TOL)
+    # recorded with the eigvalsh-only rule this module used before the bound
+    assert em.collapsed.all() and em.iterations.tolist() == [12, 14, 14, 14]
+    assert [i for i, d in enumerate(rank_deficient) if d.any()] == [14]
+    # eigvalsh deciding every component gives the same run, bit for bit
+    monkeypatch.setattr(propensity, "_fed_full_rank", lambda *args: real(*args[:4], False))
+    ref = _run_em(Z, t, resp0, propensity.MAX_ITER, propensity.REL_TOL)
+    for got, want in zip(em, ref):
+        np.testing.assert_array_equal(got, want)
 
 
 # fit_gaussian_mixture on a fixed seed -> (n_components, log_likelihood,
@@ -368,6 +461,20 @@ class TestDensities:
         assert m.mix_weights is w and m.betas is betas and m.variances is variances
         # weights summing to 1 within rounding pass
         MixtureGps(mix_weights=np.full(3, 1.0 / 3.0), betas=np.zeros((3, 2)), variances=np.ones(3))
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_density_names_a_covariate_width_mismatch(self, width):
+        # numpy used to fail inside the matrix product, naming neither count
+        m = MixtureGps(mix_weights=[0.5, 0.5], betas=np.zeros((2, 3)), variances=[1.0, 2.0])
+        message = f"design has {width + 1} columns, but betas has 3"
+        with pytest.raises(ValueError, match=message):
+            m.density(0.0, np.zeros((4, width)))
+        with pytest.raises(ValueError, match=message):
+            m.density(0.0, np.zeros(width))
+        # with a basis the design's width is the basis's, and betas may be lists
+        oracle = MixtureGps(mix_weights=[1.0], betas=[[0.0, 1.0]], variances=[1.0], basis=lambda z: z)
+        with pytest.raises(ValueError, match="design has 4 columns, but betas has 2"):
+            oracle.density(0.0, np.zeros((4, 3)))
 
     def test_callable_gps(self):
         m = CallableGps(fn=lambda t, x: np.exp(-np.abs(t)) / 2.0)
